@@ -7,7 +7,8 @@ Three head-to-head measurements:
             series of the same order.
   mul       Fraction-convolution vs integer-normalized multiplication,
             on a dense series square.
-  pipeline  expand_by_reversion vs expand_by_ode end to end.
+  pipeline  expand_online vs expand_by_reversion end to end on any
+            curve, and expand_by_ode too where a = 2.
 
 Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K]
 """
@@ -21,7 +22,7 @@ import time
 from fractions import Fraction
 
 from bhnum.curves import parse_curve, u_series
-from bhnum.generator import expand_by_ode, expand_by_reversion
+from bhnum.generator import expand_by_ode, expand_by_reversion, expand_online
 from bhnum.series import TruncSeries, revert
 
 
@@ -81,6 +82,12 @@ def main() -> None:
         )
 
     os.environ["BHNUM_MUL"] = "int"
+    rows.append(
+        (
+            f"pipeline/online    {curve}@{args.order}",
+            best_of(args.repeat, lambda: expand_online(curve, args.order)),
+        )
+    )
     rows.append(
         (
             f"pipeline/reversion {curve}@{args.order}",

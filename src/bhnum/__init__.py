@@ -28,9 +28,11 @@ from .generator import (
     ExpansionError,
     UnsupportedMethodError,
     bernoulli,
+    certify,
     expand_by_ode,
     expand_by_reversion,
     expand_checked,
+    expand_online,
     extract_numbers,
     hurwitz,
 )

@@ -6,7 +6,8 @@ classical Bernoulli/Hurwitz anchor sequences.
 
 Exit codes: 0 success / all checks pass, 1 a verification check failed,
 2 usage or configuration error (bad curve, missing cache, weights not
-computed), 3 an internal cross-check tripped.  Output is deterministic:
+computed), 3 an internal check tripped: the curve-equation certificate or
+the two-route cross-check.  Output is deterministic:
 identical invocations produce byte-identical reports, with no timestamps
 or environment echoes.
 """
@@ -32,6 +33,7 @@ from .generator import (
     BHTable,
     CacheError,
     CrossCheckError,
+    ExpansionError,
     bernoulli,
     expand_checked,
     extract_numbers,
@@ -108,7 +110,6 @@ def _load_table(cfg: RunConfig):
         )
     if cfg.max_weight is None:
         return table
-    have = table.weights()
     missing = [
         n
         for n in range(table.curve.weight, cfg.max_weight + 1, table.curve.weight)
@@ -119,7 +120,6 @@ def _load_table(cfg: RunConfig):
             f"table at {cfg.cache_path} lacks weights {missing}; run: "
             f"bhnum compute --curve {table.curve} --max-weight {cfg.max_weight}"
         )
-    del have
     return table.restrict(cfg.max_weight)
 
 
@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
         lines.append(f"VSC: {passed}/{len(table.weights())} pass")
 
     if which in ("kummer", "all"):
-        count = before = len(reports)
+        before = len(reports)
         kummer_pass = 0
         max_w = max(table.weights(), default=0)
         for p in primes_in_class(args.prime_limit, PrimeResidueClass(5, 1)):
@@ -327,6 +327,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except CrossCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
+    except ExpansionError as exc:
+        # Only the expansion itself raises this under compute: orders are
+        # validated before it runs, so it is an internal check, not usage.
+        print(f"internal expansion check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
     except (
         CurveError,

@@ -13,15 +13,24 @@ for N a positive multiple of the weight w.  The (N - a)! here is the
 factorial matching the actual Laurent slot of weight N; see
 extract_numbers.
 
-Two independent expansion routes are provided.  expand_by_reversion runs
-the definition above.  expand_by_ode never inverts a series: for
-hyperelliptic models (a = 2) the curve equation forces
+Three expansion routes are provided.  expand_online is the production
+route: t(u) solves t' = (1 - t**w)**(j/a), and writing t = u * tau(u**w)
+turns that into power recurrences (J.C.P. Miller's, see _miller) that
+produce tau, and from it x and y, one coefficient at a time, with the
+sparse support built in.  expand_by_reversion runs the definition above,
+inverting u(t) and composing; it is the test oracle and the route behind
+hurwitz().  expand_by_ode never touches t: for hyperelliptic models
+(a = 2) the curve equation forces
 
     A' ** 2 = 4 * (A**(2g+1) - c)        c = 1 (cyclo) or A (minusx)
 
 on A = x(u) up to the factor A**(2g-2), and the coefficients of A solve a
-linear recurrence degree by degree.  Agreement of the two routes is the
-main internal cross-check.
+linear recurrence degree by degree.
+
+expand_checked, the route every table is computed by, certifies the online
+expansion against the curve equation and the differential du (see
+certify) and, for a = 2, requires coefficient-for-coefficient agreement
+with the ODE route.
 
 Coefficient support is sparse: x lives on exponents congruent to -a mod w
 and y on -b mod w.  That symmetry is asserted on every expansion, never
@@ -31,7 +40,6 @@ assumed by the arithmetic.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -50,17 +58,19 @@ __all__ = [
     "ExpansionError",
     "UnsupportedMethodError",
     "bernoulli",
+    "certify",
     "expand_by_ode",
     "expand_by_reversion",
     "expand_checked",
+    "expand_online",
     "extract_numbers",
     "hurwitz",
 ]
 
-logger = logging.getLogger("bhnum.generator")
-
 TABLE_FORMAT = "bhnum.table"
 TABLE_VERSION = 1
+
+_ONE = Fraction(1)
 
 
 class ExpansionError(ValueError):
@@ -131,9 +141,76 @@ def expand_by_reversion(curve: CurveSpec, order: int) -> Expansion:
     return Expansion(curve, x, y, "reversion", order)
 
 
-def _ode_fallback_coeff(curve: CurveSpec, exponent: int) -> Fraction:
-    exp = expand_by_reversion(curve, exponent)
-    return exp.x_series.coeff(exponent)
+def _miller(f: list[Fraction], p: list[Fraction], alpha: Fraction) -> Fraction:
+    """Next coefficient of f**alpha by J.C.P. Miller's power recurrence.
+
+    With p holding the first m coefficients of f**alpha and f at least
+    m + 1 coefficients of f, returns
+
+        P_m = sum_{k=1..m} ((alpha + 1) * k - m) * f_k * P_{m-k} / (m * f_0).
+
+    (Knuth, TAOCP vol. 2, 4.7.)  The recurrence is what f * (f**alpha)' =
+    alpha * f' * f**alpha says degree by degree, so P_m needs no
+    coefficient of f beyond f_m; that is what lets callers feed f online.
+    """
+    m = len(p)
+    num, den = alpha.numerator, alpha.denominator
+    total = sum(
+        ((num + den) * k - den * m) * f[k] * p[m - k]
+        for k in range(1, m + 1)
+        if f[k]
+    )
+    return total / (den * m * f[0])
+
+
+def _power(f: list[Fraction], alpha: Fraction) -> list[Fraction]:
+    """All the coefficients of f**alpha that f determines, for f_0 = 1."""
+    p = [_ONE]
+    while len(p) < len(f):
+        p.append(_miller(f, p, alpha))
+    return p
+
+
+def expand_online(curve: CurveSpec, order: int) -> Expansion:
+    """Expand x(u), y(u) by solving t' = (1 - t**w)**(j/a) online.
+
+    du = (1 - t**w)**(-j/a) dt defines u, so t(u) solves that ODE with
+    t = u + O(u**2).  Writing t = u * tau(v) with v = u**w gives, in the
+    coefficients of v,
+
+        T = tau**w,   Q = 1 - v*T,   P = Q**(j/a),   (1 + w*m) * tau_m = P_m,
+
+    where T_{m-1} and then P_m are Miller steps on coefficients already
+    known, Q_m = -T_{m-1} and tau_m = P_m / (1 + w*m).  So tau comes out
+    one coefficient at a time, with no series inversion or composition.
+    Then x = u**-a * tau**-a and y = sigma * u**-b * tau**-b * Q**(1/a).
+    With tau known through v**n, x is exact through u**(-a + w*(n+1) - 1)
+    and y through u**(-b + w*(n+1) - 1); n is the least that covers order,
+    and the series keep that whole window.
+    """
+    if order < 1:
+        raise ExpansionError("expansion order must be at least 1")
+    a, b, w = curve.a, curve.b, curve.weight
+    _, j = curve.exponent_pair
+    n = -(-(order + 1 + max(a, b)) // w) - 1
+    t_power, q_power = Fraction(w), Fraction(j, a)
+    tau, big_t, q, p = [_ONE], [_ONE], [_ONE], [_ONE]
+    for m in range(1, n + 1):
+        if m > 1:
+            big_t.append(_miller(tau, big_t, t_power))
+        q.append(-big_t[m - 1])
+        p.append(_miller(q, p, q_power))
+        tau.append(p[m] / (1 + w * m))
+    x_v = _power(tau, Fraction(-a))
+    tau_b = _power(tau, Fraction(-b))
+    q_root = _power(q, Fraction(1, a))
+    y_v = [
+        sum(tau_b[k] * q_root[m - k] for k in range(m + 1)) for m in range(n + 1)
+    ]
+    top = w * (n + 1) - 1
+    x = TruncSeries.from_terms({w * k - a: c for k, c in enumerate(x_v)}, top - a)
+    y = TruncSeries.from_terms({w * k - b: c for k, c in enumerate(y_v)}, top - b)
+    return Expansion(curve, x, y.scale(curve.y_leading_sign), "online", order)
 
 
 def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
@@ -143,10 +220,9 @@ def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
     4*A**(2g+1) + 4*c vanishes identically (c = 1 for cyclo, c = A for
     minusx).  Each unknown coefficient of A enters the residual linearly
     at one degree, with a computed (never assumed) linear response; a
-    vanishing response with vanishing residual falls back to the reversion
-    value for that single coefficient, and an inconsistent equation
-    raises.  The final residual is checked to vanish through the full
-    provable window.
+    vanishing response raises ExpansionError, since the route never
+    borrows a coefficient from another route.  The final residual is
+    checked to vanish through the full provable window.
     """
     if curve.a != 2:
         raise UnsupportedMethodError(
@@ -195,19 +271,11 @@ def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
         if is_minusx and m == e:
             lam += 4
         if lam == 0:
-            if rho != 0:
-                raise ExpansionError(
-                    f"degree-{e} recurrence is inconsistent (residual {rho})"
-                )
-            logger.warning(
-                "degenerate recurrence at u^%d for %s; taking the reversion "
-                "value for this coefficient",
-                e,
-                curve,
+            raise ExpansionError(
+                f"degenerate recurrence at u^{e} for {curve}: the linear "
+                f"response vanishes (residual {rho})"
             )
-            c = _ode_fallback_coeff(curve, e)
-        else:
-            c = -rho / lam
+        c = -rho / lam
         if c:
             terms[e] = c
         e += w
@@ -226,24 +294,72 @@ def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
     return Expansion(curve, a_ser, y, "ode", order)
 
 
-def expand_checked(curve: CurveSpec, order: int) -> Expansion:
-    """Expansion cross-checked between the two routes where both apply.
+def certify(expansion: Expansion) -> int:
+    """Check x(u), y(u) against the curve and the differential du.
 
-    Hyperelliptic curves run both reversion and the ODE recurrence and
-    must agree coefficient for coefficient; any discrepancy raises
-    CrossCheckError.  Other curves get the reversion route alone.
+    Two identities must vanish through the window their products certify:
+
+        y**a - x**b + 1   (cyclo)   or   y**2 - x**b + x   (minusx)
+        a * y**j + sigma**j * x**(i-1) * x'
+
+    The first puts (x, y) on the curve; the second says du is the
+    differential x**(i-1) dx / (a * y**j) up to the sign -sigma**j, which
+    pins the normalization of u.  Whatever route produced the expansion,
+    a failure raises ExpansionError naming the first nonzero slot.
+    Returns the last exponent through which both identities were checked.
     """
-    by_rev = expand_by_reversion(curve, order)
+    c = expansion.curve
+    x, y = expansion.x_series, expansion.y_series
+    i, j = c.exponent_pair
+    on_curve = y.power(c.a) - x.power(c.b)
+    if c.family == "minusx":
+        on_curve = on_curve + x
+    elif on_curve.trunc_order >= 0:  # else the +1 sits above the window
+        on_curve = on_curve + 1
+    dx = x.derive()
+    if i > 1:
+        dx = x.power(i - 1) * dx
+    normalized = y.power(j).scale(c.a) + dx.scale(c.y_leading_sign**j)
+    for name, residual in (
+        ("curve equation", on_curve),
+        ("differential identity", normalized),
+    ):
+        if not residual.is_zero():
+            e = residual.base_exponent
+            raise ExpansionError(
+                f"{expansion.method} expansion of {c} fails the {name} at "
+                f"u^{e} (residual coefficient {residual.coeff(e)})"
+            )
+    return min(on_curve.trunc_order, normalized.trunc_order)
+
+
+def expand_checked(curve: CurveSpec, order: int) -> Expansion:
+    """The expansion every table is computed from: online, then checked.
+
+    The online expansion must pass certify.  Hyperelliptic curves (a = 2)
+    also run the ODE route, which never builds t(u), and the two must
+    agree coefficient for coefficient through their common window; a
+    discrepancy raises CrossCheckError naming the series, the first
+    differing exponent and both coefficients.  The method label records
+    the routes that ran: "online+ode" or "online".
+    """
+    online = expand_online(curve, order)
+    certify(online)
     if curve.a != 2:
-        return by_rev
+        return online
     by_ode = expand_by_ode(curve, order)
-    if not by_rev.x_series.agrees_through(by_ode.x_series):
-        raise CrossCheckError(f"x(u) differs between reversion and ODE for {curve}")
-    if not by_rev.y_series.agrees_through(by_ode.y_series):
-        raise CrossCheckError(f"y(u) differs between reversion and ODE for {curve}")
-    return Expansion(
-        curve, by_rev.x_series, by_rev.y_series, "reversion+ode", order
-    )
+    for name, ours, theirs in (
+        ("x", online.x_series, by_ode.x_series),
+        ("y", online.y_series, by_ode.y_series),
+    ):
+        e = ours.first_difference(theirs)
+        if e is not None:
+            raise CrossCheckError(
+                f"{name}(u) differs between the online and ODE routes for "
+                f"{curve} at u^{e}: {ours.coeff(e)} (online) vs "
+                f"{theirs.coeff(e)} (ODE)"
+            )
+    return Expansion(curve, online.x_series, online.y_series, "online+ode", order)
 
 
 # -- number tables -----------------------------------------------------------

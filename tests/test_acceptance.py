@@ -5,7 +5,7 @@ Eight criteria, each reported as one line in the terminal summary:
     [criterion N] name: PASS/FAIL (X.XXs)
 
 The criteria cover the classical anchors, the frozen small values, deep
-two-route generation, the three congruence statements at full scale, a
+three-route generation, the three congruence statements at full scale, a
 property battery over the series engine, and a normalization regression
 guard.  Everything asserted here is either derived by an independent
 oracle or frozen from hand-checked arithmetic.
@@ -26,6 +26,7 @@ from bhnum import (
     ap_invariant,
     bernoulli,
     binomial_series,
+    certify,
     expand_checked,
     extract_numbers,
     hurwitz,
@@ -84,18 +85,23 @@ def test_criterion_2_frozen_small_values():
 
 
 def test_criterion_3_deep_two_route_generation():
-    with criterion(3, "two-route agreement through u^302 on 3 curves") as c:
+    with criterion(3, "three-route agreement through u^302 on 3 curves") as c:
         gen = build_gen300()
         assert sorted(gen) == ["cyclo:a=2,b=5", "minusx:g=1", "minusx:g=2"]
         for key, entry in gen.items():
-            rev, ode = entry["reversion"], entry["ode"]
-            assert rev.x_series.agrees_through(ode.x_series, 302)
-            assert rev.y_series.agrees_through(ode.y_series, 302)
-            assert extract_numbers(rev).rows == extract_numbers(ode).rows
+            online = entry["online"]
+            rows = extract_numbers(online).rows
+            certify(online)
+            for route in ("reversion", "ode"):
+                other = entry[route]
+                assert online.x_series.agrees_through(other.x_series, 302), route
+                assert online.y_series.agrees_through(other.y_series, 302), route
+                assert extract_numbers(other).rows == rows, route
             secs = entry["seconds"]
             c.detail(
-                f"{key}: reversion {secs['reversion']:.2f}s, "
-                f"ode {secs['ode']:.2f}s, rows {len(entry['table'].rows)}"
+                f"{key}: online {secs['online']:.2f}s, "
+                f"reversion {secs['reversion']:.2f}s, ode {secs['ode']:.2f}s, "
+                f"rows {len(rows)}, all three agree"
             )
 
 
@@ -167,7 +173,7 @@ def test_criterion_7_property_battery(gen300, table300):
 
         for entry in gen300.values():
             curve = entry["curve"]
-            for exp in (entry["reversion"], entry["ode"]):
+            for exp in (entry["online"], entry["reversion"], entry["ode"]):
                 # reconstructing re-runs the support and leading-term checks
                 Expansion(curve, exp.x_series, exp.y_series, exp.method, exp.order)
             g = curve.genus_if_hyperelliptic

@@ -5,7 +5,7 @@ import pytest
 
 from bhnum.cli import main
 from bhnum.curves import CurveSpec
-from bhnum.generator import Expansion, expand_by_ode
+from bhnum.generator import Expansion, expand_by_ode, expand_online
 from bhnum.series import TruncSeries
 
 MAIN_CURVE = "cyclo:a=2,b=5"
@@ -34,7 +34,7 @@ def test_compute_writes_cache(cache_env, capsys):
     assert rc == 0
     assert err == ""
     assert out.startswith("COMPUTE curve=cyclo:a=2,b=5 max_weight=30 rows=3")
-    assert "method=reversion+ode" in out
+    assert "method=online+ode" in out
     cache = cache_env / "cyclo_a2_b5.json"
     assert cache.exists()
     doc = json.loads(cache.read_text())
@@ -197,18 +197,20 @@ def test_bad_arguments_exit_code(cache_env, capsys):
     assert run(capsys, "compute", "--curve", MAIN_CURVE)[0] == 2
 
 
-def test_cross_check_failure_exit_code(cache_env, capsys, monkeypatch):
-    curve = CurveSpec.cyclotomic(2, 5)
-    good = expand_by_ode(curve, 12)
+def _bump_top_x(good):
     terms = dict(good.x_series.terms())
     terms[max(terms)] += 1
-    bad = Expansion(
-        curve,
+    return Expansion(
+        good.curve,
         TruncSeries.from_terms(terms, good.x_series.trunc_order),
         good.y_series,
         good.method,
         good.order,
     )
+
+
+def test_cross_check_failure_exit_code(cache_env, capsys, monkeypatch):
+    bad = _bump_top_x(expand_by_ode(CurveSpec.cyclotomic(2, 5), 12))
     monkeypatch.setattr("bhnum.generator.expand_by_ode", lambda c, o: bad)
     rc, out, err = run(
         capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "10"
@@ -216,6 +218,18 @@ def test_cross_check_failure_exit_code(cache_env, capsys, monkeypatch):
     assert rc == 3
     assert "cross-check failure" in err
     assert not (cache_env / "cyclo_a2_b5.json").exists()
+
+
+def test_certificate_failure_exit_code(cache_env, capsys, monkeypatch):
+    curve = CurveSpec.cyclotomic(3, 4)
+    bad = _bump_top_x(expand_online(curve, 14))
+    monkeypatch.setattr("bhnum.generator.expand_online", lambda c, o: bad)
+    rc, out, err = run(
+        capsys, "compute", "--curve", str(curve), "--max-weight", "12"
+    )
+    assert rc == 3
+    assert "fails the curve equation" in err
+    assert not (cache_env / "cyclo_a3_b4.json").exists()
 
 
 def test_bernoulli_command(capsys):

@@ -12,9 +12,11 @@ from bhnum.generator import (
     ExpansionError,
     UnsupportedMethodError,
     bernoulli,
+    certify,
     expand_by_ode,
     expand_by_reversion,
     expand_checked,
+    expand_online,
     extract_numbers,
     hurwitz,
 )
@@ -62,6 +64,70 @@ def test_methods_agree(curve):
     assert extract_numbers(by_rev).rows == extract_numbers(by_ode).rows
 
 
+ONLINE_CURVES = [
+    MAIN,
+    CurveSpec.cyclotomic(3, 4),
+    CurveSpec.cyclotomic(3, 5),
+    CurveSpec.cyclotomic(4, 5),
+    CurveSpec.minus_x(1),
+    CurveSpec.minus_x(2),
+]
+
+
+@pytest.mark.parametrize("curve", ONLINE_CURVES, ids=str)
+def test_online_matches_reversion(curve):
+    order = 4 * curve.weight + 2
+    online = expand_online(curve, order)
+    by_rev = expand_by_reversion(curve, order)
+    assert online.method == "online"
+    assert online.x_series.truncate(order) == by_rev.x_series
+    assert online.y_series.truncate(order) == by_rev.y_series
+    assert extract_numbers(online).rows == extract_numbers(by_rev).rows
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [MAIN, CurveSpec.cyclotomic(3, 4), CurveSpec.cyclotomic(5, 3), CurveSpec.minus_x(2)],
+    ids=str,
+)
+def test_online_window_is_honest(curve):
+    # The online series keep their whole window, which is never shorter
+    # than asked and is exact to its last slot.
+    order = 2 * curve.weight + 1
+    online = expand_online(curve, order)
+    for s in (online.x_series, online.y_series):
+        assert order <= s.trunc_order < order + curve.weight + max(curve.a, curve.b)
+    wide = expand_by_reversion(
+        curve, max(online.x_series.trunc_order, online.y_series.trunc_order)
+    )
+    assert online.x_series.agrees_through(wide.x_series, online.x_series.trunc_order)
+    assert online.y_series.agrees_through(wide.y_series, online.y_series.trunc_order)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    ONLINE_CURVES
+    + [CurveSpec.cyclotomic(2, 3), CurveSpec.cyclotomic(5, 3), CurveSpec.minus_x(3)],
+    ids=str,
+)
+def test_certificate_accepts_online_expansions(curve):
+    order = 4 * curve.weight + 2
+    window = certify(expand_online(curve, order))
+    assert window >= order - curve.a * curve.b
+
+
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_certificate_rejects_pattern_preserving_tamper(name):
+    curve = CurveSpec.cyclotomic(3, 4)
+    tampered = _pattern_preserving_tamper(
+        expand_online(curve, 4 * curve.weight + 2), name
+    )
+    # the support pattern and leading terms survive, so only the
+    # certificate can tell
+    with pytest.raises(ExpansionError, match=r"at u\^"):
+        certify(tampered)
+
+
 @pytest.mark.parametrize(
     "curve",
     [MAIN, CurveSpec.cyclotomic(3, 4), CurveSpec.minus_x(2)],
@@ -95,6 +161,15 @@ def test_expansion_against_independent_pipeline():
         assert_dict_eq(series_dict(exp.x_series), oracle, 30)
 
 
+def test_ode_degenerate_recurrence_raises(monkeypatch):
+    # With every single-slot convolution read as 0 the linear response
+    # vanishes at the first unknown slot; the route must refuse rather
+    # than borrow that coefficient from another route.
+    monkeypatch.setattr("bhnum.generator.conv_coeff", lambda a, b, e: F(0))
+    with pytest.raises(ExpansionError, match=r"degenerate recurrence at u\^6 .*residual 4"):
+        expand_by_ode(CurveSpec.minus_x(2), 34)
+
+
 def test_ode_refuses_non_hyperelliptic():
     with pytest.raises(UnsupportedMethodError):
         expand_by_ode(CurveSpec.cyclotomic(3, 4), 12)
@@ -105,6 +180,8 @@ def test_order_validation():
         expand_by_reversion(MAIN, 0)
     with pytest.raises(ExpansionError):
         expand_by_ode(MAIN, -3)
+    with pytest.raises(ExpansionError):
+        expand_online(MAIN, 0)
 
 
 def test_expansion_rejects_tampering():
@@ -119,25 +196,36 @@ def test_expansion_rejects_tampering():
         Expansion(MAIN, exp.x_series, exp.y_series, "reversion", 25)
 
 
-def _pattern_preserving_tamper(exp):
-    terms = dict(exp.x_series.terms())
-    e = max(terms)
-    terms[e] += 1
-    bad_x = TruncSeries.from_terms(terms, exp.x_series.trunc_order)
-    return Expansion(exp.curve, bad_x, exp.y_series, exp.method, exp.order)
+def _pattern_preserving_tamper(exp, name="x"):
+    """exp with the top stored coefficient of x (or y) bumped by 1."""
+    target = exp.x_series if name == "x" else exp.y_series
+    terms = dict(target.terms())
+    terms[max(terms)] += 1
+    bad = TruncSeries.from_terms(terms, target.trunc_order)
+    x, y = (bad, exp.y_series) if name == "x" else (exp.x_series, bad)
+    return Expansion(exp.curve, x, y, exp.method, exp.order)
 
 
 def test_expand_checked_cross_check(monkeypatch):
     good = expand_checked(MAIN, 12)
-    assert good.method == "reversion+ode"
-    assert expand_checked(CurveSpec.cyclotomic(3, 4), 12).method == "reversion"
+    assert good.method == "online+ode"
+    assert expand_checked(CurveSpec.cyclotomic(3, 4), 12).method == "online"
 
     bad = _pattern_preserving_tamper(expand_by_ode(MAIN, 12))
     monkeypatch.setattr(
         "bhnum.generator.expand_by_ode", lambda curve, order: bad
     )
-    with pytest.raises(CrossCheckError):
+    e = max(bad.x_series.support())
+    with pytest.raises(CrossCheckError, match=rf"x\(u\) .* at u\^{e}: "):
         expand_checked(MAIN, 12)
+
+
+def test_expand_checked_runs_the_certificate(monkeypatch):
+    curve = CurveSpec.cyclotomic(3, 4)
+    bad = _pattern_preserving_tamper(expand_online(curve, 26))
+    monkeypatch.setattr("bhnum.generator.expand_online", lambda c, o: bad)
+    with pytest.raises(ExpansionError, match="curve equation"):
+        expand_checked(curve, 26)
 
 
 # -- tables ------------------------------------------------------------------

@@ -217,6 +217,9 @@ def test_agrees_through():
     assert a.agrees_through(b, 4) is True
     # bound defaults to the smaller window, 6, where they differ
     assert a.agrees_through(b) is False
+    assert a.first_difference(b) == 5
+    assert a.first_difference(b, 4) is None
+    assert b.first_difference(TruncSeries.from_terms({3: F(2)}, 6)) == 1
 
 
 # -- calculus ---------------------------------------------------------------------
