@@ -9,6 +9,7 @@ from .congruence import (
     denominator_probe,
     integrality_scan,
     kummer_check,
+    kummer_triples,
     vsc_decompose,
 )
 from .curves import (
@@ -52,9 +53,7 @@ from .series import (
     SeriesError,
     TruncSeries,
     binomial_series,
-    conv_coeff,
     revert,
-    support_modulus,
 )
 
 __version__ = "0.1.0"

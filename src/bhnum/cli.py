@@ -22,10 +22,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .congruence import (
+    REPORT_VERSION,
     MissingWeightError,
     VerifierDomainError,
     integrality_scan,
     kummer_check,
+    kummer_triples,
     vsc_decompose,
 )
 from .curves import CurveError, CurveSpec, parse_curve
@@ -39,7 +41,6 @@ from .generator import (
     extract_numbers,
     hurwitz,
 )
-from .numtheory import PrimeResidueClass, primes_in_class
 from .series import SeriesError
 
 __all__ = ["console_main", "main"]
@@ -48,8 +49,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CROSS_CHECK = 3
-
-REPORT_VERSION = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,17 +173,12 @@ def cmd_verify(args) -> int:
         before = len(reports)
         kummer_pass = 0
         max_w = max(table.weights(), default=0)
-        for p in primes_in_class(args.prime_limit, PrimeResidueClass(5, 1)):
-            for depth in range(1, args.depth + 1):
-                n = 1
-                while 10 * n + depth * (p - 1) <= max_w:
-                    if (10 * n) % (p - 1) != 0 and 10 * n - 2 >= depth:
-                        r = kummer_check(table, p, depth, n)
-                        ok &= r.passed
-                        kummer_pass += r.passed
-                        lines.append(r.summary_line())
-                        reports.append(r.to_json_dict())
-                    n += 1
+        for p, depth, n in kummer_triples(args.prime_limit, args.depth, max_w):
+            r = kummer_check(table, p, depth, n)
+            ok &= r.passed
+            kummer_pass += r.passed
+            lines.append(r.summary_line())
+            reports.append(r.to_json_dict())
         count = len(reports) - before
         lines.append(f"KUMMER: {kummer_pass}/{count} pass (p<={args.prime_limit}, a<={args.depth})")
 
@@ -265,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bhnum",
         description="Exact generator and congruence verifier for "
         "generalized Bernoulli-Hurwitz numbers.",
-        epilog="Environment: BHNUM_CACHE_DIR (default .bhnum-cache), "
-        "BHNUM_MUL=int|fraction, BHNUM_REVERT=auto|lagrange|newton.",
+        epilog="Environment: BHNUM_CACHE_DIR (default .bhnum-cache).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -45,6 +45,7 @@ __all__ = [
     "denominator_probe",
     "integrality_scan",
     "kummer_check",
+    "kummer_triples",
     "vsc_decompose",
 ]
 
@@ -299,6 +300,21 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
         d_val,
         c_val >= depth and d_val >= depth,
     )
+
+
+def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
+    """Yield every (p, depth, index) kummer_check admits within max_weight.
+
+    p runs over the primes = 1 mod 5 up to prime_limit, then depth over
+    1..max_depth, then index n upward while the top weight 10*n +
+    depth*(p - 1) stays within max_weight; the triples kummer_check would
+    refuse are skipped.
+    """
+    for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1)):
+        for depth in range(1, max_depth + 1):
+            for n in range(1, (max_weight - depth * (p - 1)) // 10 + 1):
+                if (10 * n) % (p - 1) != 0 and 10 * n - 2 >= depth:
+                    yield p, depth, n
 
 
 # -- integrality ----------------------------------------------------------------

@@ -18,14 +18,14 @@ route: t(u) solves t' = (1 - t**w)**(j/a), and writing t = u * tau(u**w)
 turns that into power recurrences (J.C.P. Miller's, see _miller) that
 produce tau, and from it x and y, one coefficient at a time, with the
 sparse support built in.  expand_by_reversion runs the definition above,
-inverting u(t) and composing; it is the test oracle and the route behind
-hurwitz().  expand_by_ode never touches t: for hyperelliptic models
-(a = 2) the curve equation forces
+inverting u(t) and composing; it is the test oracle.  expand_by_ode never
+touches t: for hyperelliptic models (a = 2) the curve equation forces
 
-    A' ** 2 = 4 * (A**(2g+1) - c)        c = 1 (cyclo) or A (minusx)
+    A**(2g-2) * A'**2 = 4 * (A**(2g+1) - c)        c = 1 (cyclo) or A (minusx)
 
-on A = x(u) up to the factor A**(2g-2), and the coefficients of A solve a
-linear recurrence degree by degree.
+on A = x(u), and with A = u**-2 * alpha(u**w) each coefficient alpha_m
+enters its own slot of that equation with the response -4 * (w*m + 1), so
+alpha comes out one coefficient at a time as well.
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du (see
@@ -47,8 +47,8 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .curves import CurveSpec, parse_curve, u_series, xy_of_t
-from .series import TruncSeries, binomial_series, conv_coeff, revert
+from .curves import CurveSpec, parse_curve, u_series
+from .series import TruncSeries, binomial_series, revert
 
 __all__ = [
     "BHTable",
@@ -70,6 +70,7 @@ __all__ = [
 TABLE_FORMAT = "bhnum.table"
 TABLE_VERSION = 1
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -216,13 +217,22 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
 def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
     """Expand x(u), y(u) through the first-order ODE the curve imposes.
 
-    Writing A for x(u) and g for the genus, A**(2g-2) * A'**2 -
-    4*A**(2g+1) + 4*c vanishes identically (c = 1 for cyclo, c = A for
-    minusx).  Each unknown coefficient of A enters the residual linearly
-    at one degree, with a computed (never assumed) linear response; a
-    vanishing response raises ExpansionError, since the route never
-    borrows a coefficient from another route.  The final residual is
-    checked to vanish through the full provable window.
+    Writing A for x(u) and g for the genus, the curve forces
+
+        A**(2g-2) * A'**2 = 4 * A**(2g+1) - 4 * c,   c = 1 (cyclo), A (minusx).
+
+    With A = u**-2 * alpha(v), v = u**w and alpha_0 = 1 this reads, in the
+    coefficients of v,
+
+        R * delta**2 = 4 * P - 4 * v * C,   R = alpha**(2g-2), P = alpha**(2g+1),
+
+    where delta_k = (w*k - 2) * alpha_k and C = 1 (cyclo) or alpha
+    (minusx).  alpha_m enters slot m only through R_m, P_m and
+    [delta**2]_m, with the total response -4 * (w*m + 1), so alpha_m =
+    rho_m / (4 * (w*m + 1)) where rho_m is slot m evaluated with alpha_m
+    = 0; R_m and P_m are Miller steps (see _miller).  Then y = A**(g-1) *
+    A' / 2 = u**-b * alpha**(g-1) * delta / 2.  The route never builds
+    t(u), keeps the window of expand_online, and ends in certify.
     """
     if curve.a != 2:
         raise UnsupportedMethodError(
@@ -231,67 +241,35 @@ def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
         )
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
-    g = curve.genus_if_hyperelliptic
-    w = curve.weight
-    is_minusx = curve.family == "minusx"
-    depth = order + 2 * g - 1
-    terms: dict[int, Fraction] = {-2: Fraction(1)}
-
-    def residual(a_ser: TruncSeries) -> TruncSeries:
-        a1 = a_ser.derive()
-        lead = a1 * a1
-        if g >= 2:
-            # Skipped for g = 1 rather than multiplied by a truncated 1,
-            # which would needlessly narrow the window.
-            lead = a_ser.power(2 * g - 2) * lead
-        r = lead - a_ser.power(2 * g + 1).scale(4)
-        if is_minusx:
-            return r + a_ser.scale(4)
-        if r.trunc_order < 0:
-            return r  # the +4 constant sits above the window
-        return r + 4
-
-    e = w - 2
-    while e <= depth:
-        a_ser = TruncSeries.from_terms(terms, depth)
-        a1 = a_ser.derive()
-        m = e - 4 * g
-        rho = residual(a_ser).coeff(m)
-        # Response of the residual slot m to a unit bump of the coefficient
-        # at u**e, assembled from single convolution slots (m - e = -4g).
-        if g == 1:
-            lam = 2 * e * a1.coeff(m - e + 1) - 12 * conv_coeff(a_ser, a_ser, m - e)
-        else:
-            a2 = a_ser * a_ser
-            p1 = a2 if g == 2 else a_ser.power(2 * g - 2)
-            podd = a_ser if g == 2 else a_ser.power(2 * g - 3)
-            lam = 2 * e * conv_coeff(p1, a1, m - e + 1)
-            lam += (2 * g - 2) * conv_coeff(podd, a1 * a1, m - e)
-            lam -= 4 * (2 * g + 1) * conv_coeff(p1, a2, m - e)
-        if is_minusx and m == e:
-            lam += 4
-        if lam == 0:
-            raise ExpansionError(
-                f"degenerate recurrence at u^{e} for {curve}: the linear "
-                f"response vanishes (residual {rho})"
-            )
-        c = -rho / lam
-        if c:
-            terms[e] = c
-        e += w
-
-    a_ser = TruncSeries.from_terms(terms, depth)
-    final = residual(a_ser)
-    if not final.is_zero():
-        raise ExpansionError(
-            f"ODE residual does not vanish through u^{final.trunc_order}: "
-            f"{final}"
-        )
-    y = a_ser.derive()
-    if g >= 2:
-        y = a_ser.power(g - 1) * y
-    y = y.scale(Fraction(1, 2))
-    return Expansion(curve, a_ser, y, "ode", order)
+    g, b, w = curve.genus_if_hyperelliptic, curve.b, curve.weight
+    n = -(-(order + 1 + b) // w) - 1
+    r_power, p_power = Fraction(2 * g - 2), Fraction(2 * g + 1)
+    alpha, delta, r, p, d2 = [_ONE], [Fraction(-2)], [_ONE], [_ONE], [Fraction(4)]
+    c = alpha if curve.family == "minusx" else [_ONE] + [_ZERO] * n
+    for m in range(1, n + 1):
+        # Evaluate slot m with alpha_m = 0, solve, then add alpha_m's share
+        # back: a Miller step of f**k is linear in f_m with slope k.
+        alpha.append(_ZERO)
+        delta.append(_ZERO)
+        r.append(_miller(alpha, r, r_power))
+        p.append(_miller(alpha, p, p_power))
+        d2.append(sum(delta[k] * delta[m - k] for k in range(1, m)))
+        rho = sum(r[k] * d2[m - k] for k in range(m + 1)) - 4 * p[m] + 4 * c[m - 1]
+        alpha[m] = rho / (4 * (w * m + 1))
+        delta[m] = (w * m - 2) * alpha[m]
+        r[m] += r_power * alpha[m]
+        p[m] += p_power * alpha[m]
+        d2[m] -= 4 * delta[m]
+    lift = _power(alpha, Fraction(g - 1))
+    y_v = [
+        sum(lift[k] * delta[m - k] for k in range(m + 1)) / 2 for m in range(n + 1)
+    ]
+    top = w * (n + 1) - 1
+    x = TruncSeries.from_terms({w * k - 2: q for k, q in enumerate(alpha)}, top - 2)
+    y = TruncSeries.from_terms({w * k - b: q for k, q in enumerate(y_v)}, top - b)
+    expansion = Expansion(curve, x, y, "ode", order)
+    certify(expansion)
+    return expansion
 
 
 def certify(expansion: Expansion) -> int:
@@ -538,11 +516,12 @@ def hurwitz(count: int) -> list[Fraction]:
     """[H_4, H_8, ..., H_{4*count}], the lemniscatic analogue of bernoulli().
 
     H_{4n} = C_{4n} / 2**(4n) read off the y**2 = x**3 - x table, whose
-    x(u) is the Weierstrass pe-function with square period lattice.
+    x(u) is the Weierstrass pe-function with square period lattice; the
+    table comes from expand_checked, like every table compute writes.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     if count == 0:
         return []
-    table = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 4 * count + 2))
+    table = extract_numbers(expand_checked(CurveSpec.minus_x(1), 4 * count + 2))
     return [table.c(4 * n) / 2 ** (4 * n) for n in range(1, count + 1)]

@@ -18,29 +18,24 @@ window explicitly via _padded.
 
 Coefficients are fractions.Fraction throughout.  Floats are rejected.
 
-Two multiplication kernels produce identical results: a schoolbook
-convolution on Fractions, and an integer-normalized path that clears
-denominators once per operand, convolves machine/big integers, and
-restores a single shared denominator.  BHNUM_MUL=fraction|int selects one
-(default: int, which benchmarks several times faster on the dense series
-that arise here).  Reversion likewise ships two algorithms selected by
-BHNUM_REVERT=lagrange|newton|auto; see revert().
+Products run on an integer-normalized kernel: it clears denominators once
+per operand, convolves machine/big integers, and restores a single shared
+denominator, so each output coefficient costs one gcd.  Reversion (see
+revert) is Newton doubling; it backs the reversion route, the test oracle
+of the expansion engine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 __all__ = [
     "SeriesError",
     "TruncSeries",
     "binomial_series",
-    "conv_coeff",
     "revert",
-    "support_modulus",
 ]
 
 
@@ -60,13 +55,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     raise SeriesError(f"coefficients must be exact rationals, got {type(x).__name__}")
-
-
-def _mul_mode() -> str:
-    mode = os.environ.get("BHNUM_MUL", "int")
-    if mode not in ("int", "fraction"):
-        raise SeriesError(f"BHNUM_MUL must be 'int' or 'fraction', got {mode!r}")
-    return mode
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,11 +233,7 @@ class TruncSeries:
         base = self.base_exponent + other.base_exponent
         if base > trunc:
             return TruncSeries.zero(trunc)
-        if _mul_mode() == "int":
-            coeffs = _convolve_int(self, other, base, trunc)
-        else:
-            coeffs = _convolve_fraction(self, other, base, trunc)
-        return TruncSeries._make(base, coeffs, trunc)
+        return TruncSeries._make(base, _convolve_int(self, other, base, trunc), trunc)
 
     def power(self, n: int, cap: int | None = None) -> "TruncSeries":
         """self**n by binary powering; negative n inverts first."""
@@ -421,22 +405,7 @@ class TruncSeries:
         return f"TruncSeries({self})"
 
 
-# -- multiplication kernels ------------------------------------------------
-
-
-def _convolve_fraction(a: TruncSeries, b: TruncSeries, base: int, trunc: int):
-    za = a.terms()
-    zb = b.terms()
-    if len(za) > len(zb):
-        za, zb = zb, za
-    out = [_ZERO] * (trunc - base + 1)
-    for ea, ca in za:
-        lim = trunc - ea
-        for eb, cb in zb:
-            if eb > lim:
-                break
-            out[ea + eb - base] += ca * cb
-    return out
+# -- multiplication kernel -------------------------------------------------
 
 
 def _convolve_int(a: TruncSeries, b: TruncSeries, base: int, trunc: int):
@@ -468,45 +437,6 @@ def _convolve_int(a: TruncSeries, b: TruncSeries, base: int, trunc: int):
     return [Fraction(v, den) if v else _ZERO for v in acc]
 
 
-def conv_coeff(a: TruncSeries, b: TruncSeries, exponent: int) -> Fraction:
-    """Single product coefficient [t**exponent](a*b) without the full product.
-
-    The exponent must lie inside the window a full product would certify.
-    """
-    window = min(
-        a.trunc_order + b.base_exponent, b.trunc_order + a.base_exponent
-    )
-    if exponent > window:
-        raise SeriesError(
-            f"product coefficient at t^{exponent} is beyond the provable "
-            f"window {window}"
-        )
-    total = _ZERO
-    for ea, ca in a.terms():
-        eb = exponent - ea
-        if b.base_exponent <= eb <= b.trunc_order:
-            cb = b.coefficients[eb - b.base_exponent]
-            if cb:
-                total += ca * cb
-    return total
-
-
-# -- structure helpers -------------------------------------------------------
-
-
-def support_modulus(s: TruncSeries) -> int:
-    """gcd of the gaps between nonzero exponents; 0 for a (near-)monomial.
-
-    A positive value c means the support lies in base_exponent + c*Z, the
-    pattern that lets reversion and composition skip provably-zero slots.
-    """
-    exps = s.support()
-    g = 0
-    for e in exps[1:]:
-        g = gcd(g, e - exps[0])
-    return g
-
-
 def binomial_series(m: int, alpha, order: int) -> TruncSeries:
     """(1 - t**m)**alpha as a truncated series, exact through t**order."""
     if m < 1:
@@ -527,56 +457,15 @@ def binomial_series(m: int, alpha, order: int) -> TruncSeries:
 # -- reversion ----------------------------------------------------------------
 
 
-def revert(s: TruncSeries, algorithm: str | None = None) -> TruncSeries:
+def revert(s: TruncSeries) -> TruncSeries:
     """Compositional inverse g with s(g(t)) = t, exact as deep as s itself.
 
     Requires s = t + higher-order terms with leading coefficient exactly 1.
-    Two independent algorithms are available (BHNUM_REVERT or the explicit
-    argument): 'lagrange' computes g_n = [t**(n-1)](t/s)**n / n with
-    incremental powers stepping by the support modulus, and 'newton' runs
-    the doubling iteration g <- g - g'*(s(g) - t).  'auto' picks Lagrange
-    for patterned support, where skipping off-pattern n is a large win,
-    and Newton otherwise: on dense input Newton is the faster one
-    (benchmarks/bench.py, dense series of order 160, int kernel: 732 ms
-    against 1702 ms for Lagrange on a 2-vCPU x86-64 host, CPython 3.11).
+    Runs the Newton doubling iteration g <- g - g'*(s(g) - t), treating
+    each iterate as the exact polynomial it is.
     """
     if s.is_zero() or s.base_exponent != 1 or s.coefficients[0] != 1:
         raise SeriesError("reversion requires a series t + O(t^2)")
-    if algorithm is None:
-        algorithm = os.environ.get("BHNUM_REVERT", "auto")
-    if algorithm == "auto":
-        algorithm = "lagrange" if support_modulus(s) != 1 else "newton"
-    if algorithm == "lagrange":
-        return _revert_lagrange(s)
-    if algorithm == "newton":
-        return _revert_newton(s)
-    raise SeriesError(f"unknown reversion algorithm {algorithm!r}")
-
-
-def _revert_lagrange(s: TruncSeries) -> TruncSeries:
-    n_max = s.trunc_order
-    step = support_modulus(s)
-    if step == 0:
-        # s is exactly t through its window.
-        return TruncSeries.monomial(1, 1, n_max)
-    p = s.shift(-1).invert()
-    cap = n_max - 1
-    p_step = p.power(step, cap=cap)
-    terms: dict[int, Fraction] = {}
-    cur = p
-    n = 1
-    while True:
-        c = cur.coeff(n - 1) / n
-        if c:
-            terms[n] = c
-        if n + step > n_max:
-            break
-        cur = cur._mul(p_step, cap=cap)
-        n += step
-    return TruncSeries.from_terms(terms, n_max)
-
-
-def _revert_newton(s: TruncSeries) -> TruncSeries:
     n_max = s.trunc_order
     g = TruncSeries.monomial(1, 1, 1)
     m = 1

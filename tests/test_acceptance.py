@@ -166,10 +166,10 @@ def test_criterion_7_property_battery(gen300, table300):
             if rng.random() < 0.7:
                 terms[e] = F(rng.randrange(-9, 10), rng.randrange(1, 8))
         dense = TruncSeries.from_terms(terms, 120)
-        assert revert(dense, "lagrange") == revert(dense, "newton")
-        assert dense.compose(revert(dense)).agrees_through(
-            TruncSeries.monomial(1, 1, 120), 120
-        )
+        dense_inv = revert(dense)
+        t = TruncSeries.monomial(1, 1, 120)
+        assert dense.compose(dense_inv).agrees_through(t, 120)
+        assert dense_inv.compose(dense).agrees_through(t, 120)
 
         for entry in gen300.values():
             curve = entry["curve"]

@@ -10,6 +10,7 @@ from bhnum.congruence import (
     denominator_probe,
     integrality_scan,
     kummer_check,
+    kummer_triples,
     vsc_decompose,
 )
 from bhnum.curves import CurveSpec
@@ -191,6 +192,16 @@ def test_kummer_is_not_vacuous(table100):
     bad = tampered(table100, 40, delta_c=F(1))
     report = kummer_check(bad, 31, 1, 1)
     assert not report.passed
+
+
+def test_kummer_triples_are_admissible(table100):
+    # the criterion-5 sweep (p in 31, 41, 61, 71, depth <= 2, weight <= 300)
+    # counts 140 triples; p = 11 never qualifies, since 10 divides every 10n
+    assert len(list(kummer_triples(71, 2, 300))) == 140
+    triples = list(kummer_triples(100, 3, 100))
+    assert triples and all(p != 11 for p, _, _ in triples)
+    for p, depth, n in triples:
+        assert kummer_check(table100, p, depth, n).passed
 
 
 def test_kummer_refuses_other_curves():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bhnum import generator
 from bhnum.curves import CurveSpec
 from bhnum.generator import (
     BHTable,
@@ -52,7 +53,14 @@ def test_extraction_respects_exactness_margin():
 
 @pytest.mark.parametrize(
     "curve",
-    [MAIN, CurveSpec.cyclotomic(2, 7), CurveSpec.minus_x(1), CurveSpec.minus_x(2)],
+    [
+        MAIN,
+        CurveSpec.cyclotomic(2, 3),
+        CurveSpec.cyclotomic(2, 7),
+        CurveSpec.minus_x(1),
+        CurveSpec.minus_x(2),
+        CurveSpec.minus_x(3),
+    ],
     ids=str,
 )
 def test_methods_agree(curve):
@@ -161,13 +169,19 @@ def test_expansion_against_independent_pipeline():
         assert_dict_eq(series_dict(exp.x_series), oracle, 30)
 
 
-def test_ode_degenerate_recurrence_raises(monkeypatch):
-    # With every single-slot convolution read as 0 the linear response
-    # vanishes at the first unknown slot; the route must refuse rather
-    # than borrow that coefficient from another route.
-    monkeypatch.setattr("bhnum.generator.conv_coeff", lambda a, b, e: F(0))
-    with pytest.raises(ExpansionError, match=r"degenerate recurrence at u\^6 .*residual 4"):
-        expand_by_ode(CurveSpec.minus_x(2), 34)
+def test_ode_wrong_coefficient_is_named(monkeypatch):
+    # Skew one Miller step of P = alpha**5 at v**3: alpha_3, the coefficient
+    # of u**28 in x, comes out wrong, and the certificate must name the
+    # slot u**(10*3 - 10) where the curve equation first fails.
+    real = generator._miller
+
+    def skewed(f, p, alpha):
+        value = real(f, p, alpha)
+        return value + 1 if alpha == 5 and len(p) == 3 else value
+
+    monkeypatch.setattr(generator, "_miller", skewed)
+    with pytest.raises(ExpansionError, match=r"^ode expansion .* curve equation at u\^20 "):
+        expand_by_ode(MAIN, 62)
 
 
 def test_ode_refuses_non_hyperelliptic():

@@ -7,9 +7,7 @@ from bhnum.series import (
     SeriesError,
     TruncSeries,
     binomial_series,
-    conv_coeff,
     revert,
-    support_modulus,
 )
 from helpers import binom_frac, n_compose, n_mul, n_revert, series_dict
 
@@ -105,25 +103,6 @@ def test_mul_example():
     # window: min(3 + 1, 4 + (-1)) = 3
     assert p.trunc_order == 3
     assert series_dict(p) == {0: F(1), 1: F(1), 2: F(2), 3: F(2)}
-
-
-def test_mul_kernels_agree(monkeypatch):
-    rng = random.Random(1105)
-    for _ in range(40):
-        a = rand_series(rng, rng.randrange(4, 16))
-        b = rand_series(rng, rng.randrange(4, 16))
-        monkeypatch.setenv("BHNUM_MUL", "fraction")
-        by_fraction = a * b
-        monkeypatch.setenv("BHNUM_MUL", "int")
-        by_int = a * b
-        assert by_fraction == by_int
-
-
-def test_mul_mode_validation(monkeypatch):
-    monkeypatch.setenv("BHNUM_MUL", "floats")
-    a = TruncSeries.monomial(1, 1, 3)
-    with pytest.raises(SeriesError):
-        a * a
 
 
 def test_ring_axioms_random():
@@ -326,31 +305,6 @@ def test_compose_preconditions():
         TruncSeries.monomial(-1, 1, 5).compose(TruncSeries.monomial(2, 1, 5))
 
 
-# -- convolution slots and support ---------------------------------------------------
-
-
-def test_conv_coeff_matches_full_product():
-    rng = random.Random(606)
-    for _ in range(20):
-        a = rand_series(rng, rng.randrange(4, 12), ensure_nonzero=True)
-        b = rand_series(rng, rng.randrange(4, 12), ensure_nonzero=True)
-        p = a * b
-        for e in range(p.base_exponent, p.trunc_order + 1):
-            assert conv_coeff(a, b, e) == p.coeff(e)
-
-
-def test_conv_coeff_window_check():
-    a = TruncSeries.monomial(1, 1, 4)
-    with pytest.raises(SeriesError):
-        conv_coeff(a, a, 6)
-
-
-def test_support_modulus():
-    assert support_modulus(TruncSeries.from_terms({1: F(1), 11: F(1), 21: F(1)}, 25)) == 10
-    assert support_modulus(TruncSeries.monomial(3, 1, 9)) == 0
-    assert support_modulus(TruncSeries.from_terms({1: F(1), 4: F(1), 6: F(1)}, 9)) == 1
-
-
 # -- binomial series -------------------------------------------------------------------
 
 
@@ -401,28 +355,6 @@ def test_revert_patterned_example():
     assert t_of_u.coeff(21) == F(3, 616)
 
 
-def test_revert_algorithms_agree():
-    rng = random.Random(2024)
-    u = binomial_series(6, F(-1, 3), 90).integrate()
-    assert revert(u, "lagrange") == revert(u, "newton")
-    terms = {1: F(1)}
-    for e in range(2, 40):
-        terms[e] = F(rng.randrange(-6, 7), rng.randrange(1, 5))
-    dense = TruncSeries.from_terms(terms, 40)
-    assert revert(dense, "lagrange") == revert(dense, "newton")
-
-
-def test_revert_env_selection(monkeypatch):
-    s = TruncSeries.from_terms({1: F(1), 2: F(1)}, 6)
-    monkeypatch.setenv("BHNUM_REVERT", "lagrange")
-    by_env = revert(s)
-    monkeypatch.setenv("BHNUM_REVERT", "newton")
-    assert revert(s) == by_env
-    monkeypatch.setenv("BHNUM_REVERT", "sideways")
-    with pytest.raises(SeriesError):
-        revert(s)
-
-
 def test_revert_roundtrip_patterned_deep():
     u = binomial_series(7, F(-2, 7), 200).integrate()
     g = revert(u)
@@ -465,5 +397,3 @@ def test_revert_preconditions():
         revert(TruncSeries.monomial(1, 2, 5))
     with pytest.raises(SeriesError):
         revert(TruncSeries.monomial(2, 1, 5))
-    with pytest.raises(SeriesError):
-        revert(TruncSeries.monomial(1, 1, 5), "cubic")
