@@ -4,6 +4,9 @@
             reversion route (the test oracle) spends most of its time in.
   pipeline  expand_online vs expand_by_reversion end to end on any
             curve, and expand_by_ode too where a = 2.
+  certify   the curve-equation and differential certificate on the
+            online expansion, the check every compute runs before it
+            writes a table.
 
 Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K]
 """
@@ -14,7 +17,7 @@ import argparse
 import time
 
 from bhnum.curves import parse_curve, u_series
-from bhnum.generator import expand_by_ode, expand_by_reversion, expand_online
+from bhnum.generator import certify, expand_by_ode, expand_by_reversion, expand_online
 from bhnum.series import revert
 
 
@@ -49,6 +52,8 @@ def main() -> None:
                 best_of(args.repeat, lambda: expand(curve, args.order)),
             )
         )
+    online = expand_online(curve, args.order)
+    rows.append((f"certify            {at}", best_of(args.repeat, lambda: certify(online))))
 
     width = max(len(name) for name, _ in rows)
     for name, seconds in rows:

@@ -17,15 +17,18 @@ Three expansion routes are provided.  expand_online is the production
 route: t(u) solves t' = (1 - t**w)**(j/a), and writing t = u * tau(u**w)
 turns that into power recurrences (J.C.P. Miller's, see _miller) that
 produce tau, and from it x and y, one coefficient at a time, with the
-sparse support built in.  expand_by_reversion runs the definition above,
-inverting u(t) and composing; it is the test oracle.  expand_by_ode never
-touches t: for hyperelliptic models (a = 2) the curve equation forces
+sparse support built in.  Each series is kept as integer numerators over
+one shared denominator (_Coeffs), so a recurrence step is an integer dot
+product and one Fraction division.  expand_by_reversion runs the
+definition above, inverting u(t) and composing; it is the test oracle.
+expand_by_ode never touches t: for hyperelliptic models (a = 2) the curve
+equation forces
 
     A**(2g-2) * A'**2 = 4 * (A**(2g+1) - c)        c = 1 (cyclo) or A (minusx)
 
 on A = x(u), and with A = u**-2 * alpha(u**w) each coefficient alpha_m
 enters its own slot of that equation with the response -4 * (w*m + 1), so
-alpha comes out one coefficient at a time as well.
+alpha comes out one coefficient at a time as well, on the same kernel.
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du (see
@@ -44,7 +47,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 from pathlib import Path
 
 from .curves import CurveSpec, parse_curve, u_series
@@ -142,7 +146,44 @@ def expand_by_reversion(curve: CurveSpec, order: int) -> Expansion:
     return Expansion(curve, x, y, "reversion", order)
 
 
-def _miller(f: list[Fraction], p: list[Fraction], alpha: Fraction) -> Fraction:
+class _Coeffs:
+    """Series coefficients c_k = nums[k] / den over one shared denominator.
+
+    append grows den by d // gcd(den, d) when a coefficient's denominator d
+    brings in a new factor, and rescales the stored numerators then, so den
+    stays the lcm of the denominators seen (fraction-free arithmetic in the
+    sense of Bareiss, Math. Comp. 22, 1968).
+    """
+
+    def __init__(self, coeffs=()) -> None:
+        self.nums: list[int] = []
+        self.den = 1
+        for c in coeffs:
+            self.append(c)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self):
+        return (Fraction(v, self.den) for v in self.nums)
+
+    def append(self, c: Fraction) -> None:
+        d = c.denominator
+        scale = d // gcd(self.den, d)
+        if scale > 1:
+            self.den *= scale
+            self.nums = [v * scale for v in self.nums]
+        self.nums.append(c.numerator * (self.den // d))
+
+
+def _conv(f: _Coeffs, g: _Coeffs, m: int, lo: int = 0) -> Fraction:
+    """[f*g]_m as a Fraction, from the terms f_k * g_{m-k} with lo <= k <= m - lo."""
+    hi = m + 1 - lo
+    total = sum(map(mul, f.nums[lo:hi], reversed(g.nums[lo:hi])))
+    return Fraction(total, f.den * g.den)
+
+
+def _miller(f: _Coeffs, p: _Coeffs, alpha: Fraction) -> Fraction:
     """Next coefficient of f**alpha by J.C.P. Miller's power recurrence.
 
     With p holding the first m coefficients of f**alpha and f at least
@@ -153,20 +194,27 @@ def _miller(f: list[Fraction], p: list[Fraction], alpha: Fraction) -> Fraction:
     (Knuth, TAOCP vol. 2, 4.7.)  The recurrence is what f * (f**alpha)' =
     alpha * f' * f**alpha says degree by degree, so P_m needs no
     coefficient of f beyond f_m; that is what lets callers feed f online.
+    If f stops at f_{m-1}, f_m is taken as 0.  Over the shared
+    denominators f's cancels against f_0, so the sum runs on the integer
+    numerators and P_m is one Fraction of it over p.den * m * f_0.
     """
     m = len(p)
     num, den = alpha.numerator, alpha.denominator
+    step, lead = num + den, den * m
     total = sum(
-        ((num + den) * k - den * m) * f[k] * p[m - k]
-        for k in range(1, m + 1)
-        if f[k]
+        (step * k - lead) * fk * pk
+        for k, fk, pk in zip(range(1, m + 1), f.nums[1 : m + 1], reversed(p.nums))
     )
-    return total / (den * m * f[0])
+    return Fraction(total, lead * f.nums[0] * p.den)
 
 
-def _power(f: list[Fraction], alpha: Fraction) -> list[Fraction]:
-    """All the coefficients of f**alpha that f determines, for f_0 = 1."""
-    p = [_ONE]
+def _power(f: _Coeffs, alpha: Fraction) -> _Coeffs:
+    """All the coefficients of f**alpha that f determines, for f_0 = 1.
+
+    The result is kept like f, as integer numerators over one shared
+    denominator, so each _miller step reads it without a conversion.
+    """
+    p = _Coeffs([_ONE])
     while len(p) < len(f):
         p.append(_miller(f, p, alpha))
     return p
@@ -195,23 +243,65 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     _, j = curve.exponent_pair
     n = -(-(order + 1 + max(a, b)) // w) - 1
     t_power, q_power = Fraction(w), Fraction(j, a)
-    tau, big_t, q, p = [_ONE], [_ONE], [_ONE], [_ONE]
+    tau, big_t, q, p = (_Coeffs([_ONE]) for _ in range(4))
+    t_last = _ONE
     for m in range(1, n + 1):
         if m > 1:
-            big_t.append(_miller(tau, big_t, t_power))
-        q.append(-big_t[m - 1])
-        p.append(_miller(q, p, q_power))
-        tau.append(p[m] / (1 + w * m))
+            t_last = _miller(tau, big_t, t_power)
+            big_t.append(t_last)
+        q.append(-t_last)
+        p_m = _miller(q, p, q_power)
+        p.append(p_m)
+        tau.append(p_m / (1 + w * m))
     x_v = _power(tau, Fraction(-a))
     tau_b = _power(tau, Fraction(-b))
     q_root = _power(q, Fraction(1, a))
-    y_v = [
-        sum(tau_b[k] * q_root[m - k] for k in range(m + 1)) for m in range(n + 1)
-    ]
     top = w * (n + 1) - 1
     x = TruncSeries.from_terms({w * k - a: c for k, c in enumerate(x_v)}, top - a)
-    y = TruncSeries.from_terms({w * k - b: c for k, c in enumerate(y_v)}, top - b)
+    y = TruncSeries.from_terms(
+        {w * m - b: _conv(tau_b, q_root, m) for m in range(n + 1)}, top - b
+    )
     return Expansion(curve, x, y.scale(curve.y_leading_sign), "online", order)
+
+
+def _ode_recurrence(curve: CurveSpec, order: int) -> Expansion:
+    """expand_by_ode without its closing certificate (see there)."""
+    if curve.a != 2:
+        raise UnsupportedMethodError(
+            "the ODE route needs a hyperelliptic model (a = 2), got "
+            f"{curve}"
+        )
+    if order < 1:
+        raise ExpansionError("expansion order must be at least 1")
+    g, b, w = curve.genus_if_hyperelliptic, curve.b, curve.weight
+    n = -(-(order + 1 + b) // w) - 1
+    r_power, p_power = Fraction(2 * g - 2), Fraction(2 * g + 1)
+    alpha, r, p = (_Coeffs([_ONE]) for _ in range(3))
+    delta, d2 = _Coeffs([Fraction(-2)]), _Coeffs([Fraction(4)])
+    c_last = _ONE  # C_{m-1}: C = alpha (minusx) or 1 (cyclo)
+    for m in range(1, n + 1):
+        # Evaluate slot m with alpha_m = 0 (alpha still stops at m - 1),
+        # solve, then add alpha_m's share back: a Miller step of f**k is
+        # linear in f_m with slope k, and delta_0 = -2, r_0 = 1, d2_0 = 4.
+        r_m = _miller(alpha, r, r_power)
+        p_m = _miller(alpha, p, p_power)
+        d2_m = _conv(delta, delta, m, 1)
+        rho = 4 * r_m + d2_m + _conv(r, d2, m, 1) - 4 * p_m + 4 * c_last
+        alpha_m = rho / (4 * (w * m + 1))
+        delta_m = (w * m - 2) * alpha_m
+        alpha.append(alpha_m)
+        delta.append(delta_m)
+        r.append(r_m + r_power * alpha_m)
+        p.append(p_m + p_power * alpha_m)
+        d2.append(d2_m - 4 * delta_m)
+        c_last = alpha_m if curve.family == "minusx" else _ZERO
+    lift = _power(alpha, Fraction(g - 1))
+    top = w * (n + 1) - 1
+    x = TruncSeries.from_terms({w * k - 2: q for k, q in enumerate(alpha)}, top - 2)
+    y = TruncSeries.from_terms(
+        {w * m - b: _conv(lift, delta, m) / 2 for m in range(n + 1)}, top - b
+    )
+    return Expansion(curve, x, y, "ode", order)
 
 
 def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
@@ -234,40 +324,7 @@ def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
     A' / 2 = u**-b * alpha**(g-1) * delta / 2.  The route never builds
     t(u), keeps the window of expand_online, and ends in certify.
     """
-    if curve.a != 2:
-        raise UnsupportedMethodError(
-            "the ODE route needs a hyperelliptic model (a = 2), got "
-            f"{curve}"
-        )
-    if order < 1:
-        raise ExpansionError("expansion order must be at least 1")
-    g, b, w = curve.genus_if_hyperelliptic, curve.b, curve.weight
-    n = -(-(order + 1 + b) // w) - 1
-    r_power, p_power = Fraction(2 * g - 2), Fraction(2 * g + 1)
-    alpha, delta, r, p, d2 = [_ONE], [Fraction(-2)], [_ONE], [_ONE], [Fraction(4)]
-    c = alpha if curve.family == "minusx" else [_ONE] + [_ZERO] * n
-    for m in range(1, n + 1):
-        # Evaluate slot m with alpha_m = 0, solve, then add alpha_m's share
-        # back: a Miller step of f**k is linear in f_m with slope k.
-        alpha.append(_ZERO)
-        delta.append(_ZERO)
-        r.append(_miller(alpha, r, r_power))
-        p.append(_miller(alpha, p, p_power))
-        d2.append(sum(delta[k] * delta[m - k] for k in range(1, m)))
-        rho = sum(r[k] * d2[m - k] for k in range(m + 1)) - 4 * p[m] + 4 * c[m - 1]
-        alpha[m] = rho / (4 * (w * m + 1))
-        delta[m] = (w * m - 2) * alpha[m]
-        r[m] += r_power * alpha[m]
-        p[m] += p_power * alpha[m]
-        d2[m] -= 4 * delta[m]
-    lift = _power(alpha, Fraction(g - 1))
-    y_v = [
-        sum(lift[k] * delta[m - k] for k in range(m + 1)) / 2 for m in range(n + 1)
-    ]
-    top = w * (n + 1) - 1
-    x = TruncSeries.from_terms({w * k - 2: q for k, q in enumerate(alpha)}, top - 2)
-    y = TruncSeries.from_terms({w * k - b: q for k, q in enumerate(y_v)}, top - b)
-    expansion = Expansion(curve, x, y, "ode", order)
+    expansion = _ode_recurrence(curve, order)
     certify(expansion)
     return expansion
 
@@ -318,14 +375,16 @@ def expand_checked(curve: CurveSpec, order: int) -> Expansion:
     also run the ODE route, which never builds t(u), and the two must
     agree coefficient for coefficient through their common window; a
     discrepancy raises CrossCheckError naming the series, the first
-    differing exponent and both coefficients.  The method label records
-    the routes that ran: "online+ode" or "online".
+    differing exponent and both coefficients.  Agreement makes the ODE
+    expansion the certified one, so it is not certified a second time.
+    The method label records the routes that ran: "online+ode" or
+    "online".
     """
     online = expand_online(curve, order)
     certify(online)
     if curve.a != 2:
         return online
-    by_ode = expand_by_ode(curve, order)
+    by_ode = _ode_recurrence(curve, order)
     for name, ours, theirs in (
         ("x", online.x_series, by_ode.x_series),
         ("y", online.y_series, by_ode.y_series),

@@ -211,7 +211,7 @@ def _bump_top_x(good):
 
 def test_cross_check_failure_exit_code(cache_env, capsys, monkeypatch):
     bad = _bump_top_x(expand_by_ode(CurveSpec.cyclotomic(2, 5), 12))
-    monkeypatch.setattr("bhnum.generator.expand_by_ode", lambda c, o: bad)
+    monkeypatch.setattr("bhnum.generator._ode_recurrence", lambda c, o: bad)
     rc, out, err = run(
         capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "10"
     )

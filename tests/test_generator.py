@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from bhnum.generator import (
     extract_numbers,
     hurwitz,
 )
-from bhnum.series import TruncSeries
+from bhnum.series import TruncSeries, binomial_series
 from helpers import assert_dict_eq, oracle_bernoulli, oracle_x_of_u, series_dict
 
 F = Fraction
@@ -184,6 +185,50 @@ def test_ode_wrong_coefficient_is_named(monkeypatch):
         expand_by_ode(MAIN, 62)
 
 
+# -- the shared-denominator kernel ------------------------------------------
+
+# Pairwise coprime denominators: every append brings a new factor into the
+# shared denominator and rescales the numerators stored before it.
+COPRIME = [F(1), F(1, 2), F(-1, 3), F(5, 7), F(1, 11), F(-4, 13), F(2, 17), F(-3, 19)]
+
+
+def test_shared_denominator_reproduces_every_coefficient():
+    # The last two append without a rescale: 0, and 7/22 with 22 | den.
+    values = COPRIME + [F(0), F(7, 22)]
+    s = generator._Coeffs()
+    for k, c in enumerate(values):
+        s.append(c)
+        assert list(s) == values[: k + 1]
+        assert s.den == math.lcm(*(q.denominator for q in values[: k + 1]))
+
+
+def _as_series(coeffs):
+    return TruncSeries.from_terms(dict(enumerate(coeffs)), len(coeffs) - 1)
+
+
+@pytest.mark.parametrize("alpha", [F(-3), F(-1, 2), F(1, 3), F(5)])
+def test_power_matches_series_oracle(alpha):
+    # g = f**(p/q) exactly when g**q = f**p; TruncSeries.power inverts
+    # first for a negative exponent.
+    f = _as_series(COPRIME)
+    g = _as_series(list(generator._power(generator._Coeffs(COPRIME), alpha)))
+    lhs, rhs = g.power(alpha.denominator), f.power(alpha.numerator)
+    assert lhs.terms() == rhs.terms() and lhs.trunc_order == rhs.trunc_order
+    # (1 - t)**alpha against the binomial series.
+    one_minus_t = generator._Coeffs([F(1), F(-1)] + [F(0)] * 10)
+    binomial = binomial_series(1, alpha, 11)
+    assert list(generator._power(one_minus_t, alpha)) == [
+        binomial.coeff(k) for k in range(12)
+    ]
+
+
+def test_miller_reads_a_missing_top_coefficient_as_zero():
+    p = generator._power(generator._Coeffs(COPRIME[:4]), F(5))
+    assert generator._miller(generator._Coeffs(COPRIME[:4]), p, F(5)) == (
+        generator._miller(generator._Coeffs(COPRIME[:4] + [F(0)]), p, F(5))
+    )
+
+
 def test_ode_refuses_non_hyperelliptic():
     with pytest.raises(UnsupportedMethodError):
         expand_by_ode(CurveSpec.cyclotomic(3, 4), 12)
@@ -227,7 +272,7 @@ def test_expand_checked_cross_check(monkeypatch):
 
     bad = _pattern_preserving_tamper(expand_by_ode(MAIN, 12))
     monkeypatch.setattr(
-        "bhnum.generator.expand_by_ode", lambda curve, order: bad
+        "bhnum.generator._ode_recurrence", lambda curve, order: bad
     )
     e = max(bad.x_series.support())
     with pytest.raises(CrossCheckError, match=rf"x\(u\) .* at u\^{e}: "):
