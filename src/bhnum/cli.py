@@ -5,11 +5,11 @@ statements against a cache, export a cache as CSV/JSON, and print the
 classical Bernoulli/Hurwitz anchor sequences.
 
 Exit codes: 0 success / all checks pass, 1 a verification check failed,
-2 usage or configuration error (bad curve, missing cache, weights not
-computed), 3 an internal check tripped: the curve-equation certificate or
-the two-route cross-check.  Output is deterministic:
-identical invocations produce byte-identical reports, with no timestamps
-or environment echoes.
+2 usage or configuration error (bad curve, missing, corrupt or unreadable
+cache, weights not computed, sweep bounds below 1), 3 an internal check
+tripped: the curve-equation certificate or the two-route cross-check.
+Output is deterministic: identical invocations produce byte-identical
+reports, with no timestamps or environment echoes.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from pathlib import Path
 
 from .congruence import (
     REPORT_VERSION,
-    MissingWeightError,
-    VerifierDomainError,
     integrality_scan,
     kummer_check,
     kummer_triples,
     vsc_decompose,
 )
-from .curves import CurveError, CurveSpec, parse_curve
+from .curves import CurveSpec, parse_curve
 from .generator import (
     BHTable,
     CacheError,
@@ -40,8 +38,8 @@ from .generator import (
     expand_checked,
     extract_numbers,
     hurwitz,
+    rational_pair,
 )
-from .series import SeriesError
 
 __all__ = ["console_main", "main"]
 
@@ -122,16 +120,24 @@ def _load_table(cfg: RunConfig):
     return table.restrict(cfg.max_weight)
 
 
-def _emit(doc: dict, text_lines: list[str], args) -> None:
+def _emit(args, summary, document) -> None:
+    """Write the rendering --format asks for, and build only that one.
+
+    summary() gives the text lines; document() gives the JSON text.
+    """
     if args.format == "json":
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        payload = document()
     else:
-        payload = "\n".join(text_lines) + "\n"
+        payload = "\n".join(summary()) + "\n"
     out = getattr(args, "output", None)
     if out:
         Path(out).write_text(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -148,107 +154,87 @@ def cmd_compute(args) -> int:
         f"COMPUTE curve={cfg.curve} max_weight={cfg.max_weight} "
         f"rows={len(table.rows)} method={table.method} cache={cfg.cache_path}"
     )
-    _emit(table.to_json_dict(), [line], args)
+    _emit(args, lambda: [line], table.dumps)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--depth", args.depth), ("--prime-limit", args.prime_limit)):
+        if value < 1:
+            raise ValueError(f"{flag} must be positive")
     cfg = _resolve_config(args, need_curve=False)
     table = _load_table(cfg)
     which = args.check
-    lines: list[str] = []
-    reports: list[dict] = []
-    ok = True
-
+    max_weight = max(table.weights(), default=0)
+    # (tag, rows with .passed and .summary_line(), bounds, JSON reports)
+    sections = []
     if which in ("vsc", "all"):
-        for n in table.weights():
-            r = vsc_decompose(table, n)
-            ok &= r.passed
-            lines.append(r.summary_line())
-            reports.append(r.to_json_dict())
-        passed = sum(1 for d in reports if d.get("passed"))
-        lines.append(f"VSC: {passed}/{len(table.weights())} pass")
-
+        rows = [vsc_decompose(table, n) for n in table.weights()]
+        sections.append(("VSC", rows, "", rows))
     if which in ("kummer", "all"):
-        before = len(reports)
-        kummer_pass = 0
-        max_w = max(table.weights(), default=0)
-        for p, depth, n in kummer_triples(args.prime_limit, args.depth, max_w):
-            r = kummer_check(table, p, depth, n)
-            ok &= r.passed
-            kummer_pass += r.passed
-            lines.append(r.summary_line())
-            reports.append(r.to_json_dict())
-        count = len(reports) - before
-        lines.append(f"KUMMER: {kummer_pass}/{count} pass (p<={args.prime_limit}, a<={args.depth})")
-
+        triples = kummer_triples(args.prime_limit, args.depth, max_weight)
+        rows = [kummer_check(table, p, depth, n) for p, depth, n in triples]
+        bounds = f" (p<={args.prime_limit}, a<={args.depth})"
+        sections.append(("KUMMER", rows, bounds, rows))
     if which in ("integrality", "all"):
-        r = integrality_scan(table, args.prime_limit)
-        ok &= r.passed
-        for row in r.rows:
-            lines.append(row.summary_line())
-        lines.append(
-            f"INTEGRALITY: {sum(1 for x in r.rows if x.passed)}/{len(r.rows)} "
-            f"pass (p<={args.prime_limit})"
-        )
-        reports.append(r.to_json_dict())
+        scan = integrality_scan(table, args.prime_limit)
+        sections.append(("INTEGRALITY", scan.rows, f" (p<={args.prime_limit})", [scan]))
+    ok = all(row.passed for _, rows, _, _ in sections for row in rows)
 
-    doc = {
-        "format": "bhnum.report",
-        "version": REPORT_VERSION,
-        "curve": str(table.curve),
-        "check": which,
-        "max_weight": max(table.weights(), default=0),
-        "passed": bool(ok),
-        "reports": reports,
-    }
-    _emit(doc, lines, args)
+    def summary():
+        for tag, rows, bounds, _ in sections:
+            yield from (row.summary_line() for row in rows)
+            yield f"{tag}: {sum(row.passed for row in rows)}/{len(rows)} pass{bounds}"
+
+    def document():
+        return _json_text({
+            "format": "bhnum.report",
+            "version": REPORT_VERSION,
+            "curve": str(table.curve),
+            "check": which,
+            "max_weight": max_weight,
+            "passed": ok,
+            "reports": [r.to_json_dict() for *_, reports in sections for r in reports],
+        })
+
+    _emit(args, summary, document)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_export(args) -> int:
     cfg = _resolve_config(args, need_curve=False)
     table = _load_table(cfg)
-    lines = []
-    for n in table.weights():
-        lines.append(
-            f"{n}, {table.c(n)}, {table.d(n)}, {table.c_over_n(n)}, "
-            f"{table.d_over_n(n)}"
-        )
-    _emit(table.to_json_dict(), lines, args)
+
+    def summary():
+        for n in table.weights():
+            yield (
+                f"{n}, {table.c(n)}, {table.d(n)}, {table.c_over_n(n)}, "
+                f"{table.d_over_n(n)}"
+            )
+
+    _emit(args, summary, table.dumps)
     return EXIT_OK
 
 
-def _anchor_command(values, args, tag: str) -> int:
-    lines = [f"{idx}, {val}" for idx, val in values]
-    doc = {
-        "format": f"bhnum.{tag}",
-        "version": REPORT_VERSION,
-        "values": [
-            {"index": idx, "value": [str(v.numerator), str(v.denominator)]}
-            for idx, v in values
-        ],
-    }
-    _emit(doc, lines, args)
+_ANCHORS = {"bernoulli": (2, bernoulli), "hurwitz": (4, hurwitz)}
+
+
+def cmd_anchor(args) -> int:
+    """bernoulli / hurwitz: the classical sequence as (index, value) rows."""
+    if args.count < 1:
+        raise ValueError("--count must be positive")
+    step, sequence = _ANCHORS[args.command]
+    values = [(step * k, v) for k, v in enumerate(sequence(args.count), 1)]
+
+    def document():
+        return _json_text({
+            "format": f"bhnum.{args.command}",
+            "version": REPORT_VERSION,
+            "values": [{"index": i, "value": rational_pair(v)} for i, v in values],
+        })
+
+    _emit(args, lambda: [f"{i}, {v}" for i, v in values], document)
     return EXIT_OK
-
-
-def cmd_bernoulli(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be positive")
-    vals = bernoulli(args.count)
-    return _anchor_command(
-        [(2 * (i + 1), v) for i, v in enumerate(vals)], args, "bernoulli"
-    )
-
-
-def cmd_hurwitz(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be positive")
-    vals = hurwitz(args.count)
-    return _anchor_command(
-        [(4 * (i + 1), v) for i, v in enumerate(vals)], args, "hurwitz"
-    )
 
 
 # -- wiring ----------------------------------------------------------------------
@@ -295,17 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int)
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("bernoulli", help="print B_2 .. B_{2*count}")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--format", choices=("summary", "json"), default="summary")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_bernoulli)
-
-    p = sub.add_parser("hurwitz", help="print H_4 .. H_{4*count}")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--format", choices=("summary", "json"), default="summary")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_hurwitz)
+    for name, help_text in (
+        ("bernoulli", "print B_2 .. B_{2*count}"),
+        ("hurwitz", "print H_4 .. H_{4*count}"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--count", type=int, required=True)
+        p.add_argument("--format", choices=("summary", "json"), default="summary")
+        p.add_argument("--output")
+        p.set_defaults(func=cmd_anchor)
 
     return parser
 
@@ -326,14 +310,10 @@ def main(argv=None) -> int:
         # validated before it runs, so it is an internal check, not usage.
         print(f"internal expansion check failure: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
-    except (
-        CurveError,
-        CacheError,
-        SeriesError,
-        VerifierDomainError,
-        MissingWeightError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # Every usage error the package raises (CurveError, CacheError,
+        # VerifierDomainError, ...) is a ValueError; OSError covers cache
+        # and output paths that cannot be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurveSpec
-from .generator import BHTable
+from .generator import BHTable, rational_pair
 from .numtheory import (
     PrimeResidueClass,
     binomial,
@@ -101,16 +101,10 @@ def ap_invariant(p: int) -> int:
 # -- shared decomposition engine ----------------------------------------------
 
 
-def _decompose(value: Fraction, contributions: list[tuple[int, Fraction]]):
-    """Subtract per-prime fractional parts; return (remainder, integral?)."""
-    remainder = value
-    for _, part in contributions:
-        remainder -= part
+def _decompose(value: Fraction, parts: list[Fraction]) -> tuple[Fraction, bool]:
+    """Subtract the per-prime fractional parts; return (remainder, integral?)."""
+    remainder = value - sum(parts)
     return remainder, remainder.denominator == 1
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,10 +126,7 @@ class VscReport:
 
     def summary_line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
-        return (
-            f"VSC N={self.weight} {flag} G={_fmt(self.g_remainder)} "
-            f"H={_fmt(self.h_remainder)}"
-        )
+        return f"VSC N={self.weight} {flag} G={self.g_remainder} H={self.h_remainder}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,19 +138,13 @@ class VscReport:
                     "p": c.p,
                     "exponent": c.exponent,
                     "ap": str(c.ap),
-                    "c_part": [str(c.c_part.numerator), str(c.c_part.denominator)],
-                    "d_part": [str(c.d_part.numerator), str(c.d_part.denominator)],
+                    "c_part": rational_pair(c.c_part),
+                    "d_part": rational_pair(c.d_part),
                 }
                 for c in self.contributions
             ],
-            "g_remainder": [
-                str(self.g_remainder.numerator),
-                str(self.g_remainder.denominator),
-            ],
-            "h_remainder": [
-                str(self.h_remainder.numerator),
-                str(self.h_remainder.denominator),
-            ],
+            "g_remainder": rational_pair(self.g_remainder),
+            "h_remainder": rational_pair(self.h_remainder),
             "passed": self.passed,
         }
 
@@ -183,8 +168,8 @@ def vsc_decompose(table: BHTable, weight: int) -> VscReport:
         c_part = Fraction(ape, p)
         d_part = Fraction(mod_inverse(24, p) * ape, p)
         contributions.append(VscContribution(p, e, ap, c_part, d_part))
-    g_rem, g_ok = _decompose(table.c(weight), [(c.p, c.c_part) for c in contributions])
-    h_rem, h_ok = _decompose(table.d(weight), [(c.p, c.d_part) for c in contributions])
+    g_rem, g_ok = _decompose(table.c(weight), [c.c_part for c in contributions])
+    h_rem, h_ok = _decompose(table.d(weight), [c.d_part for c in contributions])
     return VscReport(weight, tuple(contributions), g_rem, h_rem, g_ok and h_ok)
 
 
@@ -197,7 +182,7 @@ class BernoulliVscReport:
 
     def summary_line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
-        return f"VSC-BERNOULLI 2n={self.index} {flag} R={_fmt(self.remainder)}"
+        return f"VSC-BERNOULLI 2n={self.index} {flag} R={self.remainder}"
 
 
 def classical_vsc_bernoulli(index: int, value: Fraction) -> BernoulliVscReport:
@@ -210,7 +195,7 @@ def classical_vsc_bernoulli(index: int, value: Fraction) -> BernoulliVscReport:
     if index < 2 or index % 2:
         raise VerifierDomainError(f"index must be an even integer >= 2, got {index}")
     primes = [p for p in range(2, index + 2) if index % (p - 1) == 0 and is_prime(p)]
-    remainder, ok = _decompose(value, [(p, Fraction(-1, p)) for p in primes])
+    remainder, ok = _decompose(value, [Fraction(-1, p) for p in primes])
     return BernoulliVscReport(index, tuple(primes), remainder, ok)
 
 
@@ -225,8 +210,8 @@ class KummerReport:
     weights: tuple[int, ...]
     c_combination: Fraction
     d_combination: Fraction
-    c_valuation: float
-    d_valuation: float
+    c_valuation: int | float  # an int, or math.inf when the value is 0
+    d_valuation: int | float
     passed: bool
 
     def summary_line(self) -> str:
@@ -244,14 +229,8 @@ class KummerReport:
             "depth": self.depth,
             "index": self.index,
             "weights": list(self.weights),
-            "c_combination": [
-                str(self.c_combination.numerator),
-                str(self.c_combination.denominator),
-            ],
-            "d_combination": [
-                str(self.d_combination.numerator),
-                str(self.d_combination.denominator),
-            ],
+            "c_combination": rational_pair(self.c_combination),
+            "d_combination": rational_pair(self.d_combination),
             "c_valuation": str(self.c_valuation),
             "d_valuation": str(self.d_valuation),
             "passed": self.passed,
@@ -324,8 +303,8 @@ def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
 class IntegralityRow:
     p: int
     weight: int
-    c_valuation: float
-    d_valuation: float
+    c_valuation: int | float  # an int, or math.inf when the value is 0
+    d_valuation: int | float
     passed: bool
 
     def summary_line(self) -> str:

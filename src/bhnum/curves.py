@@ -22,6 +22,7 @@ downstream inverts that u.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -133,14 +134,23 @@ class CurveSpec:
 
 
 def parse_curve(text: str) -> CurveSpec:
-    """Parse 'cyclo:a=2,b=5' or 'minusx:g=1' descriptors."""
+    """Parse 'cyclo:a=2,b=5' or 'minusx:g=1' descriptors.
+
+    Each key appears once, with a decimal integer in ASCII digits.
+    """
     head, _, tail = text.strip().partition(":")
     fields = {}
     for part in tail.split(","):
         key, _, value = part.partition("=")
-        if not value or not value.lstrip("-").isdigit():
-            raise CurveError(f"cannot parse curve descriptor {text!r}")
-        fields[key.strip()] = int(value)
+        key = key.strip()
+        if key in fields:
+            raise CurveError(f"repeated key {key!r} in curve descriptor {text!r}")
+        try:
+            if not re.fullmatch("-?[0-9]+", value):
+                raise ValueError
+            fields[key] = int(value)  # raises past the int digit limit too
+        except ValueError:
+            raise CurveError(f"cannot parse curve descriptor {text!r}") from None
     if head == "cyclo":
         if sorted(fields) != ["a", "b"]:
             raise CurveError(f"cyclo descriptor needs a= and b=, got {text!r}")

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -402,6 +403,35 @@ def expand_checked(curve: CurveSpec, order: int) -> Expansion:
 # -- number tables -----------------------------------------------------------
 
 
+def rational_pair(q: Fraction) -> list[str]:
+    """q as [numerator, denominator] decimal strings, exact through JSON."""
+    return [str(q.numerator), str(q.denominator)]
+
+
+def _rational(pair, weight: int) -> Fraction:
+    """The Fraction a rational_pair wrote at weight; ValueError otherwise."""
+    if not (
+        type(pair) is list
+        and len(pair) == 2
+        and all(type(s) is str and re.fullmatch("-?[0-9]+", s) for s in pair)
+    ):
+        raise ValueError(
+            f"weight {weight}: expected a pair of decimal strings, got {pair!r}"
+        )
+    num, den = map(int, pair)
+    if den == 0:
+        raise ValueError(f"weight {weight}: zero denominator")
+    return Fraction(num, den)
+
+
+def _field(doc, key: str, kind: type):
+    """doc[key] if its type is exactly kind (so no bool for int); else TypeError."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class BHTable:
     """Exact table of (C_N, D_N) for N = w, 2w, ... up to order - 2.
@@ -441,8 +471,9 @@ class BHTable:
         rows = {n: cd for n, cd in self.rows.items() if n <= max_weight}
         return BHTable(self.curve, max_weight + 2, self.method, rows)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def dumps(self) -> str:
+        """The table file's text: one JSON document, keys sorted."""
+        doc = {
             "format": TABLE_FORMAT,
             "version": TABLE_VERSION,
             "curve": str(self.curve),
@@ -450,51 +481,45 @@ class BHTable:
             "order": self.order,
             "method": self.method,
             "rows": [
-                {
-                    "weight": n,
-                    "c": [str(self.rows[n][0].numerator), str(self.rows[n][0].denominator)],
-                    "d": [str(self.rows[n][1].numerator), str(self.rows[n][1].denominator)],
-                }
-                for n in self.weights()
+                {"weight": n, "c": rational_pair(c), "d": rational_pair(d)}
+                for n, (c, d) in sorted(self.rows.items())
             ],
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BHTable":
+        """Validate a decoded table document; anything malformed is a CacheError."""
         if not isinstance(doc, dict) or doc.get("format") != TABLE_FORMAT:
             raise CacheError("not a number-table document")
         if doc.get("version") != TABLE_VERSION:
             raise CacheError(f"unsupported table version {doc.get('version')!r}")
         try:
-            curve = parse_curve(doc["curve"])
-            order = doc["order"]
-            method = doc["method"]
-            rows = {}
+            curve = parse_curve(_field(doc, "curve", str))
+            order = _field(doc, "order", int)
+            method = _field(doc, "method", str)
+            rows = []
             for row in doc["rows"]:
-                n = row["weight"]
-                cn, cd = (int(s) for s in row["c"])
-                dn, dd = (int(s) for s in row["d"])
-                rows[n] = (Fraction(cn, cd), Fraction(dn, dd))
+                n = _field(row, "weight", int)
+                rows.append((n, _rational(row["c"], n), _rational(row["d"], n)))
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed table document: {exc}") from None
-        table = cls(curve, order, method, rows)
-        w = curve.weight
-        expected = list(range(w, order - 1, w))
-        if table.weights() != expected:
+        # The rows must be w, 2w, ..., order - 2, each once.  The ladder is
+        # built from the row count, not from order, which may be corrupt.
+        w, k = curve.weight, len(rows)
+        full = list(range(w, w * k + 1, w))
+        if sorted(n for n, _, _ in rows) != full or max(order - 2, 0) // w != k:
             raise CacheError(
                 "table rows are not the full ladder of weight multiples "
                 f"up to {order - 2}"
             )
-        return table
+        return cls(curve, order, method, {n: (c, d) for n, c, d in rows})
 
     @classmethod
     def loads(cls, text: str) -> "BHTable":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CacheError(f"table file is not valid JSON: {exc}") from None
         return cls.from_json_dict(doc)
 

@@ -128,7 +128,7 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def padic_valuation(q: Fraction | int, p: int):
+def padic_valuation(q: Fraction | int, p: int) -> int | float:
     """v_p(q) as an int; the zero input returns math.inf."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

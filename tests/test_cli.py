@@ -1,11 +1,13 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from bhnum.cli import main
+from bhnum.congruence import IntegralityReport, KummerReport, VscReport
 from bhnum.curves import CurveSpec
-from bhnum.generator import Expansion, expand_by_ode, expand_online
+from bhnum.generator import BHTable, Expansion, expand_by_ode, expand_online
 from bhnum.series import TruncSeries
 
 MAIN_CURVE = "cyclo:a=2,b=5"
@@ -161,6 +163,90 @@ def test_corrupt_cache(cache_env, capsys):
     rc, out, err = run(capsys, "verify", "vsc", "--curve", MAIN_CURVE)
     assert rc == 2
     assert "not valid JSON" in err
+
+
+def test_zero_denominator_cache_is_a_usage_error(cache_env, capsys):
+    compute_main(capsys)
+    cache = cache_env / "cyclo_a2_b5.json"
+    doc = json.loads(cache.read_text())
+    doc["rows"][0]["c"] = ["1", "0"]
+    cache.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "vsc", "--curve", MAIN_CURVE)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_unreadable_paths_are_usage_errors(cache_env, capsys):
+    rc, out, err = run(capsys, "verify", "vsc", "--cache", str(cache_env))
+    assert rc == 2 and err.startswith("error:")
+    compute_main(capsys)
+    rc, out, err = run(
+        capsys, "verify", "vsc", "--curve", MAIN_CURVE, "--output", str(cache_env)
+    )
+    assert rc == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kummer", "--depth", "0"),
+        ("kummer", "--depth", "-1"),
+        ("kummer", "--prime-limit", "0"),
+        ("all", "--prime-limit", "0"),
+        ("all", "--depth", "0"),
+    ],
+)
+def test_sweep_bounds_below_one_are_rejected(cache_env, capsys, monkeypatch, argv):
+    compute_main(capsys)
+
+    def no_check(*args):
+        raise AssertionError("a check ran although the sweep bounds are invalid")
+
+    for name in ("vsc_decompose", "kummer_check", "integrality_scan"):
+        monkeypatch.setattr(f"bhnum.cli.{name}", no_check)
+    rc, out, err = run(capsys, "verify", *argv, "--curve", MAIN_CURVE)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {argv[1]} must be positive\n"
+
+
+# SHA-256 of the stdout of `verify all --prime-limit 100 --depth 2` on the
+# weight-100 table of cyclo(2,5), recorded while every command still built
+# both renderings; building only the requested one must keep these bytes.
+PINNED_VERIFY_ALL = {
+    "summary": "50374fa0b9375e849d462b2ce4026341673ebeeda0a0f7b75eddc88b1255969a",
+    "json": "34f39c40886d6d2db2e5dbd133eb7cb5654a516ec9e4ecb51e209a9661290221",
+}
+
+
+def test_verify_all_output_bytes_are_pinned(cache_env, capsys):
+    compute_main(capsys, max_weight=100)
+    for fmt, digest in PINNED_VERIFY_ALL.items():
+        rc, out, _ = run(
+            capsys,
+            "verify", "all", "--curve", MAIN_CURVE,
+            "--prime-limit", "100", "--depth", "2", "--format", fmt,
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_summary_mode_builds_no_json(cache_env, capsys, monkeypatch):
+    def no_json(self):
+        raise AssertionError(f"{type(self).__name__}.to_json_dict in summary mode")
+
+    # BHTable serializes through dumps, which the table file needs; the
+    # patch keeps a to_json_dict from coming back onto the summary path.
+    for cls in (VscReport, KummerReport, IntegralityReport, BHTable):
+        monkeypatch.setattr(cls, "to_json_dict", no_json, raising=False)
+    rc, out, _ = compute_main(capsys, max_weight=60)
+    assert rc == 0 and out.startswith("COMPUTE ")
+    rc, out, _ = run(
+        capsys, "verify", "all", "--curve", MAIN_CURVE, "--prime-limit", "60"
+    )
+    assert rc == 0
+    assert "VSC: 6/6 pass" in out and "INTEGRALITY:" in out
 
 
 def test_cache_curve_mismatch(cache_env, capsys):

@@ -89,7 +89,18 @@ def test_parse_round_trip():
 
 
 def test_parse_errors():
-    for bad in ("cubic:a=2,b=5", "cyclo:a=2", "cyclo:a=2,b=4", "minusx:g=x", ""):
+    for bad in (
+        "cubic:a=2,b=5",
+        "cyclo:a=2",
+        "cyclo:a=2,b=4",
+        "minusx:g=x",
+        "",
+        "cyclo:a=2,b=5,a=3",
+        "minusx:g=1,g=2",
+        "cyclo:a=2,b=\u00b2",
+        "cyclo:a=2,b=\u0665",
+        "cyclo:a=2,b=--5",
+    ):
         with pytest.raises(CurveError):
             parse_curve(bad)
 

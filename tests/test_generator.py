@@ -335,6 +335,16 @@ def test_table_loads_rejects_malformed_documents():
         lambda d: d["rows"][0].pop("c"),
         lambda d: d["rows"][0].update(c=["1", "0x3"]),
         lambda d: d.update(curve="cyclo:a=2,b=4"),
+        lambda d: d["rows"][0].update(c=["1", "0"]),
+        lambda d: d["rows"][0].update(c=["\u0663", "1"]),
+        lambda d: d["rows"][0].update(c="12"),
+        lambda d: d.update(curve=5),
+        lambda d: d.update(order="32"),
+        lambda d: d.update(order=None),
+        lambda d: d.update(method=["online"]),
+        lambda d: d["rows"][0].update(weight="10"),
+        lambda d: d["rows"][0].update(weight=10.0),
+        lambda d: d["rows"].append(d["rows"][0]),
     ):
         doc = json.loads(json.dumps(good))
         mangle(doc)
