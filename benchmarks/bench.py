@@ -7,6 +7,12 @@
   certify   the curve-equation and differential certificate on the
             online expansion, the check every compute runs before it
             writes a table.
+  verify    each verifier on the table read off that expansion, as
+            verify all runs it with --prime-limit at the top weight and
+            --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for).
+            Every repetition starts from a fresh table, so it pays for
+            the quotient memo; A_p stays cached across repetitions, as it
+            does across commands in one process.
 
 Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K]
 """
@@ -16,8 +22,21 @@ from __future__ import annotations
 import argparse
 import time
 
-from bhnum.curves import parse_curve, u_series
-from bhnum.generator import certify, expand_by_ode, expand_by_reversion, expand_online
+from bhnum.congruence import (
+    integrality_scan,
+    kummer_check,
+    kummer_triples,
+    vsc_decompose,
+)
+from bhnum.curves import CurveSpec, parse_curve, u_series
+from bhnum.generator import (
+    BHTable,
+    certify,
+    expand_by_ode,
+    expand_by_reversion,
+    expand_online,
+    extract_numbers,
+)
 from bhnum.series import revert
 
 
@@ -54,6 +73,23 @@ def main() -> None:
         )
     online = expand_online(curve, args.order)
     rows.append((f"certify            {at}", best_of(args.repeat, lambda: certify(online))))
+
+    if curve == CurveSpec.cyclotomic(2, 5):
+        table = extract_numbers(online)
+        top = max(table.weights())
+        triples = list(kummer_triples(top, 3, top))
+        checks = (
+            ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()]),
+            ("kummer", lambda t: [kummer_check(t, *triple) for triple in triples]),
+            ("integrality", lambda t: integrality_scan(t, top)),
+        )
+
+        def fresh():
+            return BHTable(table.curve, table.order, table.method, table.rows)
+
+        for name, check in checks:
+            seconds = best_of(args.repeat, lambda: check(fresh()))
+            rows.append((f"verify/{name:<11s} {at}", seconds))
 
     width = max(len(name) for name, _ in rows)
     for name, seconds in rows:

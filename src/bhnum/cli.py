@@ -38,6 +38,7 @@ from .generator import (
     expand_checked,
     extract_numbers,
     hurwitz,
+    int_digits,
     rational_pair,
 )
 
@@ -120,15 +121,18 @@ def _load_table(cfg: RunConfig):
     return table.restrict(cfg.max_weight)
 
 
-def _emit(args, summary, document) -> None:
+def _emit(args, summary, document, order: int) -> None:
     """Write the rendering --format asks for, and build only that one.
 
-    summary() gives the text lines; document() gives the JSON text.
+    summary() gives the text lines; document() gives the JSON text.  They
+    run with the int/str digit limit lifted to what numbers up to the
+    expansion order need, and restored afterwards.
     """
-    if args.format == "json":
-        payload = document()
-    else:
-        payload = "\n".join(summary()) + "\n"
+    with int_digits(order):
+        if args.format == "json":
+            payload = document()
+        else:
+            payload = "\n".join(summary()) + "\n"
     out = getattr(args, "output", None)
     if out:
         Path(out).write_text(payload)
@@ -154,7 +158,7 @@ def cmd_compute(args) -> int:
         f"COMPUTE curve={cfg.curve} max_weight={cfg.max_weight} "
         f"rows={len(table.rows)} method={table.method} cache={cfg.cache_path}"
     )
-    _emit(args, lambda: [line], table.dumps)
+    _emit(args, lambda: [line], table.dumps, table.order)
     return EXIT_OK
 
 
@@ -197,7 +201,7 @@ def cmd_verify(args) -> int:
             "reports": [r.to_json_dict() for *_, reports in sections for r in reports],
         })
 
-    _emit(args, summary, document)
+    _emit(args, summary, document, table.order)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -212,7 +216,7 @@ def cmd_export(args) -> int:
                 f"{table.d_over_n(n)}"
             )
 
-    _emit(args, summary, table.dumps)
+    _emit(args, summary, table.dumps, table.order)
     return EXIT_OK
 
 
@@ -233,7 +237,10 @@ def cmd_anchor(args) -> int:
             "values": [{"index": i, "value": rational_pair(v)} for i, v in values],
         })
 
-    _emit(args, lambda: [f"{i}, {v}" for i, v in values], document)
+    def summary():
+        return [f"{i}, {v}" for i, v in values]
+
+    _emit(args, summary, document, step * args.count + 2)
     return EXIT_OK
 
 

@@ -19,21 +19,31 @@ proven ground; the empirical denominator_probe is the tool for exploring
 those.  The same decomposition engine, run with contribution -1/p at
 every prime with p - 1 | 2n, reproduces the classical von Staudt-Clausen
 statement for Bernoulli numbers and anchors the machinery.
+
+Each piece of number theory is done once.  The quotients C_N / N and
+D_N / N are built once per table (BHTable keeps them), A_p once per prime
+(ap_invariant is cached; a p it refuses is refused on every call), and
+valuations at a p that came out of the sieve, or that ap_invariant has
+already proved prime, skip padic_valuation's primality proof.  A Kummer
+combination is summed on integer numerators over the lcm of its
+denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt, lcm
 
 from .curves import CurveSpec
 from .generator import BHTable, rational_pair
 from .numtheory import (
     PrimeResidueClass,
+    _valuation,
     binomial,
     is_prime,
     mod_inverse,
-    padic_valuation,
     primes_in_class,
 )
 
@@ -84,11 +94,14 @@ def _require_weights(table: BHTable, needed: list[int], what: str) -> None:
         )
 
 
+@lru_cache(maxsize=1024)
 def ap_invariant(p: int) -> int:
     """A_p = (-1)**((p-1)/10) * C((p-1)/2, (p-1)/10) for p = 1 mod 5.
 
     The prime invariant entering the fractional contributions; the sign
-    alternates with the parity of (p-1)/10.
+    alternates with the parity of (p-1)/10.  Cached per p: a returned
+    value also certifies that p is prime, and a refused p (which raises,
+    so is never cached) is checked again on every call.
     """
     if not is_prime(p):
         raise VerifierDomainError(f"{p} is not prime")
@@ -99,6 +112,14 @@ def ap_invariant(p: int) -> int:
 
 
 # -- shared decomposition engine ----------------------------------------------
+
+
+def _dividing_primes(n: int, cls: PrimeResidueClass) -> list[int]:
+    """Primes p in cls with p - 1 dividing n, ascending: p = d + 1 over the
+    divisors d of n, so no sieve up to n + 1 is run."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)})
+    return [d + 1 for d in divisors if cls.contains(d + 1) and is_prime(d + 1)]
 
 
 def _decompose(value: Fraction, parts: list[Fraction]) -> tuple[Fraction, bool]:
@@ -159,9 +180,7 @@ def vsc_decompose(table: BHTable, weight: int) -> VscReport:
     _require_main_curve(table, "the von Staudt-Clausen analogue")
     _require_weights(table, [weight], "vsc_decompose")
     contributions = []
-    for p in primes_in_class(weight + 1, PrimeResidueClass(5, 1)):
-        if weight % (p - 1) != 0:
-            continue
+    for p in _dividing_primes(weight, PrimeResidueClass(5, 1)):
         e = weight // (p - 1)
         ap = ap_invariant(p)
         ape = pow(ap, e)
@@ -237,6 +256,14 @@ class KummerReport:
         }
 
 
+def _combination(coeffs: list[int], values: list[Fraction]) -> Fraction:
+    """sum(k * v), summed on integers over the lcm of the denominators:
+    one reducing division instead of one per term."""
+    den = lcm(*(v.denominator for v in values))
+    num = sum(k * v.numerator * (den // v.denominator) for k, v in zip(coeffs, values))
+    return Fraction(num, den)
+
+
 def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
     """Check the Kummer-style congruence mod p**depth at base weight 10*index.
 
@@ -260,14 +287,14 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
         raise VerifierDomainError(f"10n - 2 = {n10 - 2} is below depth {depth}")
     weights = [n10 + r * (p - 1) for r in range(depth + 1)]
     _require_weights(table, weights, f"kummer_check(p={p}, a={depth}, n={index})")
-    c_sum = Fraction(0)
-    d_sum = Fraction(0)
-    for r, w in enumerate(weights):
-        coeff = (-1) ** r * binomial(depth, r) * pow(ap, depth - r)
-        c_sum += coeff * table.c_over_n(w)
-        d_sum += coeff * table.d_over_n(w)
-    c_val = padic_valuation(c_sum, p)
-    d_val = padic_valuation(d_sum, p)
+    coeffs = [
+        (-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
+    ]
+    c_sum = _combination(coeffs, [table.c_over_n(w) for w in weights])
+    d_sum = _combination(coeffs, [table.d_over_n(w) for w in weights])
+    # ap_invariant has proved p prime.
+    c_val = _valuation(c_sum, p)
+    d_val = _valuation(d_sum, p)
     return KummerReport(
         p,
         depth,
@@ -354,8 +381,8 @@ def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
         for n in table.weights():
             if n % (p - 1) == 0:
                 continue
-            c_val = padic_valuation(table.c_over_n(n), p)
-            d_val = padic_valuation(table.d_over_n(n), p)
+            c_val = _valuation(table.c_over_n(n), p)  # p is from the sieve
+            d_val = _valuation(table.d_over_n(n), p)
             rows.append(IntegralityRow(p, n, c_val, d_val, c_val >= 0 and d_val >= 0))
     rows.sort(key=lambda r: (r.p, r.weight))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))
@@ -461,9 +488,7 @@ def denominator_probe(table: BHTable) -> ProbeReport:
     for n in table.weights():
         c_primes, c_rest = _trial_factor(table.c_over_n(n).denominator)
         d_primes, d_rest = _trial_factor(table.d_over_n(n).denominator)
-        predicted = [
-            p for p in primes_in_class(n + 1, cls) if n % (p - 1) == 0
-        ]
+        predicted = _dividing_primes(n, cls)
         unfactored = tuple(r for r in (c_rest, d_rest) if r > 1)
         matches = (
             not unfactored

@@ -45,10 +45,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from functools import cached_property
+from math import factorial, gcd, lgamma, log
 from operator import mul
 from pathlib import Path
 
@@ -408,8 +411,45 @@ def rational_pair(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
 
-def _rational(pair, weight: int) -> Fraction:
-    """The Fraction a rational_pair wrote at weight; ValueError otherwise."""
+def _max_digits(order: int) -> int:
+    """Decimal digits a number in a table of this order, or in a report on it,
+    may need.
+
+    C_N = N * (N - a)! * [u**(N - a)] x(u), and the Laurent coefficients
+    decay, so every table number has at most about log10(N!) digits
+    (checked on both curve families).  The slack of one digit per unit of
+    order covers the verifiers' combinations: A_p**a with a*(p - 1) <= N
+    adds at most 0.16*N digits.
+    """
+    return int(lgamma(max(order, 1) + 1) / log(10)) + order + 100
+
+
+@contextmanager
+def int_digits(order: int):
+    """Lift CPython's int/str digit limit to _max_digits(order) in the block.
+
+    CPython refuses int/str conversions past 4300 digits by default, which
+    a table reaches near weight 1580.  The limit is process-wide; it is
+    restored on exit, and never lowered: an unlimited (0) or higher
+    setting stands.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    need = _max_digits(order)
+    if saved and saved < need:
+        sys.set_int_max_str_digits(need)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
+
+def _rational(pair, weight: int, max_digits: int) -> Fraction:
+    """The Fraction a rational_pair wrote at weight; ValueError otherwise.
+
+    A string longer than max_digits is refused before int() parses it,
+    which takes time quadratic in its length.
+    """
     if not (
         type(pair) is list
         and len(pair) == 2
@@ -417,6 +457,12 @@ def _rational(pair, weight: int) -> Fraction:
     ):
         raise ValueError(
             f"weight {weight}: expected a pair of decimal strings, got {pair!r}"
+        )
+    longest = max(map(len, pair))
+    if longest > max_digits:
+        raise ValueError(
+            f"weight {weight}: a decimal string of {longest} characters "
+            f"exceeds the {max_digits} the table's order allows"
         )
     num, den = map(int, pair)
     if den == 0:
@@ -455,11 +501,20 @@ class BHTable:
     def d(self, weight: int) -> Fraction:
         return self.rows[weight][1]
 
+    @cached_property
+    def _quotients(self) -> dict[int, tuple[Fraction, Fraction]]:
+        """(C_N / N, D_N / N) for every weight N, built once per instance.
+
+        The verifiers read each quotient many times; restrict() makes a new
+        table, which builds its own.
+        """
+        return {n: (c / n, d / n) for n, (c, d) in self.rows.items()}
+
     def c_over_n(self, weight: int) -> Fraction:
-        return self.rows[weight][0] / weight
+        return self._quotients[weight][0]
 
     def d_over_n(self, weight: int) -> Fraction:
-        return self.rows[weight][1] / weight
+        return self._quotients[weight][1]
 
     def restrict(self, max_weight: int) -> "BHTable":
         """Sub-table of the weights <= max_weight."""
@@ -473,6 +528,11 @@ class BHTable:
 
     def dumps(self) -> str:
         """The table file's text: one JSON document, keys sorted."""
+        with int_digits(self.order):
+            rows = [
+                {"weight": n, "c": rational_pair(c), "d": rational_pair(d)}
+                for n, (c, d) in sorted(self.rows.items())
+            ]
         doc = {
             "format": TABLE_FORMAT,
             "version": TABLE_VERSION,
@@ -480,10 +540,7 @@ class BHTable:
             "weight_step": self.curve.weight,
             "order": self.order,
             "method": self.method,
-            "rows": [
-                {"weight": n, "c": rational_pair(c), "d": rational_pair(d)}
-                for n, (c, d) in sorted(self.rows.items())
-            ],
+            "rows": rows,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -498,21 +555,32 @@ class BHTable:
             curve = parse_curve(_field(doc, "curve", str))
             order = _field(doc, "order", int)
             method = _field(doc, "method", str)
-            rows = []
-            for row in doc["rows"]:
-                n = _field(row, "weight", int)
-                rows.append((n, _rational(row["c"], n), _rational(row["d"], n)))
+            raw_rows = _field(doc, "rows", list)
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed table document: {exc}") from None
-        # The rows must be w, 2w, ..., order - 2, each once.  The ladder is
-        # built from the row count, not from order, which may be corrupt.
-        w, k = curve.weight, len(rows)
-        full = list(range(w, w * k + 1, w))
-        if sorted(n for n, _, _ in rows) != full or max(order - 2, 0) // w != k:
-            raise CacheError(
-                "table rows are not the full ladder of weight multiples "
-                f"up to {order - 2}"
-            )
+        # The rows must be w, 2w, ..., order - 2, each once.  Their count
+        # must match order before any number is parsed, because order bounds
+        # the length of every decimal string; the ladder itself is built
+        # from the count, which the file cannot inflate.
+        w, k = curve.weight, len(raw_rows)
+        not_a_ladder = CacheError(
+            "table rows are not the full ladder of weight multiples "
+            f"up to {order - 2}"
+        )
+        if max(order - 2, 0) // w != k:
+            raise not_a_ladder
+        max_digits = _max_digits(order)
+        try:
+            with int_digits(order):
+                rows = []
+                for row in raw_rows:
+                    n = _field(row, "weight", int)
+                    c = _rational(row["c"], n, max_digits)
+                    rows.append((n, c, _rational(row["d"], n, max_digits)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheError(f"malformed table document: {exc}") from None
+        if sorted(n for n, _, _ in rows) != list(range(w, w * k + 1, w)):
+            raise not_a_ladder
         return cls(curve, order, method, {n: (c, d) for n, c, d in rows})
 
     @classmethod

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from bhnum.cli import main
-from bhnum.congruence import IntegralityReport, KummerReport, VscReport
+from bhnum.congruence import (
+    IntegralityReport,
+    KummerReport,
+    VscReport,
+    vsc_decompose,
+)
 from bhnum.curves import CurveSpec
 from bhnum.generator import BHTable, Expansion, expand_by_ode, expand_online
 from bhnum.series import TruncSeries
@@ -316,6 +322,66 @@ def test_certificate_failure_exit_code(cache_env, capsys, monkeypatch):
     assert rc == 3
     assert "fails the curve equation" in err
     assert not (cache_env / "cyclo_a3_b4.json").exists()
+
+
+# Past CPython's default 4300-digit int/str limit, so the tests spell the
+# number out themselves instead of calling str().
+BIG_TEXT = "1" + "0" * 5000
+BIG = 10**5000
+
+
+def wide_table():
+    """A cyclo(2,5) table through weight 1600 whose VSC remainders are the
+    integers N, except G = H = BIG at N = 1600.  Synthetic: a real
+    expansion to weight 1600 takes seconds."""
+    curve = CurveSpec.cyclotomic(2, 5)
+    zero = BHTable(curve, 1602, "online", {n: (0, 0) for n in range(10, 1601, 10)})
+    rows = {}
+    for n in zero.weights():
+        report = vsc_decompose(zero, n)
+        k = BIG if n == 1600 else n
+        rows[n] = (k - report.g_remainder, k - report.h_remainder)
+    return BHTable(curve, 1602, "online", rows)
+
+
+def test_tables_past_the_int_digit_limit(cache_env, capsys, monkeypatch):
+    table = wide_table()
+    monkeypatch.setattr("bhnum.cli.expand_checked", lambda curve, order: None)
+    monkeypatch.setattr("bhnum.cli.extract_numbers", lambda expansion: table)
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(
+        capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "1600",
+        "--format", "json",
+    )
+    assert (rc, err) == (0, "")
+    assert out == table.dumps()
+    assert len(json.loads(out)["rows"][-1]["c"][0]) > 5000
+    assert BHTable.read(cache_env / "cyclo_a2_b5.json").rows == table.rows
+    rc, out, err = run(capsys, "verify", "vsc", "--curve", MAIN_CURVE)
+    assert (rc, err) == (0, "")
+    assert f"VSC N=1600 pass G={BIG_TEXT} H={BIG_TEXT}" in out.splitlines()
+    rc, out, err = run(
+        capsys, "verify", "vsc", "--curve", MAIN_CURVE, "--format", "json"
+    )
+    assert rc == 0
+    assert json.loads(out)["reports"][-1]["g_remainder"] == [BIG_TEXT, "1"]
+    rc, out, err = run(capsys, "export", "--curve", MAIN_CURVE)
+    last = out.splitlines()[-1]
+    assert rc == 0 and last.startswith("1600, ") and len(last) > 4 * 5000
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_oversized_digit_string_in_cache_is_a_usage_error(cache_env, capsys):
+    # A weight-30 table (order 32) needs a few dozen digits; the reader
+    # refuses a 5000-digit string before parsing it.
+    compute_main(capsys)
+    cache = cache_env / "cyclo_a2_b5.json"
+    doc = json.loads(cache.read_text())
+    doc["rows"][0]["c"] = [BIG_TEXT, "1"]
+    cache.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "vsc", "--curve", MAIN_CURVE)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "exceeds" in err
 
 
 def test_bernoulli_command(capsys):

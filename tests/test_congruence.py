@@ -1,10 +1,15 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from bhnum.congruence import (
+    IntegralityRow,
+    KummerReport,
     MissingWeightError,
     VerifierDomainError,
+    VscContribution,
+    VscReport,
     ap_invariant,
     classical_vsc_bernoulli,
     denominator_probe,
@@ -20,7 +25,7 @@ from bhnum.generator import (
     expand_by_reversion,
     extract_numbers,
 )
-from bhnum.numtheory import padic_valuation, rational_residue
+from bhnum.numtheory import is_prime, mod_inverse, padic_valuation, rational_residue
 
 F = Fraction
 
@@ -54,6 +59,39 @@ def test_ap_invariant_domain():
         ap_invariant(21)
     with pytest.raises(VerifierDomainError):
         ap_invariant(7)
+
+
+def test_validation_still_fires_after_caching(table100):
+    # ap_invariant is cached, and a cached A_p stands in for a primality
+    # proof inside kummer_check; a refused p must be refused every time.
+    assert ap_invariant(11) == ap_invariant(11) == -5
+    assert kummer_check(table100, 31, 1, 1).passed
+    for _ in range(2):
+        for bad in (21, 7):
+            with pytest.raises(VerifierDomainError):
+                ap_invariant(bad)
+        with pytest.raises(VerifierDomainError):
+            kummer_check(table100, 21, 1, 1)
+        with pytest.raises(ValueError):
+            padic_valuation(F(1, 2), 21)
+
+
+def test_restricted_table_builds_its_own_memo(table100, table300):
+    parent = BHTable(table300.curve, table300.order, table300.method, table300.rows)
+    parent.c_over_n(10)  # builds the parent's quotient memo
+    child = parent.restrict(100)
+    assert "_quotients" not in vars(child)
+    triples = list(kummer_triples(100, 3, 100))
+    assert [vsc_decompose(child, n) for n in child.weights()] == [
+        vsc_decompose(table100, n) for n in table100.weights()
+    ]
+    assert [kummer_check(child, *t) for t in triples] == [
+        kummer_check(table100, *t) for t in triples
+    ]
+    assert integrality_scan(child, 100) == integrality_scan(table100, 100)
+    assert child._quotients is not parent._quotients
+    assert sorted(child._quotients) == child.weights() == list(range(10, 101, 10))
+    assert len(parent._quotients) == 30
 
 
 # -- von Staudt-Clausen ---------------------------------------------------------
@@ -249,6 +287,88 @@ def test_integrality_refuses_other_curves():
     table = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 14))
     with pytest.raises(VerifierDomainError):
         integrality_scan(table, 50)
+
+
+# -- differential check against the definitions ---------------------------------------
+#
+# The verifiers memoize quotients and A_p, skip primality proofs for sieve
+# primes and sum Kummer combinations on integers.  These references do none
+# of that: plain Fraction arithmetic, the public padic_valuation, and A_p
+# straight from its formula.
+
+
+def naive_ap(p):
+    e = (p - 1) // 10
+    return (-1) ** e * comb((p - 1) // 2, e)
+
+
+def naive_primes(limit):
+    """Primes p = 1 mod 5 up to limit (odd, so p = 1 mod 10)."""
+    return [p for p in range(11, limit + 1, 10) if is_prime(p)]
+
+
+def naive_vsc(table, n):
+    parts = []
+    for p in naive_primes(n + 1):
+        if n % (p - 1) == 0:
+            ape = naive_ap(p) ** (n // (p - 1))
+            c_part = F(ape, p)
+            d_part = F(mod_inverse(24, p) * ape, p)
+            parts.append(VscContribution(p, n // (p - 1), naive_ap(p), c_part, d_part))
+    g = table.c(n) - sum(c.c_part for c in parts)
+    h = table.d(n) - sum(c.d_part for c in parts)
+    ok = g.denominator == 1 and h.denominator == 1
+    return VscReport(n, tuple(parts), g, h, ok)
+
+
+def naive_kummer(table, p, depth, n):
+    weights = tuple(10 * n + r * (p - 1) for r in range(depth + 1))
+    sums = []
+    for number in (table.c, table.d):
+        total = F(0)
+        for r, w in enumerate(weights):
+            coeff = (-1) ** r * comb(depth, r) * naive_ap(p) ** (depth - r)
+            total += coeff * number(w) / w
+        sums.append(total)
+    vals = [padic_valuation(s, p) for s in sums]
+    return KummerReport(p, depth, n, weights, *sums, *vals, min(vals) >= depth)
+
+
+def naive_integrality(table, prime_limit):
+    rows = []
+    for p in naive_primes(prime_limit):
+        for n in table.weights():
+            if n % (p - 1):
+                c_val = padic_valuation(table.c(n) / n, p)
+                d_val = padic_valuation(table.d(n) / n, p)
+                rows.append(IntegralityRow(p, n, c_val, d_val, min(c_val, d_val) >= 0))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["table300", "tampered"])
+def test_verifiers_match_naive_reference(table300, tamper):
+    table = BHTable(table300.curve, table300.order, table300.method, table300.rows)
+    if tamper:
+        table = tampered(table, 40, delta_c=F(1, 31))
+    triples = list(kummer_triples(300, 3, 300))
+    kummer = [kummer_check(table, *t) for t in triples]
+    assert kummer == [naive_kummer(table, *t) for t in triples]
+    rows = integrality_scan(table, 300).rows
+    assert rows == naive_integrality(table, 300)
+    assert [vsc_decompose(table, n) for n in table.weights()] == [
+        naive_vsc(table, n) for n in table.weights()
+    ]
+    failed_triples = [t for t, r in zip(triples, kummer) if not r.passed]
+    failed_rows = [(r.p, r.weight) for r in rows if not r.passed]
+    if tamper:
+        # 1/31 has p-adic valuation 0 at every other p, and no Kummer
+        # coefficient is divisible by p, so exactly the ladders through
+        # weight 40 fail.
+        through_40 = [t for t, r in zip(triples, kummer) if 40 in r.weights]
+        assert failed_triples == through_40 and (31, 1, 1) in through_40
+        assert failed_rows == [(31, 40)]
+    else:
+        assert failed_triples == [] and failed_rows == []
 
 
 # -- denominator probe -------------------------------------------------------------------

@@ -345,6 +345,8 @@ def test_table_loads_rejects_malformed_documents():
         lambda d: d["rows"][0].update(weight="10"),
         lambda d: d["rows"][0].update(weight=10.0),
         lambda d: d["rows"].append(d["rows"][0]),
+        lambda d: d["rows"][0].update(c=["7" * 5000, "1"]),
+        lambda d: d.update(order=10**9),
     ):
         doc = json.loads(json.dumps(good))
         mangle(doc)
