@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -135,6 +136,69 @@ def test_certificate_rejects_pattern_preserving_tamper(name):
     # certificate can tell
     with pytest.raises(ExpansionError, match=r"at u\^"):
         certify(tampered)
+
+
+KERNEL_CURVES = [
+    MAIN,
+    CurveSpec.cyclotomic(3, 4),
+    CurveSpec.cyclotomic(3, 5),
+    CurveSpec.minus_x(1),
+    CurveSpec.minus_x(2),
+]
+
+# Each mutant is the kernel function with one fault; certify runs on the
+# TruncSeries product and never calls them.
+
+
+def _miller_weight_off(f, p, alpha):
+    m = len(p)
+    num, den = alpha.numerator, alpha.denominator
+    step, lead = num + den, den * m
+    total = sum(
+        (step * k - lead + (k == 1)) * fk * pk  # the k = 1 weight is off by one
+        for k, fk, pk in zip(range(1, m + 1), f.nums[1 : m + 1], reversed(p.nums))
+    )
+    return F(total, lead * f.nums[0] * p.den)
+
+
+def _conv_term_dropped(f, g, m, lo=0):
+    ks = range(lo, m + 1 - lo)
+    # the top term k = m - lo is left out of the index range, unless it is
+    # the only one (a slot-0 fault would only break the leading term)
+    total = sum(f.nums[k] * g.nums[m - k] for k in ks[:-1] or ks)
+    return F(total, f.den * g.den)
+
+
+def _append_one_unscaled(self, c):
+    d = c.denominator
+    scale = d // gcd(self.den, d)
+    if scale > 1:
+        self.den *= scale
+        # the newest stored numerator keeps its old scale, unless it is the
+        # leading one (that fault would only break the leading term)
+        last = len(self.nums) - 1
+        self.nums = [v if 0 < k == last else v * scale for k, v in enumerate(self.nums)]
+    self.nums.append(c.numerator * (self.den // d))
+
+
+@pytest.mark.parametrize(
+    "target, mutant",
+    [
+        ("_miller", _miller_weight_off),
+        ("_conv", _conv_term_dropped),
+        ("_Coeffs.append", _append_one_unscaled),
+    ],
+    ids=["_miller", "_conv", "_Coeffs.append"],
+)
+def test_certify_catches_kernel_mutants(target, mutant, monkeypatch):
+    # The online route runs on _miller, _conv and _Coeffs; certify shares
+    # none of them, so a fault in that kernel cannot hide from it.
+    owner, _, name = target.rpartition(".")
+    monkeypatch.setattr(getattr(generator, owner) if owner else generator, name, mutant)
+    for curve in KERNEL_CURVES:
+        expansion = expand_online(curve, 102)
+        with pytest.raises(ExpansionError, match=r"at u\^"):
+            certify(expansion)
 
 
 @pytest.mark.parametrize(
