@@ -3,10 +3,10 @@
   revert    Newton reversion of the curve's integral u(t), the step the
             reversion route (the test oracle) spends most of its time in.
   pipeline  expand_online vs expand_by_reversion end to end on any
-            curve, and expand_by_ode too where a = 2.
+            curve.
   certify   the curve-equation and differential certificate on the
-            online expansion, the check every compute runs before it
-            writes a table.
+            online expansion, the one check every compute runs before
+            it writes a table.
   verify    each verifier on the table read off that expansion, as
             verify all runs it with --prime-limit at the top weight and
             --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for).
@@ -32,7 +32,6 @@ from bhnum.curves import CurveSpec, parse_curve, u_series
 from bhnum.generator import (
     BHTable,
     certify,
-    expand_by_ode,
     expand_by_reversion,
     expand_online,
     extract_numbers,
@@ -60,8 +59,6 @@ def main() -> None:
     patterned = u_series(curve, args.order)
 
     routes = [("online", expand_online), ("reversion", expand_by_reversion)]
-    if curve.a == 2:
-        routes.append(("ode", expand_by_ode))
     at = f"{curve}@{args.order}"
     rows = [(f"revert             {at}", best_of(args.repeat, lambda: revert(patterned)))]
     for name, expand in routes:

@@ -24,13 +24,10 @@ from .curves import (
 from .generator import (
     BHTable,
     CacheError,
-    CrossCheckError,
     Expansion,
     ExpansionError,
-    UnsupportedMethodError,
     bernoulli,
     certify,
-    expand_by_ode,
     expand_by_reversion,
     expand_checked,
     expand_online,

@@ -7,7 +7,8 @@ classical Bernoulli/Hurwitz anchor sequences.
 Exit codes: 0 success / all checks pass, 1 a verification check failed,
 2 usage or configuration error (bad curve, missing, corrupt or unreadable
 cache, weights not computed, sweep bounds below 1), 3 an internal check
-tripped: the curve-equation certificate or the two-route cross-check.
+tripped: the expansion failed its certificate (the curve equation or the
+differential identity).
 Output is deterministic: identical invocations produce byte-identical
 reports, with no timestamps or environment echoes.
 """
@@ -32,7 +33,6 @@ from .curves import CurveSpec, parse_curve
 from .generator import (
     BHTable,
     CacheError,
-    CrossCheckError,
     ExpansionError,
     bernoulli,
     expand_checked,
@@ -47,7 +47,7 @@ __all__ = ["console_main", "main"]
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-EXIT_CROSS_CHECK = 3
+EXIT_INTERNAL = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,14 +309,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except CrossCheckError as exc:
-        print(f"internal cross-check failure: {exc}", file=sys.stderr)
-        return EXIT_CROSS_CHECK
     except ExpansionError as exc:
         # Only the expansion itself raises this under compute: orders are
         # validated before it runs, so it is an internal check, not usage.
         print(f"internal expansion check failure: {exc}", file=sys.stderr)
-        return EXIT_CROSS_CHECK
+        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         # Every usage error the package raises (CurveError, CacheError,
         # VerifierDomainError, ...) is a ValueError; OSError covers cache

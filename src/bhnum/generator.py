@@ -13,27 +13,19 @@ for N a positive multiple of the weight w.  The (N - a)! here is the
 factorial matching the actual Laurent slot of weight N; see
 extract_numbers.
 
-Three expansion routes are provided.  expand_online is the production
+Two expansion routes are provided.  expand_online is the production
 route: t(u) solves t' = (1 - t**w)**(j/a), and writing t = u * tau(u**w)
 turns that into power recurrences (J.C.P. Miller's, see _miller) that
 produce tau, and from it x and y, one coefficient at a time, with the
 sparse support built in.  Each series is kept as integer numerators over
 one shared denominator (_Coeffs), so a recurrence step is an integer dot
 product and one Fraction division.  expand_by_reversion runs the
-definition above, inverting u(t) and composing; it is the test oracle.
-expand_by_ode never touches t: for hyperelliptic models (a = 2) the curve
-equation forces
-
-    A**(2g-2) * A'**2 = 4 * (A**(2g+1) - c)        c = 1 (cyclo) or A (minusx)
-
-on A = x(u), and with A = u**-2 * alpha(u**w) each coefficient alpha_m
-enters its own slot of that equation with the response -4 * (w*m + 1), so
-alpha comes out one coefficient at a time as well, on the same kernel.
+definition above, inverting u(t) and composing; it is a test oracle.
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du (see
-certify) and, for a = 2, requires coefficient-for-coefficient agreement
-with the ODE route.
+certify).  The certificate runs on the TruncSeries product, which shares
+no code with the online kernel, and it pins every coefficient.
 
 Coefficient support is sparse: x lives on exponents congruent to -a mod w
 and y on -b mod w.  That symmetry is asserted on every expansion, never
@@ -61,13 +53,10 @@ from .series import TruncSeries, binomial_series, revert
 __all__ = [
     "BHTable",
     "CacheError",
-    "CrossCheckError",
     "Expansion",
     "ExpansionError",
-    "UnsupportedMethodError",
     "bernoulli",
     "certify",
-    "expand_by_ode",
     "expand_by_reversion",
     "expand_checked",
     "expand_online",
@@ -78,20 +67,11 @@ __all__ = [
 TABLE_FORMAT = "bhnum.table"
 TABLE_VERSION = 1
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class ExpansionError(ValueError):
     """An expansion violated a structural invariant."""
-
-
-class UnsupportedMethodError(ValueError):
-    """The requested expansion method does not apply to this curve."""
-
-
-class CrossCheckError(RuntimeError):
-    """Two independent computation routes disagreed."""
 
 
 class CacheError(ValueError):
@@ -268,71 +248,6 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     return Expansion(curve, x, y.scale(curve.y_leading_sign), "online", order)
 
 
-def _ode_recurrence(curve: CurveSpec, order: int) -> Expansion:
-    """expand_by_ode without its closing certificate (see there)."""
-    if curve.a != 2:
-        raise UnsupportedMethodError(
-            "the ODE route needs a hyperelliptic model (a = 2), got "
-            f"{curve}"
-        )
-    if order < 1:
-        raise ExpansionError("expansion order must be at least 1")
-    g, b, w = curve.genus_if_hyperelliptic, curve.b, curve.weight
-    n = -(-(order + 1 + b) // w) - 1
-    r_power, p_power = Fraction(2 * g - 2), Fraction(2 * g + 1)
-    alpha, r, p = (_Coeffs([_ONE]) for _ in range(3))
-    delta, d2 = _Coeffs([Fraction(-2)]), _Coeffs([Fraction(4)])
-    c_last = _ONE  # C_{m-1}: C = alpha (minusx) or 1 (cyclo)
-    for m in range(1, n + 1):
-        # Evaluate slot m with alpha_m = 0 (alpha still stops at m - 1),
-        # solve, then add alpha_m's share back: a Miller step of f**k is
-        # linear in f_m with slope k, and delta_0 = -2, r_0 = 1, d2_0 = 4.
-        r_m = _miller(alpha, r, r_power)
-        p_m = _miller(alpha, p, p_power)
-        d2_m = _conv(delta, delta, m, 1)
-        rho = 4 * r_m + d2_m + _conv(r, d2, m, 1) - 4 * p_m + 4 * c_last
-        alpha_m = rho / (4 * (w * m + 1))
-        delta_m = (w * m - 2) * alpha_m
-        alpha.append(alpha_m)
-        delta.append(delta_m)
-        r.append(r_m + r_power * alpha_m)
-        p.append(p_m + p_power * alpha_m)
-        d2.append(d2_m - 4 * delta_m)
-        c_last = alpha_m if curve.family == "minusx" else _ZERO
-    lift = _power(alpha, Fraction(g - 1))
-    top = w * (n + 1) - 1
-    x = TruncSeries.from_terms({w * k - 2: q for k, q in enumerate(alpha)}, top - 2)
-    y = TruncSeries.from_terms(
-        {w * m - b: _conv(lift, delta, m) / 2 for m in range(n + 1)}, top - b
-    )
-    return Expansion(curve, x, y, "ode", order)
-
-
-def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
-    """Expand x(u), y(u) through the first-order ODE the curve imposes.
-
-    Writing A for x(u) and g for the genus, the curve forces
-
-        A**(2g-2) * A'**2 = 4 * A**(2g+1) - 4 * c,   c = 1 (cyclo), A (minusx).
-
-    With A = u**-2 * alpha(v), v = u**w and alpha_0 = 1 this reads, in the
-    coefficients of v,
-
-        R * delta**2 = 4 * P - 4 * v * C,   R = alpha**(2g-2), P = alpha**(2g+1),
-
-    where delta_k = (w*k - 2) * alpha_k and C = 1 (cyclo) or alpha
-    (minusx).  alpha_m enters slot m only through R_m, P_m and
-    [delta**2]_m, with the total response -4 * (w*m + 1), so alpha_m =
-    rho_m / (4 * (w*m + 1)) where rho_m is slot m evaluated with alpha_m
-    = 0; R_m and P_m are Miller steps (see _miller).  Then y = A**(g-1) *
-    A' / 2 = u**-b * alpha**(g-1) * delta / 2.  The route never builds
-    t(u), keeps the window of expand_online, and ends in certify.
-    """
-    expansion = _ode_recurrence(curve, order)
-    certify(expansion)
-    return expansion
-
-
 def certify(expansion: Expansion) -> int:
     """Check x(u), y(u) against the curve and the differential du.
 
@@ -373,34 +288,14 @@ def certify(expansion: Expansion) -> int:
 
 
 def expand_checked(curve: CurveSpec, order: int) -> Expansion:
-    """The expansion every table is computed from: online, then checked.
+    """The expansion every table is computed from: online, then certified.
 
-    The online expansion must pass certify.  Hyperelliptic curves (a = 2)
-    also run the ODE route, which never builds t(u), and the two must
-    agree coefficient for coefficient through their common window; a
-    discrepancy raises CrossCheckError naming the series, the first
-    differing exponent and both coefficients.  Agreement makes the ODE
-    expansion the certified one, so it is not certified a second time.
-    The method label records the routes that ran: "online+ode" or
-    "online".
+    A failure of certify raises ExpansionError naming the identity and the
+    first bad exponent, so no table is read off an uncertified expansion.
     """
     online = expand_online(curve, order)
     certify(online)
-    if curve.a != 2:
-        return online
-    by_ode = _ode_recurrence(curve, order)
-    for name, ours, theirs in (
-        ("x", online.x_series, by_ode.x_series),
-        ("y", online.y_series, by_ode.y_series),
-    ):
-        e = ours.first_difference(theirs)
-        if e is not None:
-            raise CrossCheckError(
-                f"{name}(u) differs between the online and ODE routes for "
-                f"{curve} at u^{e}: {ours.coeff(e)} (online) vs "
-                f"{theirs.coeff(e)} (ODE)"
-            )
-    return Expansion(curve, online.x_series, online.y_series, "online+ode", order)
+    return online
 
 
 # -- number tables -----------------------------------------------------------

@@ -8,11 +8,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bhnum import (
     CurveSpec,
-    expand_by_ode,
     expand_by_reversion,
     expand_online,
     extract_numbers,
 )
+from ode_route import expand_by_ode
 
 TOP_ORDER = 302
 

@@ -1,0 +1,85 @@
+"""The ODE route: a second expansion of x(u), y(u) for hyperelliptic curves.
+
+The test suite compares it with the online and reversion routes of
+bhnum.generator (acceptance criterion 3, test_methods_agree).  It never
+builds t(u): it solves the first-order equation the curve forces on x(u)
+directly, on the online route's shared-denominator kernel.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from bhnum.curves import CurveSpec
+from bhnum.generator import (
+    Expansion,
+    ExpansionError,
+    _Coeffs,
+    _conv,
+    _miller,
+    _power,
+    certify,
+)
+from bhnum.series import TruncSeries
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
+    """Expand x(u), y(u) through the first-order ODE the curve imposes.
+
+    Writing A for x(u) and g for the genus, the curve forces
+
+        A**(2g-2) * A'**2 = 4 * A**(2g+1) - 4 * c,   c = 1 (cyclo), A (minusx).
+
+    With A = u**-2 * alpha(v), v = u**w and alpha_0 = 1 this reads, in the
+    coefficients of v,
+
+        R * delta**2 = 4 * P - 4 * v * C,   R = alpha**(2g-2), P = alpha**(2g+1),
+
+    where delta_k = (w*k - 2) * alpha_k and C = 1 (cyclo) or alpha
+    (minusx).  alpha_m enters slot m only through R_m, P_m and
+    [delta**2]_m, with the total response -4 * (w*m + 1), so alpha_m =
+    rho_m / (4 * (w*m + 1)) where rho_m is slot m evaluated with alpha_m
+    = 0; R_m and P_m are Miller steps (see _miller).  Then y = A**(g-1) *
+    A' / 2 = u**-b * alpha**(g-1) * delta / 2.  The route never builds
+    t(u), keeps the window of expand_online, and ends in certify.
+    """
+    if curve.a != 2:
+        raise ValueError(
+            f"the ODE route needs a hyperelliptic model (a = 2), got {curve}"
+        )
+    if order < 1:
+        raise ExpansionError("expansion order must be at least 1")
+    g, b, w = curve.genus_if_hyperelliptic, curve.b, curve.weight
+    n = -(-(order + 1 + b) // w) - 1
+    r_power, p_power = Fraction(2 * g - 2), Fraction(2 * g + 1)
+    alpha, r, p = (_Coeffs([_ONE]) for _ in range(3))
+    delta, d2 = _Coeffs([Fraction(-2)]), _Coeffs([Fraction(4)])
+    c_last = _ONE  # C_{m-1}: C = alpha (minusx) or 1 (cyclo)
+    for m in range(1, n + 1):
+        # Evaluate slot m with alpha_m = 0 (alpha still stops at m - 1),
+        # solve, then add alpha_m's share back: a Miller step of f**k is
+        # linear in f_m with slope k, and delta_0 = -2, r_0 = 1, d2_0 = 4.
+        r_m = _miller(alpha, r, r_power)
+        p_m = _miller(alpha, p, p_power)
+        d2_m = _conv(delta, delta, m, 1)
+        rho = 4 * r_m + d2_m + _conv(r, d2, m, 1) - 4 * p_m + 4 * c_last
+        alpha_m = rho / (4 * (w * m + 1))
+        delta_m = (w * m - 2) * alpha_m
+        alpha.append(alpha_m)
+        delta.append(delta_m)
+        r.append(r_m + r_power * alpha_m)
+        p.append(p_m + p_power * alpha_m)
+        d2.append(d2_m - 4 * delta_m)
+        c_last = alpha_m if curve.family == "minusx" else _ZERO
+    lift = _power(alpha, Fraction(g - 1))
+    top = w * (n + 1) - 1
+    x = TruncSeries.from_terms({w * k - 2: q for k, q in enumerate(alpha)}, top - 2)
+    y = TruncSeries.from_terms(
+        {w * m - b: _conv(lift, delta, m) / 2 for m in range(n + 1)}, top - b
+    )
+    expansion = Expansion(curve, x, y, "ode", order)
+    certify(expansion)
+    return expansion

@@ -10,13 +10,10 @@ from bhnum.curves import CurveSpec
 from bhnum.generator import (
     BHTable,
     CacheError,
-    CrossCheckError,
     Expansion,
     ExpansionError,
-    UnsupportedMethodError,
     bernoulli,
     certify,
-    expand_by_ode,
     expand_by_reversion,
     expand_checked,
     expand_online,
@@ -25,6 +22,8 @@ from bhnum.generator import (
 )
 from bhnum.series import TruncSeries, binomial_series
 from helpers import assert_dict_eq, oracle_bernoulli, oracle_x_of_u, series_dict
+import ode_route
+from ode_route import expand_by_ode
 
 F = Fraction
 
@@ -128,14 +127,18 @@ def test_certificate_accepts_online_expansions(curve):
 
 @pytest.mark.parametrize("name", ["x", "y"])
 def test_certificate_rejects_pattern_preserving_tamper(name):
-    curve = CurveSpec.cyclotomic(3, 4)
-    tampered = _pattern_preserving_tamper(
-        expand_online(curve, 4 * curve.weight + 2), name
-    )
-    # the support pattern and leading terms survive, so only the
-    # certificate can tell
-    with pytest.raises(ExpansionError, match=r"at u\^"):
-        certify(tampered)
+    # 1/7 added at any slot of the support pattern but the leading one, up
+    # to the top slot of the series (on minusx:g=2 that lies past the
+    # table's top slot): the support pattern and leading term survive, so
+    # only the certificate can tell.
+    for curve in (MAIN, CurveSpec.cyclotomic(3, 4), CurveSpec.minus_x(2)):
+        good = expand_online(curve, 102)
+        target = good.x_series if name == "x" else good.y_series
+        lead = target.base_exponent
+        for e in range(lead + curve.weight, target.trunc_order + 1, curve.weight):
+            tampered = _pattern_preserving_tamper(good, name, e, F(1, 7))
+            with pytest.raises(ExpansionError, match=r"at u\^"):
+                certify(tampered)
 
 
 KERNEL_CURVES = [
@@ -238,13 +241,13 @@ def test_ode_wrong_coefficient_is_named(monkeypatch):
     # Skew one Miller step of P = alpha**5 at v**3: alpha_3, the coefficient
     # of u**28 in x, comes out wrong, and the certificate must name the
     # slot u**(10*3 - 10) where the curve equation first fails.
-    real = generator._miller
+    real = ode_route._miller
 
     def skewed(f, p, alpha):
         value = real(f, p, alpha)
         return value + 1 if alpha == 5 and len(p) == 3 else value
 
-    monkeypatch.setattr(generator, "_miller", skewed)
+    monkeypatch.setattr(ode_route, "_miller", skewed)
     with pytest.raises(ExpansionError, match=r"^ode expansion .* curve equation at u\^20 "):
         expand_by_ode(MAIN, 62)
 
@@ -294,7 +297,7 @@ def test_miller_reads_a_missing_top_coefficient_as_zero():
 
 
 def test_ode_refuses_non_hyperelliptic():
-    with pytest.raises(UnsupportedMethodError):
+    with pytest.raises(ValueError, match="hyperelliptic"):
         expand_by_ode(CurveSpec.cyclotomic(3, 4), 12)
 
 
@@ -319,28 +322,16 @@ def test_expansion_rejects_tampering():
         Expansion(MAIN, exp.x_series, exp.y_series, "reversion", 25)
 
 
-def _pattern_preserving_tamper(exp, name="x"):
-    """exp with the top stored coefficient of x (or y) bumped by 1."""
+def _pattern_preserving_tamper(exp, name="x", slot=None, by=1):
+    """exp with `by` added to the coefficient of x (or y) at u**slot
+    (default: its top stored slot)."""
     target = exp.x_series if name == "x" else exp.y_series
     terms = dict(target.terms())
-    terms[max(terms)] += 1
+    slot = max(terms) if slot is None else slot
+    terms[slot] = terms.get(slot, 0) + by
     bad = TruncSeries.from_terms(terms, target.trunc_order)
     x, y = (bad, exp.y_series) if name == "x" else (exp.x_series, bad)
     return Expansion(exp.curve, x, y, exp.method, exp.order)
-
-
-def test_expand_checked_cross_check(monkeypatch):
-    good = expand_checked(MAIN, 12)
-    assert good.method == "online+ode"
-    assert expand_checked(CurveSpec.cyclotomic(3, 4), 12).method == "online"
-
-    bad = _pattern_preserving_tamper(expand_by_ode(MAIN, 12))
-    monkeypatch.setattr(
-        "bhnum.generator._ode_recurrence", lambda curve, order: bad
-    )
-    e = max(bad.x_series.support())
-    with pytest.raises(CrossCheckError, match=rf"x\(u\) .* at u\^{e}: "):
-        expand_checked(MAIN, 12)
 
 
 def test_expand_checked_runs_the_certificate(monkeypatch):
