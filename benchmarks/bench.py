@@ -1,12 +1,14 @@
-"""Time series reversion and the expansion routes.
+"""Time the layers compute and verify run, and the reversion oracle.
 
-  revert    Newton reversion of the curve's integral u(t), the step the
-            reversion route (the test oracle) spends most of its time in.
   pipeline  expand_online vs expand_by_reversion end to end on any
             curve.
   certify   the curve-equation and differential certificate on the
             online expansion, the one check every compute runs before
             it writes a table.
+  extract   extract_numbers, reading the C_N / D_N table off the online
+            expansion.
+  cache     BHTable.dumps (write) and BHTable.loads (read) of that table,
+            the cache file's text without the disk.
   verify    each verifier on the table read off that expansion, as
             verify all runs it with --prime-limit at the top weight and
             --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for).
@@ -28,7 +30,7 @@ from bhnum.congruence import (
     kummer_triples,
     vsc_decompose,
 )
-from bhnum.curves import CurveSpec, parse_curve, u_series
+from bhnum.curves import CurveSpec, parse_curve
 from bhnum.generator import (
     BHTable,
     certify,
@@ -36,7 +38,6 @@ from bhnum.generator import (
     expand_online,
     extract_numbers,
 )
-from bhnum.series import revert
 
 
 def best_of(repeat: int, fn) -> float:
@@ -56,11 +57,9 @@ def main() -> None:
     args = ap.parse_args()
 
     curve = parse_curve(args.curve)
-    patterned = u_series(curve, args.order)
-
     routes = [("online", expand_online), ("reversion", expand_by_reversion)]
     at = f"{curve}@{args.order}"
-    rows = [(f"revert             {at}", best_of(args.repeat, lambda: revert(patterned)))]
+    rows = []
     for name, expand in routes:
         rows.append(
             (
@@ -69,10 +68,17 @@ def main() -> None:
             )
         )
     online = expand_online(curve, args.order)
-    rows.append((f"certify            {at}", best_of(args.repeat, lambda: certify(online))))
+    table = extract_numbers(online)
+    text = table.dumps()
+    for name, fn in (
+        ("certify", lambda: certify(online)),
+        ("extract", lambda: extract_numbers(online)),
+        ("cache/write", table.dumps),
+        ("cache/read", lambda: BHTable.loads(text)),
+    ):
+        rows.append((f"{name:<18s} {at}", best_of(args.repeat, fn)))
 
     if curve == CurveSpec.cyclotomic(2, 5):
-        table = extract_numbers(online)
         top = max(table.weights())
         triples = list(kummer_triples(top, 3, top))
         checks = (

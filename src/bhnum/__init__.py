@@ -6,7 +6,6 @@ from .congruence import (
     VerifierDomainError,
     ap_invariant,
     classical_vsc_bernoulli,
-    denominator_probe,
     integrality_scan,
     kummer_check,
     kummer_triples,

@@ -15,9 +15,8 @@ y**2 = x**5 - 1 (weight 10):
 Congruence of rationals mod p**a always means: the p-adic valuation of
 the difference is at least a.  Verifiers refuse tables computed on any
 other curve rather than silently apply an invariant A_p outside its
-proven ground; the empirical denominator_probe is the tool for exploring
-those.  The same decomposition engine, run with contribution -1/p at
-every prime with p - 1 | 2n, reproduces the classical von Staudt-Clausen
+proven ground.  The same decomposition engine, run with contribution -1/p
+at every prime with p - 1 | 2n, reproduces the classical von Staudt-Clausen
 statement for Bernoulli numbers and anchors the machinery.
 
 Each piece of number theory is done once.  The quotients C_N / N and
@@ -52,7 +51,6 @@ __all__ = [
     "VerifierDomainError",
     "ap_invariant",
     "classical_vsc_bernoulli",
-    "denominator_probe",
     "integrality_scan",
     "kummer_check",
     "kummer_triples",
@@ -79,8 +77,7 @@ class MissingWeightError(ValueError):
 def _require_main_curve(table: BHTable, what: str) -> None:
     if table.curve != _MAIN_CURVE:
         raise VerifierDomainError(
-            f"{what} is only proven for {_MAIN_CURVE}; refusing "
-            f"{table.curve} (use denominator_probe for exploration)"
+            f"{what} is only proven for {_MAIN_CURVE}; refusing {table.curve}"
         )
 
 
@@ -213,7 +210,7 @@ def classical_vsc_bernoulli(index: int, value: Fraction) -> BernoulliVscReport:
     """
     if index < 2 or index % 2:
         raise VerifierDomainError(f"index must be an even integer >= 2, got {index}")
-    primes = [p for p in range(2, index + 2) if index % (p - 1) == 0 and is_prime(p)]
+    primes = _dividing_primes(index, PrimeResidueClass(1, 0))
     remainder, ok = _decompose(value, [Fraction(-1, p) for p in primes])
     return BernoulliVscReport(index, tuple(primes), remainder, ok)
 
@@ -386,123 +383,3 @@ def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
             rows.append(IntegralityRow(p, n, c_val, d_val, c_val >= 0 and d_val >= 0))
     rows.sort(key=lambda r: (r.p, r.weight))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))
-
-
-# -- empirical denominator probe --------------------------------------------------
-
-
-_TRIAL_LIMIT = 10**7
-
-
-def _trial_factor(n: int) -> tuple[list[int], int]:
-    """Distinct prime factors found by trial division, plus the cofactor.
-
-    A cofactor of 1 means the factorization is complete; anything larger
-    resisted both trial division up to the limit and a deterministic
-    primality certificate, and the caller must report it.
-    """
-    primes = []
-    for p in (2, 3):
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-    p, step = 5, 2
-    while n > 1 and p <= _TRIAL_LIMIT and p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += step
-        step = 6 - step
-    if n > 1 and (p * p > n or (n < 1 << 64 and is_prime(n))):
-        primes.append(n)
-        n = 1
-    return primes, n
-
-
-@dataclass(frozen=True, slots=True)
-class ProbeRow:
-    weight: int
-    c_primes: tuple[int, ...]
-    d_primes: tuple[int, ...]
-    predicted: tuple[int, ...]
-    matches: bool
-    unfactored: tuple[int, ...]
-
-    def summary_line(self) -> str:
-        def fmt(ps):
-            return "{" + ",".join(str(p) for p in ps) + "}"
-
-        flag = "match" if self.matches else "DIFFER"
-        line = (
-            f"PROBE N={self.weight} c={fmt(self.c_primes)} d={fmt(self.d_primes)} "
-            f"predicted={fmt(self.predicted)} {flag}"
-        )
-        if self.unfactored:
-            line += f" unfactored={fmt(self.unfactored)}"
-        return line
-
-
-@dataclass(frozen=True, slots=True)
-class ProbeReport:
-    curve: str
-    heuristic: bool
-    rows: tuple[ProbeRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": "bhnum.report.probe",
-            "version": REPORT_VERSION,
-            "curve": self.curve,
-            "heuristic": self.heuristic,
-            "rows": [
-                {
-                    "weight": r.weight,
-                    "c_primes": list(r.c_primes),
-                    "d_primes": list(r.d_primes),
-                    "predicted": list(r.predicted),
-                    "matches": r.matches,
-                    "unfactored": [str(u) for u in r.unfactored],
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def denominator_probe(table: BHTable) -> ProbeReport:
-    """Factor the denominators of C_N/N, D_N/N and compare to a prediction.
-
-    The prediction is {p <= N + 1 : p = 1 mod b, p - 1 | N} on cyclo
-    curves, and the same with p = 1 mod w on minusx curves; outside
-    cyclo(2, 5) both are extrapolations, so the report is flagged
-    heuristic.  Any denominator part that resists trial division is
-    reported explicitly rather than dropped.
-    """
-    c = table.curve
-    if c.family == "cyclo":
-        cls = PrimeResidueClass(c.b, 1 % c.b)
-    else:
-        cls = PrimeResidueClass(c.weight, 1)
-    rows = []
-    for n in table.weights():
-        c_primes, c_rest = _trial_factor(table.c_over_n(n).denominator)
-        d_primes, d_rest = _trial_factor(table.d_over_n(n).denominator)
-        predicted = _dividing_primes(n, cls)
-        unfactored = tuple(r for r in (c_rest, d_rest) if r > 1)
-        matches = (
-            not unfactored
-            and sorted(c_primes) == predicted
-            and sorted(d_primes) == predicted
-        )
-        rows.append(
-            ProbeRow(
-                n,
-                tuple(sorted(c_primes)),
-                tuple(sorted(d_primes)),
-                tuple(predicted),
-                matches,
-                unfactored,
-            )
-        )
-    return ProbeReport(str(c), c.is_experimental, rows)

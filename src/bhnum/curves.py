@@ -9,7 +9,7 @@ With t the local parameter at infinity, x = t**-a exactly and y =
 sigma * t**-b * (1 - t**w)**(1/a) expanded binomially, where sigma = -1
 for even a and +1 for odd a (for odd a only the +1 branch exists over the
 rationals, so the even-a sign convention cannot be carried over; odd-a
-curves are handled on that branch and flagged experimental downstream).
+curves are expanded on that branch).
 For minusx read a = 2, b = 2g + 1 in these formulas; its weight 4g comes
 from (1 - t**(4g))**(1/2) because the extra -x term retunes the binomial
 step.
@@ -121,11 +121,6 @@ class CurveSpec:
     @property
     def y_leading_sign(self) -> int:
         return -1 if self.a % 2 == 0 else 1
-
-    @property
-    def is_experimental(self) -> bool:
-        """True off the proven ground: every curve except cyclo(2, 5)."""
-        return not (self.family == "cyclo" and self.a == 2 and self.b == 5)
 
     def __str__(self) -> str:
         if self.family == "cyclo":

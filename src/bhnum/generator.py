@@ -280,9 +280,12 @@ def certify(expansion: Expansion) -> int:
     ):
         if not residual.is_zero():
             e = residual.base_exponent
+            r = residual.coeff(e)
+            # Sizes, not digits: str() of a residual past 4300 digits raises.
             raise ExpansionError(
                 f"{expansion.method} expansion of {c} fails the {name} at "
-                f"u^{e} (residual coefficient {residual.coeff(e)})"
+                f"u^{e} (residual coefficient: {r.numerator.bit_length()}-bit "
+                f"numerator, {r.denominator.bit_length()}-bit denominator)"
             )
     return min(on_curve.trunc_order, normalized.trunc_order)
 

@@ -289,9 +289,9 @@ def test_bad_arguments_exit_code(cache_env, capsys):
     assert run(capsys, "compute", "--curve", MAIN_CURVE)[0] == 2
 
 
-def _bump_top_x(good):
+def _bump_top_x(good, by=1):
     terms = dict(good.x_series.terms())
-    terms[max(terms)] += 1
+    terms[max(terms)] += by
     return Expansion(
         good.curve,
         TruncSeries.from_terms(terms, good.x_series.trunc_order),
@@ -303,14 +303,19 @@ def _bump_top_x(good):
 
 def test_certificate_failure_exit_code(cache_env, capsys, monkeypatch):
     curve = CurveSpec.cyclotomic(3, 4)
-    bad = _bump_top_x(expand_online(curve, 14))
-    monkeypatch.setattr("bhnum.generator.expand_online", lambda c, o: bad)
-    rc, out, err = run(
-        capsys, "compute", "--curve", str(curve), "--max-weight", "12"
-    )
-    assert rc == 3
-    assert "fails the curve equation" in err
-    assert not (cache_env / "cyclo_a3_b4.json").exists()
+    good = expand_online(curve, 14)
+    limit = sys.get_int_max_str_digits()
+    # The second bump leaves a residual too long for str() to format.
+    for by in (1, Fraction(BIG + 1, 7)):
+        bad = _bump_top_x(good, by)
+        monkeypatch.setattr("bhnum.generator.expand_online", lambda c, o: bad)
+        rc, out, err = run(
+            capsys, "compute", "--curve", str(curve), "--max-weight", "12"
+        )
+        assert rc == 3
+        assert "fails the curve equation" in err
+        assert not (cache_env / "cyclo_a3_b4.json").exists()
+        assert sys.get_int_max_str_digits() == limit
 
 
 # Past CPython's default 4300-digit int/str limit, so the tests spell the

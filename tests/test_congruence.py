@@ -12,7 +12,6 @@ from bhnum.congruence import (
     VscReport,
     ap_invariant,
     classical_vsc_bernoulli,
-    denominator_probe,
     integrality_scan,
     kummer_check,
     kummer_triples,
@@ -25,7 +24,15 @@ from bhnum.generator import (
     expand_by_reversion,
     extract_numbers,
 )
-from bhnum.numtheory import is_prime, mod_inverse, padic_valuation, rational_residue
+from bhnum.numtheory import (
+    PrimeResidueClass,
+    is_prime,
+    mod_inverse,
+    padic_valuation,
+    primes_in_class,
+    rational_residue,
+)
+from bhnum.series import binomial_series
 
 F = Fraction
 
@@ -59,6 +66,14 @@ def test_ap_invariant_domain():
         ap_invariant(21)
     with pytest.raises(VerifierDomainError):
         ap_invariant(7)
+
+
+def test_ap_invariant_is_a_binomial_coefficient_mod_p():
+    # A_p = f_{p-1} (mod p) with f_k = [t^k](1 - t^10)^(-1/2), because
+    # (p - 1)/2 = -1/2 (mod p): the invariant of the universal theorem.
+    for p in primes_in_class(2000, PrimeResidueClass(5, 1)):
+        f = binomial_series(10, F(-1, 2), p - 1).coeff(p - 1)
+        assert rational_residue(f, p) == ap_invariant(p) % p, p
 
 
 def test_validation_still_fires_after_caching(table100):
@@ -369,53 +384,3 @@ def test_verifiers_match_naive_reference(table300, tamper):
         assert failed_rows == [(31, 40)]
     else:
         assert failed_triples == [] and failed_rows == []
-
-
-# -- denominator probe -------------------------------------------------------------------
-
-
-def test_probe_main_curve(table100):
-    report = denominator_probe(table100)
-    assert report.heuristic is False
-    assert report.curve == "cyclo:a=2,b=5"
-    by_weight = {r.weight: r for r in report.rows}
-    assert by_weight[10].predicted == (11,)
-    assert by_weight[10].c_primes == (11,)
-    assert by_weight[30].predicted == (11, 31)
-    for row in report.rows:
-        assert row.matches, row.weight
-        assert row.unfactored == ()
-
-
-def test_probe_minusx_genus_one():
-    table = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 18))
-    report = denominator_probe(table)
-    assert report.heuristic is True
-    by_weight = {r.weight: r for r in report.rows}
-    assert by_weight[4].predicted == (5,)
-    assert by_weight[12].predicted == (5, 13)
-    assert by_weight[16].predicted == (5, 17)
-    assert all(r.matches for r in report.rows)
-
-
-def test_probe_reports_divergence_honestly():
-    # genus 2: D_8 / 8 = 4/3 has a denominator prime the prediction misses
-    table = extract_numbers(expand_by_reversion(CurveSpec.minus_x(2), 18))
-    assert table.c(8) == 640
-    assert table.d(8) == F(32, 3)
-    report = denominator_probe(table)
-    assert report.heuristic is True
-    row = {r.weight: r for r in report.rows}[8]
-    assert row.predicted == ()
-    assert row.c_primes == ()
-    assert row.d_primes == (3,)
-    assert not row.matches
-    assert "DIFFER" in row.summary_line()
-
-
-def test_probe_json_shape(table100):
-    doc = denominator_probe(table100).to_json_dict()
-    assert doc["format"] == "bhnum.report.probe"
-    assert doc["heuristic"] is False
-    assert doc["rows"][0]["weight"] == 10
-    assert doc["rows"][0]["matches"] is True

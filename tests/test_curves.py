@@ -47,18 +47,15 @@ def test_curve_spec_properties():
     assert main.exponent_pair == (2, 1)
     assert main.y_leading_sign == -1
     assert main.genus_if_hyperelliptic == 2
-    assert not main.is_experimental
 
     lem = CurveSpec.minus_x(1)
     assert lem.weight == 4
     assert lem.exponent_pair == (1, 1)
     assert lem.genus_if_hyperelliptic == 1
-    assert lem.is_experimental
 
     odd = CurveSpec.cyclotomic(3, 4)
     assert odd.weight == 12
     assert odd.y_leading_sign == 1
-    assert odd.is_experimental
     with pytest.raises(CurveError):
         odd.genus_if_hyperelliptic
 

@@ -37,14 +37,31 @@ def test_main_curve_leading_window():
     assert series_dict(exp.y_series) == {-5: F(-1), 5: F(3, 11)}
 
 
-def test_extracted_numbers_main_curve():
-    table = extract_numbers(expand_by_reversion(MAIN, 22))
-    assert table.weights() == [10, 20]
-    assert table.c(10) == F(403200, 11)
-    assert table.d(10) == F(3600, 11)
-    assert table.c(20) == F(-4988862627840000, 11)
-    assert table.c_over_n(10) == F(40320, 11)
-    assert table.d_over_n(10) == F(360, 11)
+@pytest.mark.parametrize(
+    "curve, order, weights, pins",
+    [
+        (
+            MAIN,
+            22,
+            [10, 20],
+            {
+                "c": {10: F(403200, 11), 20: F(-4988862627840000, 11)},
+                "d": {10: F(3600, 11)},
+                "c_over_n": {10: F(40320, 11)},
+                "d_over_n": {10: F(360, 11)},
+            },
+        ),
+        # D_8 / 8 = 4/3: a denominator prime outside p = 1 mod w.
+        (CurveSpec.minus_x(2), 18, [8, 16], {"c": {8: F(640)}, "d": {8: F(32, 3)}}),
+    ],
+    ids=["cyclo:a=2,b=5", "minusx:g=2"],
+)
+def test_extracted_numbers_main_curve(curve, order, weights, pins):
+    table = extract_numbers(expand_by_reversion(curve, order))
+    assert table.weights() == weights
+    for name, values in pins.items():
+        for n, value in values.items():
+            assert getattr(table, name)(n) == value, (name, n)
 
 
 def test_extraction_respects_exactness_margin():
