@@ -16,11 +16,13 @@ extract_numbers.
 Two expansion routes are provided.  expand_online is the production
 route: t(u) solves t' = (1 - t**w)**(j/a), and writing t = u * tau(u**w)
 turns that into power recurrences (J.C.P. Miller's, see _miller) that
-produce tau, and from it x and y, one coefficient at a time, with the
-sparse support built in.  Each series is kept as integer numerators over
-one shared denominator (_Coeffs), so a recurrence step is an integer dot
-product and one Fraction division.  expand_by_reversion runs the
-definition above, inverting u(t) and composing; it is a test oracle.
+produce tau, and from it x = t**-a, one coefficient at a time, with the
+sparse support built in.  y is then read off x' by the normalization of
+du, a * y**j = -sigma**j * x**(i-1) * x'.  Each series is kept as integer
+numerators over one shared denominator (_Coeffs), so a recurrence step is
+an integer dot product and one Fraction division.  expand_by_reversion
+runs the definition above, inverting u(t) and composing; it is a test
+oracle.
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du (see
@@ -216,7 +218,17 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     where T_{m-1} and then P_m are Miller steps on coefficients already
     known, Q_m = -T_{m-1} and tau_m = P_m / (1 + w*m).  So tau comes out
     one coefficient at a time, with no series inversion or composition.
-    Then x = u**-a * tau**-a and y = sigma * u**-b * tau**-b * Q**(1/a).
+    Then x = u**-a * X(v) with X = tau**-a.
+
+    y comes from x' through the differential identity
+    a * y**j = -sigma**j * x**(i-1) * x' (see certify), so no second power
+    of tau computes it again.  On the v-grid -x'/a = u**(-a-1) * D(v) with
+    D_k = (a - w*k)/a * X_k, and since b*j = a*i + 1,
+
+        y = sigma * u**-b * Y(v),   Y**j = U = tau**(-a*(i-1)) * D,
+
+    where U = D when i = 1 and the tau power is X itself when i = 2; Y is
+    U when j = 1 and one Miller power U**(1/j) otherwise.
     With tau known through v**n, x is exact through u**(-a + w*(n+1) - 1)
     and y through u**(-b + w*(n+1) - 1); n is the least that covers order,
     and the series keep that whole window.
@@ -224,7 +236,7 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
     a, b, w = curve.a, curve.b, curve.weight
-    _, j = curve.exponent_pair
+    i, j = curve.exponent_pair
     n = -(-(order + 1 + max(a, b)) // w) - 1
     t_power, q_power = Fraction(w), Fraction(j, a)
     tau, big_t, q, p = (_Coeffs([_ONE]) for _ in range(4))
@@ -238,14 +250,39 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
         p.append(p_m)
         tau.append(p_m / (1 + w * m))
     x_v = _power(tau, Fraction(-a))
-    tau_b = _power(tau, Fraction(-b))
-    q_root = _power(q, Fraction(1, a))
+    d_v = [Fraction(a - w * k, a) * c for k, c in enumerate(x_v)]
+    if i == 1:
+        u_v = d_v
+    else:
+        x_pow = x_v if i == 2 else _power(tau, Fraction(-a * (i - 1)))
+        d_c = _Coeffs(d_v)
+        u_v = [_conv(x_pow, d_c, m) for m in range(n + 1)]
+    y_v = u_v if j == 1 else _power(_Coeffs(u_v), Fraction(1, j))
+    sigma = curve.y_leading_sign
     top = w * (n + 1) - 1
     x = TruncSeries.from_terms({w * k - a: c for k, c in enumerate(x_v)}, top - a)
     y = TruncSeries.from_terms(
-        {w * m - b: _conv(tau_b, q_root, m) for m in range(n + 1)}, top - b
+        {w * m - b: sigma * c for m, c in enumerate(y_v)}, top - b
     )
-    return Expansion(curve, x, y.scale(curve.y_leading_sign), "online", order)
+    return Expansion(curve, x, y, "online", order)
+
+
+def _powers(s: TruncSeries, *exponents: int) -> list[TruncSeries]:
+    """[s**n for n in exponents], n >= 1, each squared down from n.
+
+    The powers share one memo, so a power that one of them needs on the
+    way is built once: with b = 5 and i = 2, x**2 is a square inside x**5.
+    """
+    memo = {1: s}
+
+    def power(n: int) -> TruncSeries:
+        if n not in memo:
+            half = power(n // 2)
+            square = half._mul(half)
+            memo[n] = square._mul(s) if n % 2 else square
+        return memo[n]
+
+    return [power(n) for n in exponents]
 
 
 def certify(expansion: Expansion) -> int:
@@ -261,19 +298,34 @@ def certify(expansion: Expansion) -> int:
     pins the normalization of u.  Whatever route produced the expansion,
     a failure raises ExpansionError naming the first nonzero slot.
     Returns the last exponent through which both identities were checked.
+
+    Together they pin every coefficient in the window, even though
+    expand_online builds y from x' by the second identity.  If the second
+    vanishes, y**j and hence y (its leading term is fixed) is what x makes
+    it.  Let x be wrong first at u**(w*m - a), m >= 1, by e, and y follow.
+    Then y**j moves by -sigma**j * (w*m - a*i) / a * e * u**(w*m - b*j),
+    and since b*j - a*i = 1 the curve residual starts at u**(w*m - a*b)
+    with the coefficient -(w*m + 1) / j * e.  That is never 0, and the
+    slot lies inside the window whenever x's slot does.
+
+    x**(i-1) * x' is taken as (x**i)' / i, and each power is built once
+    (see _powers), so x**i and y**j come off the squares of x**b and y**a.
+    The products are TruncSeries ones, which share no code with the online
+    kernel (_miller, _conv, _Coeffs).
     """
     c = expansion.curve
     x, y = expansion.x_series, expansion.y_series
     i, j = c.exponent_pair
-    on_curve = y.power(c.a) - x.power(c.b)
+    x_b, x_i = _powers(x, c.b, i)
+    y_a, y_j = _powers(y, c.a, j)
+    on_curve = y_a - x_b
     if c.family == "minusx":
         on_curve = on_curve + x
     elif on_curve.trunc_order >= 0:  # else the +1 sits above the window
         on_curve = on_curve + 1
-    dx = x.derive()
-    if i > 1:
-        dx = x.power(i - 1) * dx
-    normalized = y.power(j).scale(c.a) + dx.scale(c.y_leading_sign**j)
+    # sigma**j * x**(i-1) * x' = sigma**j * (x**i)' / i, in the same window
+    dx = x_i.derive().scale(Fraction(c.y_leading_sign**j, i))
+    normalized = y_j.scale(c.a) + dx
     for name, residual in (
         ("curve equation", on_curve),
         ("differential identity", normalized),

@@ -408,31 +408,48 @@ class TruncSeries:
 # -- multiplication kernel -------------------------------------------------
 
 
+def _integer_terms(s: TruncSeries) -> tuple[list[tuple[int, int]], int]:
+    """s's nonzero terms as (exponent, integer numerator) over one denominator."""
+    den = lcm(*(c.denominator for c in s.coefficients), 1)
+    terms = [
+        (s.base_exponent + i, c.numerator * (den // c.denominator))
+        for i, c in enumerate(s.coefficients)
+        if c
+    ]
+    return terms, den
+
+
 def _convolve_int(a: TruncSeries, b: TruncSeries, base: int, trunc: int):
     # Clear denominators once per operand, convolve plain integers, then
     # restore a single shared denominator.  Fraction construction at the end
     # performs the only gcd per output coefficient.
-    den_a = lcm(*(c.denominator for c in a.coefficients), 1)
-    den_b = lcm(*(c.denominator for c in b.coefficients), 1)
-    za = [
-        (a.base_exponent + i, c.numerator * (den_a // c.denominator))
-        for i, c in enumerate(a.coefficients)
-        if c
-    ]
-    zb = [
-        (b.base_exponent + i, c.numerator * (den_b // c.denominator))
-        for i, c in enumerate(b.coefficients)
-        if c
-    ]
-    if len(za) > len(zb):
-        za, zb = zb, za
+    za, den_a = _integer_terms(a)
     acc = [0] * (trunc - base + 1)
-    for ea, ca in za:
-        lim = trunc - ea
-        for eb, cb in zb:
-            if eb > lim:
+    if a is b:
+        # A square: each cross term c_k * c_l (k < l) is formed once and
+        # doubled, which halves the big-integer products.
+        for n, (ea, ca) in enumerate(za):
+            lim = trunc - ea
+            for eb, cb in za[n + 1 :]:
+                if eb > lim:
+                    break
+                acc[ea + eb - base] += ca * cb
+        acc = [2 * v for v in acc]
+        for ea, ca in za:
+            if 2 * ea > trunc:
                 break
-            acc[ea + eb - base] += ca * cb
+            acc[2 * ea - base] += ca * ca
+        den_b = den_a
+    else:
+        zb, den_b = _integer_terms(b)
+        if len(za) > len(zb):
+            za, zb = zb, za
+        for ea, ca in za:
+            lim = trunc - ea
+            for eb, cb in zb:
+                if eb > lim:
+                    break
+                acc[ea + eb - base] += ca * cb
     den = den_a * den_b
     return [Fraction(v, den) if v else _ZERO for v in acc]
 

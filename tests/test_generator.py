@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -90,6 +91,8 @@ def test_methods_agree(curve):
     assert extract_numbers(by_rev).rows == extract_numbers(by_ode).rows
 
 
+# The last four take the branches of the online y route the first six
+# miss: (i, j) = (3, 1) on both families, (1, 2) and (2, 3).
 ONLINE_CURVES = [
     MAIN,
     CurveSpec.cyclotomic(3, 4),
@@ -97,6 +100,10 @@ ONLINE_CURVES = [
     CurveSpec.cyclotomic(4, 5),
     CurveSpec.minus_x(1),
     CurveSpec.minus_x(2),
+    CurveSpec.cyclotomic(2, 7),
+    CurveSpec.cyclotomic(5, 3),
+    CurveSpec.cyclotomic(4, 3),
+    CurveSpec.minus_x(3),
 ]
 
 
@@ -131,10 +138,7 @@ def test_online_window_is_honest(curve):
 
 
 @pytest.mark.parametrize(
-    "curve",
-    ONLINE_CURVES
-    + [CurveSpec.cyclotomic(2, 3), CurveSpec.cyclotomic(5, 3), CurveSpec.minus_x(3)],
-    ids=str,
+    "curve", ONLINE_CURVES + [CurveSpec.cyclotomic(2, 3)], ids=str
 )
 def test_certificate_accepts_online_expansions(curve):
     order = 4 * curve.weight + 2
@@ -156,6 +160,35 @@ def test_certificate_rejects_pattern_preserving_tamper(name):
             tampered = _pattern_preserving_tamper(good, name, e, F(1, 7))
             with pytest.raises(ExpansionError, match=r"at u\^"):
                 certify(tampered)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [MAIN, CurveSpec.cyclotomic(3, 4), CurveSpec.minus_x(2)],
+    ids=str,
+)
+def test_certificate_rejects_consistent_x_tamper(curve):
+    # expand_online reads y off x' by the differential identity, so an
+    # error in x would pass into y consistently.  Here y is rebuilt from
+    # the tampered x as -sigma * x**(i-1) * x' / a (these curves have
+    # j = 1): the differential identity holds, and the curve equation must
+    # fail at u**(e + a - a*b), a*b - a below the tampered slot u**e.
+    a, b, w = curve.a, curve.b, curve.weight
+    i, j = curve.exponent_pair
+    assert j == 1
+    good = expand_online(curve, 102)
+    lead = good.x_series.base_exponent
+    for e in range(lead + w, good.x_series.trunc_order + 1, w):
+        x = _pattern_preserving_tamper(good, "x", e, F(1, 7)).x_series
+        dx = x.derive()
+        if i > 1:
+            dx = x.power(i - 1) * dx
+        y = dx.scale(F(-curve.y_leading_sign, a))
+        tampered = Expansion(curve, x, y, good.method, good.order)
+        with pytest.raises(
+            ExpansionError, match=rf"curve equation at u\^{e + a - a * b} "
+        ):
+            certify(tampered)
 
 
 KERNEL_CURVES = [
@@ -212,13 +245,23 @@ def _append_one_unscaled(self, c):
 )
 def test_certify_catches_kernel_mutants(target, mutant, monkeypatch):
     # The online route runs on _miller, _conv and _Coeffs; certify shares
-    # none of them, so a fault in that kernel cannot hide from it.
+    # none of them, so a fault in that kernel cannot hide from it.  A curve
+    # with i = 1 never calls _conv, so there the mutant must leave the
+    # expansion as it was.
+    clean = {curve: expand_online(curve, 102) for curve in KERNEL_CURVES}
     owner, _, name = target.rpartition(".")
     monkeypatch.setattr(getattr(generator, owner) if owner else generator, name, mutant)
+    caught = 0
     for curve in KERNEL_CURVES:
         expansion = expand_online(curve, 102)
-        with pytest.raises(ExpansionError, match=r"at u\^"):
+        try:
             certify(expansion)
+        except ExpansionError as exc:
+            assert re.search(r"at u\^", str(exc))
+            caught += 1
+        else:
+            assert expansion == clean[curve], curve
+    assert caught >= 1
 
 
 @pytest.mark.parametrize(

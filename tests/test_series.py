@@ -148,6 +148,47 @@ def test_power_negative_exponent():
     assert sq.coeff(-2) == F(1, 4)
 
 
+def _dense(seed, base, trunc):
+    rng = random.Random(seed)
+    exponents = range(base, trunc + 1)
+    return TruncSeries.from_terms(
+        {e: F(rng.randrange(1, 10), rng.randrange(1, 30)) for e in exponents}, trunc
+    )
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        TruncSeries.from_terms({0: F(1), 5: F(-3, 7), 10: F(2, 9), 20: F(5)}, 30),
+        _dense(5, 0, 24),
+        TruncSeries.from_terms({-3: F(2, 3), -1: F(-5), 4: F(1, 11)}, 12),
+        _dense(6, -4, 15),
+        TruncSeries.monomial(-2, F(7, 5), 9),
+        TruncSeries.zero(7),
+    ],
+    ids=["sparse", "dense", "laurent-sparse", "laurent-dense", "monomial", "zero"],
+)
+def test_square_matches_product_with_a_copy(s):
+    # s._mul(s) takes the squaring path of the kernel, which forms each
+    # cross term once; an equal but distinct copy takes the general one.
+    def copy():
+        return TruncSeries(s.base_exponent, s.coefficients, s.trunc_order)
+
+    assert copy() is not s and copy() == s
+    for cap in (None, s.trunc_order - 3, 2 * s.base_exponent + 4):
+        assert s._mul(s, cap=cap) == s._mul(copy(), cap=cap), cap
+    for n in range(2, 6):
+        chain = copy()
+        for _ in range(n - 1):
+            chain = chain._mul(copy())
+        assert s.power(n) == chain, n
+        if s.base_exponent >= 0:
+            # With a valuation >= 0 the cap bounds the window whatever the
+            # order of the products.
+            cap = s.trunc_order - 2
+            assert s.power(n, cap=cap) == chain.truncate(cap), n
+
+
 # -- window bookkeeping ----------------------------------------------------------
 
 
