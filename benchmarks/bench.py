@@ -4,7 +4,9 @@
             curve.
   certify   the curve-equation and differential certificate on the
             online expansion, the one check every compute runs before
-            it writes a table.
+            it writes a table.  Its row also gives the number of v-grid
+            products it forms and the bits of its largest operand, a
+            numerator or the denominator.
   extract   extract_numbers, reading the C_N / D_N table off the online
             expansion.
   cache     BHTable.dumps (write) and BHTable.loads (read) of that table,
@@ -24,6 +26,8 @@ from __future__ import annotations
 import argparse
 import time
 
+from bhnum import certificate
+from bhnum.certificate import certify
 from bhnum.congruence import (
     integrality_scan,
     kummer_check,
@@ -33,7 +37,6 @@ from bhnum.congruence import (
 from bhnum.curves import CurveSpec, parse_curve
 from bhnum.generator import (
     BHTable,
-    certify,
     expand_by_reversion,
     expand_online,
     extract_numbers,
@@ -49,6 +52,26 @@ def best_of(repeat: int, fn) -> float:
     return min(times)
 
 
+def certificate_shape(expansion) -> str:
+    """How many products certify forms on expansion, and its largest operand."""
+    real = certificate._mul
+    count = bits = 0
+
+    def counted(p, q, n):
+        nonlocal count, bits
+        count += 1
+        for nums, den in (p, q):
+            bits = max(bits, den.bit_length(), *(v.bit_length() for v in nums))
+        return real(p, q, n)
+
+    certificate._mul = counted
+    try:
+        certify(expansion)
+    finally:
+        certificate._mul = real
+    return f"{count} products, largest operand {bits} bits"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=int, default=302)
@@ -61,22 +84,18 @@ def main() -> None:
     at = f"{curve}@{args.order}"
     rows = []
     for name, expand in routes:
-        rows.append(
-            (
-                f"pipeline/{name:<9s} {at}",
-                best_of(args.repeat, lambda: expand(curve, args.order)),
-            )
-        )
+        seconds = best_of(args.repeat, lambda: expand(curve, args.order))
+        rows.append((f"pipeline/{name:<9s} {at}", seconds, ""))
     online = expand_online(curve, args.order)
     table = extract_numbers(online)
     text = table.dumps()
-    for name, fn in (
-        ("certify", lambda: certify(online)),
-        ("extract", lambda: extract_numbers(online)),
-        ("cache/write", table.dumps),
-        ("cache/read", lambda: BHTable.loads(text)),
+    for name, fn, note in (
+        ("certify", lambda: certify(online), certificate_shape(online)),
+        ("extract", lambda: extract_numbers(online), ""),
+        ("cache/write", table.dumps, ""),
+        ("cache/read", lambda: BHTable.loads(text), ""),
     ):
-        rows.append((f"{name:<18s} {at}", best_of(args.repeat, fn)))
+        rows.append((f"{name:<18s} {at}", best_of(args.repeat, fn), note))
 
     if curve == CurveSpec.cyclotomic(2, 5):
         top = max(table.weights())
@@ -92,11 +111,11 @@ def main() -> None:
 
         for name, check in checks:
             seconds = best_of(args.repeat, lambda: check(fresh()))
-            rows.append((f"verify/{name:<11s} {at}", seconds))
+            rows.append((f"verify/{name:<11s} {at}", seconds, ""))
 
-    width = max(len(name) for name, _ in rows)
-    for name, seconds in rows:
-        print(f"{name:<{width}}  {seconds * 1000:9.2f} ms")
+    width = max(len(name) for name, _, _ in rows)
+    for name, seconds, note in rows:
+        print(f"{name:<{width}}  {seconds * 1000:9.2f} ms  {note}".rstrip())
 
 
 if __name__ == "__main__":

@@ -25,9 +25,11 @@ runs the definition above, inverting u(t) and composing; it is a test
 oracle.
 
 expand_checked, the route every table is computed by, certifies the online
-expansion against the curve equation and the differential du (see
-certify).  The certificate runs on the TruncSeries product, which shares
-no code with the online kernel, and it pins every coefficient.
+expansion against the curve equation and the differential du
+(bhnum.certificate, re-exported here).  The certificate reads X and Y off
+x and y on the v-grid and checks both identities slot by slot on integer
+numerators; it shares no code with the online kernel, and it pins every
+coefficient.
 
 Coefficient support is sparse: x lives on exponents congruent to -a mod w
 and y on -b mod w.  That symmetry is asserted on every expansion, never
@@ -45,10 +47,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lgamma, log
+from math import factorial, gcd, lgamma, log, prod
 from operator import mul
 from pathlib import Path
 
+from .certificate import ExpansionError, certify
 from .curves import CurveSpec, parse_curve, u_series
 from .series import TruncSeries, binomial_series, revert
 
@@ -70,10 +73,6 @@ TABLE_FORMAT = "bhnum.table"
 TABLE_VERSION = 1
 
 _ONE = Fraction(1)
-
-
-class ExpansionError(ValueError):
-    """An expansion violated a structural invariant."""
 
 
 class CacheError(ValueError):
@@ -265,81 +264,6 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
         {w * m - b: sigma * c for m, c in enumerate(y_v)}, top - b
     )
     return Expansion(curve, x, y, "online", order)
-
-
-def _powers(s: TruncSeries, *exponents: int) -> list[TruncSeries]:
-    """[s**n for n in exponents], n >= 1, each squared down from n.
-
-    The powers share one memo, so a power that one of them needs on the
-    way is built once: with b = 5 and i = 2, x**2 is a square inside x**5.
-    """
-    memo = {1: s}
-
-    def power(n: int) -> TruncSeries:
-        if n not in memo:
-            half = power(n // 2)
-            square = half._mul(half)
-            memo[n] = square._mul(s) if n % 2 else square
-        return memo[n]
-
-    return [power(n) for n in exponents]
-
-
-def certify(expansion: Expansion) -> int:
-    """Check x(u), y(u) against the curve and the differential du.
-
-    Two identities must vanish through the window their products certify:
-
-        y**a - x**b + 1   (cyclo)   or   y**2 - x**b + x   (minusx)
-        a * y**j + sigma**j * x**(i-1) * x'
-
-    The first puts (x, y) on the curve; the second says du is the
-    differential x**(i-1) dx / (a * y**j) up to the sign -sigma**j, which
-    pins the normalization of u.  Whatever route produced the expansion,
-    a failure raises ExpansionError naming the first nonzero slot.
-    Returns the last exponent through which both identities were checked.
-
-    Together they pin every coefficient in the window, even though
-    expand_online builds y from x' by the second identity.  If the second
-    vanishes, y**j and hence y (its leading term is fixed) is what x makes
-    it.  Let x be wrong first at u**(w*m - a), m >= 1, by e, and y follow.
-    Then y**j moves by -sigma**j * (w*m - a*i) / a * e * u**(w*m - b*j),
-    and since b*j - a*i = 1 the curve residual starts at u**(w*m - a*b)
-    with the coefficient -(w*m + 1) / j * e.  That is never 0, and the
-    slot lies inside the window whenever x's slot does.
-
-    x**(i-1) * x' is taken as (x**i)' / i, and each power is built once
-    (see _powers), so x**i and y**j come off the squares of x**b and y**a.
-    The products are TruncSeries ones, which share no code with the online
-    kernel (_miller, _conv, _Coeffs).
-    """
-    c = expansion.curve
-    x, y = expansion.x_series, expansion.y_series
-    i, j = c.exponent_pair
-    x_b, x_i = _powers(x, c.b, i)
-    y_a, y_j = _powers(y, c.a, j)
-    on_curve = y_a - x_b
-    if c.family == "minusx":
-        on_curve = on_curve + x
-    elif on_curve.trunc_order >= 0:  # else the +1 sits above the window
-        on_curve = on_curve + 1
-    # sigma**j * x**(i-1) * x' = sigma**j * (x**i)' / i, in the same window
-    dx = x_i.derive().scale(Fraction(c.y_leading_sign**j, i))
-    normalized = y_j.scale(c.a) + dx
-    for name, residual in (
-        ("curve equation", on_curve),
-        ("differential identity", normalized),
-    ):
-        if not residual.is_zero():
-            e = residual.base_exponent
-            r = residual.coeff(e)
-            # Sizes, not digits: str() of a residual past 4300 digits raises.
-            raise ExpansionError(
-                f"{expansion.method} expansion of {c} fails the {name} at "
-                f"u^{e} (residual coefficient: {r.numerator.bit_length()}-bit "
-                f"numerator, {r.denominator.bit_length()}-bit denominator)"
-            )
-    return min(on_curve.trunc_order, normalized.trunc_order)
 
 
 def expand_checked(curve: CurveSpec, order: int) -> Expansion:
@@ -569,14 +493,15 @@ def extract_numbers(expansion: Expansion) -> BHTable:
     up to order - 2, keeping a safety margin inside the exactness window.
     """
     c = expansion.curve
-    w = c.weight
+    a, b, w = c.a, c.b, c.weight
+    x, y = expansion.x_series, expansion.y_series
     rows: dict[int, tuple[Fraction, Fraction]] = {}
-    n = w
-    while n <= expansion.order - 2:
-        cn = n * factorial(n - c.a) * expansion.x_series.coeff(n - c.a)
-        dn = n * factorial(n - c.b) * expansion.y_series.coeff(n - c.b)
-        rows[n] = (cn, dn)
-        n += w
+    # (N - a)! and (N - b)!, carried from one row to the next
+    fact_a, fact_b = factorial(w - a), factorial(w - b)
+    for n in range(w, expansion.order - 1, w):
+        rows[n] = (n * fact_a * x.coeff(n - a), n * fact_b * y.coeff(n - b))
+        fact_a *= prod(range(n - a + 1, n + w - a + 1))
+        fact_b *= prod(range(n - b + 1, n + w - b + 1))
     return BHTable(c, expansion.order, expansion.method, rows)
 
 

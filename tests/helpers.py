@@ -154,3 +154,35 @@ def hyperelliptic_residual(x, family: str, g: int):
     if r.trunc_order < 0:
         return r
     return r + 4
+
+
+def truncseries_certificate(expansion):
+    """The curve-equation and differential certificate on dense TruncSeries.
+
+    This is the certificate as it ran before it moved to the v-grid, on
+    series that store every slot, the zeros off the support pattern
+    included, with each power from TruncSeries.power.  It works only
+    through the methods of the series it is given.  Returns ("window", last
+    checked exponent) when both identities vanish, and otherwise (identity,
+    exponent of the first nonzero slot, numerator bits, denominator bits)
+    of the first identity that fails.
+    """
+    c = expansion.curve
+    x, y = expansion.x_series, expansion.y_series
+    i, j = c.exponent_pair
+    on_curve = y.power(c.a) - x.power(c.b)
+    if c.family == "minusx":
+        on_curve = on_curve + x
+    elif on_curve.trunc_order >= 0:  # else the +1 sits above the window
+        on_curve = on_curve + 1
+    dx = x.power(i).derive().scale(Fraction(c.y_leading_sign**j, i))
+    normalized = y.power(j).scale(c.a) + dx
+    for name, residual in (
+        ("curve equation", on_curve),
+        ("differential identity", normalized),
+    ):
+        if not residual.is_zero():
+            e = residual.base_exponent
+            r = residual.coeff(e)
+            return name, e, r.numerator.bit_length(), r.denominator.bit_length()
+    return "window", min(on_curve.trunc_order, normalized.trunc_order)

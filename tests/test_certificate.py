@@ -1,0 +1,140 @@
+import re
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from bhnum import certificate
+from bhnum.certificate import ExpansionError, certify
+from bhnum.curves import CurveSpec
+from bhnum.generator import Expansion, expand_by_reversion, expand_online
+from bhnum.series import TruncSeries
+from helpers import truncseries_certificate
+
+F = Fraction
+
+PARITY_CURVES = [
+    CurveSpec.cyclotomic(2, 3),
+    CurveSpec.cyclotomic(2, 5),
+    CurveSpec.cyclotomic(2, 7),
+    CurveSpec.cyclotomic(3, 4),
+    CurveSpec.cyclotomic(3, 5),
+    CurveSpec.cyclotomic(4, 3),
+    CurveSpec.cyclotomic(4, 5),
+    CurveSpec.cyclotomic(5, 3),
+    CurveSpec.minus_x(1),
+    CurveSpec.minus_x(2),
+    CurveSpec.minus_x(3),
+]
+
+_MESSAGE = re.compile(
+    r"fails the (.+) at u\^(-?\d+) \(residual coefficient: "
+    r"(\d+)-bit numerator, (\d+)-bit denominator\)$"
+)
+
+
+def _outcome(expansion):
+    """certify's result in the form truncseries_certificate returns."""
+    try:
+        return "window", certify(expansion)
+    except ExpansionError as exc:
+        name, e, num, den = _MESSAGE.search(str(exc)).groups()
+        return name, int(e), int(num), int(den)
+
+
+def _tampered(expansion, name, slot, by):
+    """expansion with `by` added to the coefficient of x (or y) at u**slot."""
+    target = expansion.x_series if name == "x" else expansion.y_series
+    terms = dict(target.terms())
+    terms[slot] = terms.get(slot, 0) + by
+    bad = TruncSeries.from_terms(terms, target.trunc_order)
+    x, y = (bad, expansion.y_series) if name == "x" else (expansion.x_series, bad)
+    return Expansion(expansion.curve, x, y, expansion.method, expansion.order)
+
+
+@pytest.mark.parametrize(
+    "route", [expand_online, expand_by_reversion], ids=["online", "reversion"]
+)
+@pytest.mark.parametrize("curve", PARITY_CURVES, ids=str)
+def test_certificate_matches_truncseries_oracle_on_clean_expansions(curve, route):
+    # Orders below, at and past the first weights, where the window, the
+    # +1 (or +x) term and the v-grid length all change.
+    w = curve.weight
+    for order in sorted({1, 3, w - 1, w + 1, 2 * w + 5, 61}):
+        expansion = route(curve, order)
+        assert _outcome(expansion) == truncseries_certificate(expansion), order
+
+
+@pytest.mark.parametrize("curve", PARITY_CURVES, ids=str)
+def test_certificate_matches_truncseries_oracle_on_tampers(curve):
+    # Every non-leading support slot of x and y, through the top slot of
+    # each series: the same identity, slot and residual sizes must come out.
+    good = expand_online(curve, 61)
+    seen = set()
+    for name in ("x", "y"):
+        target = good.x_series if name == "x" else good.y_series
+        lead = target.base_exponent
+        for e in range(lead + curve.weight, target.trunc_order + 1, curve.weight):
+            for by in (F(1, 7), F(-3)):
+                tampered = _tampered(good, name, e, by)
+                outcome = _outcome(tampered)
+                assert outcome == truncseries_certificate(tampered), (name, e, by)
+                seen.add(outcome[0])
+    # u -> u + c*u**(w*k + 1) keeps (x, y) on the curve and on the support
+    # pattern, so only the differential identity can tell.
+    for k, c in ((1, F(1, 7)), (2, F(-3))):
+        top = max(good.x_series.trunc_order, good.y_series.trunc_order) + curve.b
+        inner = TruncSeries.from_terms({1: 1, curve.weight * k + 1: c}, top)
+        x, y = (s.compose(inner) for s in (good.x_series, good.y_series))
+        order = min(x.trunc_order, y.trunc_order)
+        moved = Expansion(curve, x, y, good.method, order)
+        outcome = _outcome(moved)
+        assert outcome == truncseries_certificate(moved), (k, c)
+        seen.add(outcome[0])
+    assert seen == {"curve equation", "differential identity"}
+
+
+# cyclo(3,5) has (i, j) = (3, 2): x**2, x**4, x**5 = x**4 * x and
+# x**3 = x**2 * x, then y**2 and y**3 = y**2 * y.
+PRODUCTS = {
+    CurveSpec.cyclotomic(3, 5): 6,
+    CurveSpec.cyclotomic(2, 5): 4,
+    CurveSpec.minus_x(2): 4,
+    CurveSpec.cyclotomic(3, 4): 4,
+    CurveSpec.minus_x(1): 3,
+    CurveSpec.cyclotomic(2, 7): 5,
+}
+
+
+@pytest.mark.parametrize("curve", list(PRODUCTS), ids=str)
+def test_certificate_forms_each_power_once(curve, monkeypatch):
+    # A square formed twice on the way to x**b and x**i (or y**a and y**j)
+    # shows here as an extra product.
+    calls = []
+    real = certificate._mul
+
+    def counted(p, q, n):
+        calls.append(n)
+        return real(p, q, n)
+
+    monkeypatch.setattr(certificate, "_mul", counted)
+    certify(expand_online(curve, 4 * curve.weight + 2))
+    assert len(calls) == PRODUCTS[curve]
+
+
+def test_v_grid_product_matches_fraction_convolution():
+    # The square path and the general path against a Fraction convolution,
+    # and the content gcd leaves the lcm of the coefficients' denominators.
+    coeffs = [F(1), F(-1, 6), F(5, 14), F(0), F(-3, 35), F(2, 9)]
+    den = 630
+    f = [int(c * den) for c in coeffs], den
+    g = [int(c * den) for c in reversed(coeffs)], den
+    n = len(coeffs) - 1
+    for p, q in ((f, f), (f, g)):
+        want = [
+            sum(F(p[0][k], p[1]) * F(q[0][m - k], q[1]) for k in range(m + 1))
+            for m in range(n + 1)
+        ]
+        nums, d = certificate._mul(p, q, n)
+        assert [F(v, d) for v in nums] == want
+        assert d == lcm(*(c.denominator for c in want))
