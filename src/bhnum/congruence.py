@@ -23,14 +23,19 @@ Each piece of number theory is done once.  The quotients C_N / N and
 D_N / N are built once per table (BHTable keeps them), A_p once per prime
 (ap_invariant is cached; a p it refuses is refused on every call), and
 valuations at a p that came out of the sieve, or that ap_invariant has
-already proved prime, skip padic_valuation's primality proof.  A Kummer
-combination is summed on integer numerators over the lcm of its
-denominators.
+already proved prime, skip padic_valuation's primality proof.
+
+Valuations are read off a p-adic digit table, built once per (table, p):
+for every weight, v_p(X_N / N) and its unit part mod p**k, from one
+reduction of the numerator mod p**_DIGITS.  A Kummer combination is then
+a sum of small integers modulo the precision its terms carry; a nonzero
+sum gives its valuation exactly, and a zero sum, or a numerator that is
+0 mod p**_DIGITS, sends the check to the exact combination instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
@@ -39,6 +44,7 @@ from .curves import CurveSpec
 from .generator import BHTable, rational_pair
 from .numtheory import (
     PrimeResidueClass,
+    _int_valuation,
     _valuation,
     binomial,
     is_prime,
@@ -58,6 +64,10 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
+
+# p-adic digits each digit table keeps per numerator: an algorithm
+# constant, not an option; both paths give the same valuations.
+_DIGITS = 8
 
 _MAIN_CURVE = CurveSpec.cyclotomic(2, 5)
 
@@ -224,11 +234,24 @@ class KummerReport:
     depth: int
     index: int
     weights: tuple[int, ...]
-    c_combination: Fraction
-    d_combination: Fraction
     c_valuation: int | float  # an int, or math.inf when the value is 0
     d_valuation: int | float
     passed: bool
+    table: BHTable = field(repr=False, compare=False)  # source of the exact sums
+
+    @property
+    def c_combination(self) -> Fraction:
+        """The exact C-side combination, built on each call."""
+        return self._exact(self.table.c_over_n)
+
+    @property
+    def d_combination(self) -> Fraction:
+        """The exact D-side combination, built on each call."""
+        return self._exact(self.table.d_over_n)
+
+    def _exact(self, quotient) -> Fraction:
+        coeffs = _kummer_coefficients(self.p, self.depth)
+        return _combination(coeffs, [quotient(w) for w in self.weights])
 
     def summary_line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
@@ -253,12 +276,62 @@ class KummerReport:
         }
 
 
-def _combination(coeffs: list[int], values: list[Fraction]) -> Fraction:
+def _combination(coeffs: tuple[int, ...], values: list[Fraction]) -> Fraction:
     """sum(k * v), summed on integers over the lcm of the denominators:
     one reducing division instead of one per term."""
     den = lcm(*(v.denominator for v in values))
     num = sum(k * v.numerator * (den // v.denominator) for k, v in zip(coeffs, values))
     return Fraction(num, den)
+
+
+@lru_cache(maxsize=1024)
+def _kummer_coefficients(p: int, depth: int) -> tuple[int, ...]:
+    """(-1)**r * C(a, r) * A_p**(a - r) for r = 0..a; ap_invariant validates p."""
+    ap = ap_invariant(p)
+    return tuple(
+        (-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
+    )
+
+
+def _digit(q: Fraction, p: int) -> tuple[int, int, int] | None:
+    """(v, u, k) with q = p**v * U, U a p-adic unit = u mod p**k, read off
+    the numerator mod p**_DIGITS; None when that residue is 0."""
+    r = q.numerator % p**_DIGITS
+    if not r:
+        return None
+    a = _int_valuation(r, p)
+    b = _int_valuation(q.denominator, p)
+    k = _DIGITS - a
+    mod = p**k
+    return a - b, r // p**a * pow(q.denominator // p**b, -1, mod) % mod, k
+
+
+def _digits(table: BHTable, p: int) -> dict[int, tuple]:
+    """weight N -> (_digit(C_N / N), _digit(D_N / N)), built once per (table, p)."""
+    digits = table._digit_tables.get(p)
+    if digits is None:
+        digits = table._digit_tables[p] = {
+            n: (_digit(table.c_over_n(n), p), _digit(table.d_over_n(n), p))
+            for n in table.weights()
+        }
+    return digits
+
+
+def _residue_valuation(coeffs: tuple[int, ...], terms: list, p: int) -> int | None:
+    """v_p(sum c_r * X_r) off the digits of the X_r, or None if they cannot tell.
+
+    The sum is p**m * sum c_r * p**(v_r - m) * U_r for the least v_r = m,
+    and the inner sum is known mod p**min(v_r - m + k_r).
+    """
+    if None in terms:
+        return None
+    m = min(terms)[0]  # tuples order by v first
+    s, prec = 0, _DIGITS
+    for c, (v, u, k) in zip(coeffs, terms):
+        s += c * p ** (v - m) * u
+        prec = min(prec, v - m + k)
+    s %= p**prec
+    return m + _int_valuation(s, p) if s else None
 
 
 def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
@@ -269,11 +342,19 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
     must have p-adic valuation at least a, both for X = C and X = D.
     Inadmissible inputs raise: p must be a prime = 1 mod 5 with p - 1 not
     dividing 10*n, and 10*n - 2 >= a.
+
+    Each valuation is read off the table's p-adic digits: once the power
+    p**m of the least term valuation is taken out, the combination is a
+    sum of small integers modulo the precision its terms carry, and a
+    nonzero residue there is a unit times p**j, so v_p = m + j exactly.  A
+    zero residue, or a term whose numerator is 0 mod p**_DIGITS, takes the
+    exact combination instead.  The report builds the exact sums only when
+    asked for them (JSON reports).
     """
     _require_main_curve(table, "the Kummer-style congruence")
     if depth < 1 or index < 1:
         raise VerifierDomainError("depth and index must be positive")
-    ap = ap_invariant(p)  # validates p
+    coeffs = _kummer_coefficients(p, depth)  # validates p
     n10 = 10 * index
     if n10 % (p - 1) == 0:
         raise VerifierDomainError(
@@ -284,24 +365,18 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
         raise VerifierDomainError(f"10n - 2 = {n10 - 2} is below depth {depth}")
     weights = [n10 + r * (p - 1) for r in range(depth + 1)]
     _require_weights(table, weights, f"kummer_check(p={p}, a={depth}, n={index})")
-    coeffs = [
-        (-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
-    ]
-    c_sum = _combination(coeffs, [table.c_over_n(w) for w in weights])
-    d_sum = _combination(coeffs, [table.d_over_n(w) for w in weights])
-    # ap_invariant has proved p prime.
-    c_val = _valuation(c_sum, p)
-    d_val = _valuation(d_sum, p)
+    digits = _digits(table, p)
+    vals = []
+    for side, quotient in enumerate((table.c_over_n, table.d_over_n)):
+        val = _residue_valuation(coeffs, [digits[w][side] for w in weights], p)
+        if val is None:
+            # ap_invariant has proved p prime.
+            val = _valuation(_combination(coeffs, [quotient(w) for w in weights]), p)
+        vals.append(val)
+    c_val, d_val = vals
     return KummerReport(
-        p,
-        depth,
-        index,
-        tuple(weights),
-        c_sum,
-        d_sum,
-        c_val,
-        d_val,
-        c_val >= depth and d_val >= depth,
+        p, depth, index, tuple(weights), c_val, d_val,
+        c_val >= depth and d_val >= depth, table,
     )
 
 
@@ -368,18 +443,23 @@ def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
     """Scan v_p(C_N / N) >= 0 and v_p(D_N / N) >= 0 over the table.
 
     Covers primes p <= prime_limit with p = 1 mod 5 and p - 1 not dividing
-    N; rows come out sorted by (p, N) regardless of traversal order.
+    N; rows come out sorted by (p, N) regardless of traversal order.  The
+    valuations come from the digit table kummer_check reads (exact below
+    _DIGITS); a numerator that is 0 mod p**_DIGITS is valued exactly.
     """
     _require_main_curve(table, "the integrality statement")
     if prime_limit < 1:
         raise VerifierDomainError("prime limit must be positive")
     rows = []
     for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1)):
+        digits = _digits(table, p)
         for n in table.weights():
             if n % (p - 1) == 0:
                 continue
-            c_val = _valuation(table.c_over_n(n), p)  # p is from the sieve
-            d_val = _valuation(table.d_over_n(n), p)
+            # p is from the sieve; an entry without digits takes the exact path.
+            c_digit, d_digit = digits[n]
+            c_val = c_digit[0] if c_digit else _valuation(table.c_over_n(n), p)
+            d_val = d_digit[0] if d_digit else _valuation(table.d_over_n(n), p)
             rows.append(IntegralityRow(p, n, c_val, d_val, c_val >= 0 and d_val >= 0))
     rows.sort(key=lambda r: (r.p, r.weight))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))

@@ -384,6 +384,11 @@ class BHTable:
         """
         return {n: (c / n, d / n) for n, (c, d) in self.rows.items()}
 
+    @cached_property
+    def _digit_tables(self) -> dict[int, dict]:
+        """p -> the quotients' p-adic digit table, filled by bhnum.congruence."""
+        return {}
+
     def c_over_n(self, weight: int) -> Fraction:
         return self._quotients[weight][0]
 

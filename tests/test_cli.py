@@ -2,9 +2,11 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bhnum import congruence
 from bhnum.cli import main
 from bhnum.congruence import (
     IntegralityReport,
@@ -236,6 +238,39 @@ def test_verify_all_output_bytes_are_pinned(cache_env, capsys):
         )
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# The weight-1000 cyclo(2,5) table the benchmark verifies, and the SHA-256
+# of its `verify all --prime-limit 1000 --depth 3` summary, recorded while
+# every Kummer valuation was taken on the exact combination.
+BENCH_FIXTURE = Path(__file__).parents[1] / "bhbench/fixtures/cyclo_a2_b5_w1000.json"
+PINNED_BENCH_FIXTURE_SUMMARY = (
+    "978140332c052a140d0d62819e2847fab8519c3727f55e6515b1837e453304d1"
+)
+
+
+def test_summary_mode_forms_no_kummer_combination(cache_env, capsys, monkeypatch):
+    # Summary reports print only valuations, which the p-adic digits give;
+    # the exact combinations are for JSON reports.
+    def no_combination(*args):
+        raise AssertionError("an exact Kummer combination was formed")
+
+    compute_main(capsys, max_weight=100)
+    monkeypatch.setattr(congruence, "_combination", no_combination)
+    rc, out, _ = run(
+        capsys,
+        "verify", "all", "--curve", MAIN_CURVE,
+        "--prime-limit", "100", "--depth", "2", "--format", "summary",
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_ALL["summary"]
+    rc, out, _ = run(
+        capsys,
+        "verify", "all", "--cache", str(BENCH_FIXTURE),
+        "--prime-limit", "1000", "--depth", "3",
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BENCH_FIXTURE_SUMMARY
 
 
 def test_summary_mode_builds_no_json(cache_env, capsys, monkeypatch):

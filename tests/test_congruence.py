@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 import pytest
 
+from bhnum import congruence
 from bhnum.congruence import (
     IntegralityRow,
     KummerReport,
@@ -93,20 +94,23 @@ def test_validation_still_fires_after_caching(table100):
 
 def test_restricted_table_builds_its_own_memo(table100, table300):
     parent = BHTable(table300.curve, table300.order, table300.method, table300.rows)
-    parent.c_over_n(10)  # builds the parent's quotient memo
+    kummer_check(parent, 31, 1, 1)  # builds the quotient memo and 31's digits
     child = parent.restrict(100)
     assert "_quotients" not in vars(child)
+    assert "_digit_tables" not in vars(child)
     triples = list(kummer_triples(100, 3, 100))
     assert [vsc_decompose(child, n) for n in child.weights()] == [
         vsc_decompose(table100, n) for n in table100.weights()
     ]
-    assert [kummer_check(child, *t) for t in triples] == [
-        kummer_check(table100, *t) for t in triples
+    assert [with_sums(kummer_check(child, *t)) for t in triples] == [
+        with_sums(kummer_check(table100, *t)) for t in triples
     ]
     assert integrality_scan(child, 100) == integrality_scan(table100, 100)
     assert child._quotients is not parent._quotients
     assert sorted(child._quotients) == child.weights() == list(range(10, 101, 10))
     assert len(parent._quotients) == 30
+    assert sorted(child._digit_tables[31]) == child.weights()
+    assert len(parent._digit_tables[31]) == 30
 
 
 # -- von Staudt-Clausen ---------------------------------------------------------
@@ -307,9 +311,10 @@ def test_integrality_refuses_other_curves():
 # -- differential check against the definitions ---------------------------------------
 #
 # The verifiers memoize quotients and A_p, skip primality proofs for sieve
-# primes and sum Kummer combinations on integers.  These references do none
-# of that: plain Fraction arithmetic, the public padic_valuation, and A_p
-# straight from its formula.
+# primes, and read valuations off p-adic digit tables, summing a Kummer
+# combination on integers only when the digits cannot tell.  These
+# references do none of that: plain Fraction arithmetic, the public
+# padic_valuation, and A_p straight from its formula.
 
 
 def naive_ap(p):
@@ -346,7 +351,13 @@ def naive_kummer(table, p, depth, n):
             total += coeff * number(w) / w
         sums.append(total)
     vals = [padic_valuation(s, p) for s in sums]
-    return KummerReport(p, depth, n, weights, *sums, *vals, min(vals) >= depth)
+    report = KummerReport(p, depth, n, weights, *vals, min(vals) >= depth, table)
+    return report, tuple(sums)
+
+
+def with_sums(report):
+    """A report with its exact combinations, as naive_kummer returns it."""
+    return report, (report.c_combination, report.d_combination)
 
 
 def naive_integrality(table, prime_limit):
@@ -360,14 +371,39 @@ def naive_integrality(table, prime_limit):
     return tuple(rows)
 
 
-@pytest.mark.parametrize("tamper", [False, True], ids=["table300", "tampered"])
-def test_verifiers_match_naive_reference(table300, tamper):
+def test_digits_are_built_once_per_prime(table100, monkeypatch):
+    # Kummer builds each prime's digit table once; integrality reuses it.
+    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
+    built = []
+    real = congruence._digit
+    monkeypatch.setattr(congruence, "_digit", lambda q, p: built.append(p) or real(q, p))
+    for t in kummer_triples(100, 3, 100):
+        kummer_check(table, *t)
+    integrality_scan(table, 100)
+    assert sorted(built) == [p for p in naive_primes(100) for _ in range(2 * 10)]
+
+
+@pytest.fixture()
+def exact_calls(monkeypatch):
+    """The (value, p) of every valuation the verifiers take exactly."""
+    calls = []
+
+    def spy(q, p):
+        calls.append((q, p))
+        return real(q, p)
+
+    real = congruence._valuation
+    monkeypatch.setattr(congruence, "_valuation", spy)
+    return calls
+
+
+def check_against_naive(table300, tamper):
     table = BHTable(table300.curve, table300.order, table300.method, table300.rows)
     if tamper:
         table = tampered(table, 40, delta_c=F(1, 31))
     triples = list(kummer_triples(300, 3, 300))
     kummer = [kummer_check(table, *t) for t in triples]
-    assert kummer == [naive_kummer(table, *t) for t in triples]
+    assert [with_sums(r) for r in kummer] == [naive_kummer(table, *t) for t in triples]
     rows = integrality_scan(table, 300).rows
     assert rows == naive_integrality(table, 300)
     assert [vsc_decompose(table, n) for n in table.weights()] == [
@@ -384,3 +420,53 @@ def test_verifiers_match_naive_reference(table300, tamper):
         assert failed_rows == [(31, 40)]
     else:
         assert failed_triples == [] and failed_rows == []
+    return kummer
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["table300", "tampered"])
+def test_verifiers_match_naive_reference(table300, tamper, exact_calls):
+    check_against_naive(table300, tamper)
+    # On these tables the digits decide every valuation.
+    assert exact_calls == []
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["table300", "tampered"])
+def test_exact_fallback_matches_naive_reference(
+    table300, tamper, exact_calls, monkeypatch
+):
+    # With one digit a combination of valuation >= 1 over terms of
+    # valuation 0 has residue 0, so on these tables each side of each
+    # passing Kummer check goes through the exact path.
+    monkeypatch.setattr(congruence, "_DIGITS", 1)
+    kummer = check_against_naive(table300, tamper)
+    assert len(exact_calls) >= 2 * sum(r.passed for r in kummer)
+
+
+def test_edge_entries_take_the_exact_path(table300, exact_calls):
+    # C_40 / 40 = 0, and the numerator of C_70 / 70 is divisible by
+    # 31**(_DIGITS + 2): neither has digits at p = 31, so every check that
+    # reads them must value them exactly.
+    deep = 31 ** (congruence._DIGITS + 2)
+    rows = dict(table300.rows)
+    rows[40] = (F(0), rows[40][1])
+    rows[70] = (F(70 * deep, 7), rows[70][1])
+    table = BHTable(table300.curve, table300.order, table300.method, rows)
+    triples = list(kummer_triples(300, 3, 300))
+    kummer, exact = [], []
+    for t in triples:
+        exact_calls.clear()
+        kummer.append(kummer_check(table, *t))
+        exact.append(bool(exact_calls))
+    assert [with_sums(r) for r in kummer] == [naive_kummer(table, *t) for t in triples]
+    assert exact == [40 in r.weights or (r.p == 31 and 70 in r.weights) for r in kummer]
+    exact_calls.clear()
+    scan = integrality_scan(table, 300).rows
+    assert scan == naive_integrality(table, 300)
+    zero_rows = {(r.p, r.weight) for r in scan if r.c_valuation == inf}
+    assert zero_rows == {(p, 40) for p in naive_primes(300) if 40 % (p - 1)}
+    assert [r.c_valuation for r in scan if (r.p, r.weight) == (31, 70)] == [
+        congruence._DIGITS + 2
+    ]
+    assert sorted(exact_calls) == sorted(
+        [(F(0), p) for p in naive_primes(300) if 40 % (p - 1)] + [(F(deep, 7), 31)]
+    )
