@@ -13,8 +13,8 @@ content gcd with the denominator once, so the denominator stays the lcm
 of the coefficients' own (fraction-free, in the sense of Bareiss, Math.
 Comp. 22, 1968).
 
-This module shares no code with the online kernel of bhnum.generator
-(_miller, _conv, _Coeffs), so a fault there cannot hide from it.
+This module shares no code with bhnum.generator's online kernel (_miller,
+_square, _tau_hyperelliptic, _Coeffs): a fault there cannot hide from it.
 """
 
 from __future__ import annotations

@@ -263,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="curve descriptor, e.g. cyclo:a=2,b=5 or minusx:g=1",
         )
         p.add_argument("--cache", help="table file (default: per-curve path)")
-        p.add_argument(
-            "--format", choices=("summary", "json"), default="summary"
-        )
+        p.add_argument("--format", choices=("summary", "json"), default="summary")
         p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("compute", help="expand, extract, and cache a number table")
@@ -274,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="check congruence statements against a table")
-    p.add_argument(
-        "check", choices=("vsc", "kummer", "integrality", "all")
-    )
+    p.add_argument("check", choices=("vsc", "kummer", "integrality", "all"))
     add_common(p, curve_required=False)
     p.add_argument("--max-weight", type=int, help="largest weight to use")
     p.add_argument("--prime-limit", type=int, default=100)

@@ -91,11 +91,11 @@ def _require_main_curve(table: BHTable, what: str) -> None:
         )
 
 
-def _require_weights(table: BHTable, needed: list[int], what: str) -> None:
+def _require_weights(table: BHTable, needed: list[int], what: str, *args) -> None:
     missing = sorted(n for n in needed if n not in table.rows)
-    if missing:
+    if missing:  # what % args names the check, formatted only here
         raise MissingWeightError(
-            f"{what} needs weights {missing} not present in the table "
+            f"{what % args} needs weights {missing} not present in the table "
             f"(available up to {table.order - 2})",
             missing,
         )
@@ -293,26 +293,30 @@ def _kummer_coefficients(p: int, depth: int) -> tuple[int, ...]:
     )
 
 
-def _digit(q: Fraction, p: int) -> tuple[int, int, int] | None:
+def _digit(q: Fraction, p: int, units: dict) -> tuple[int, int, int] | None:
     """(v, u, k) with q = p**v * U, U a p-adic unit = u mod p**k, read off
-    the numerator mod p**_DIGITS; None when that residue is 0."""
-    r = q.numerator % p**_DIGITS
+    the numerator mod p**_DIGITS; None when that residue is 0.  units keeps
+    each denominator's valuation and unit-part inverse mod p**_DIGITS."""
+    r, den = q.numerator % p**_DIGITS, q.denominator
     if not r:
         return None
+    if den not in units:
+        b = _int_valuation(den, p)
+        units[den] = b, pow(den // p**b, -1, p**_DIGITS)
+    b, inverse = units[den]
     a = _int_valuation(r, p)
-    b = _int_valuation(q.denominator, p)
     k = _DIGITS - a
-    mod = p**k
-    return a - b, r // p**a * pow(q.denominator // p**b, -1, mod) % mod, k
+    return a - b, r // p**a * inverse % p**k, k
 
 
 def _digits(table: BHTable, p: int) -> dict[int, tuple]:
     """weight N -> (_digit(C_N / N), _digit(D_N / N)), built once per (table, p)."""
     digits = table._digit_tables.get(p)
     if digits is None:
+        units: dict[int, tuple[int, int]] = {}
         digits = table._digit_tables[p] = {
-            n: (_digit(table.c_over_n(n), p), _digit(table.d_over_n(n), p))
-            for n in table.weights()
+            n: (_digit(c, p, units), _digit(d, p, units))
+            for n, (c, d) in table._quotients.items()
         }
     return digits
 
@@ -364,7 +368,7 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
     if n10 - 2 < depth:
         raise VerifierDomainError(f"10n - 2 = {n10 - 2} is below depth {depth}")
     weights = [n10 + r * (p - 1) for r in range(depth + 1)]
-    _require_weights(table, weights, f"kummer_check(p={p}, a={depth}, n={index})")
+    _require_weights(table, weights, "kummer_check(p=%s, a=%s, n=%s)", p, depth, index)
     digits = _digits(table, p)
     vals = []
     for side, quotient in enumerate((table.c_over_n, table.d_over_n)):

@@ -16,9 +16,9 @@ extract_numbers.
 Two expansion routes are provided.  expand_online is the production
 route: t(u) solves t' = (1 - t**w)**(j/a), and writing t = u * tau(u**w)
 turns that into power recurrences (J.C.P. Miller's, see _miller) that
-produce tau, and from it x = t**-a, one coefficient at a time, with the
-sparse support built in.  y is then read off x' by the normalization of
-du, a * y**j = -sigma**j * x**(i-1) * x'.  Each series is kept as integer
+produce tau (one chain when a = 2, two otherwise), and from it x = t**-a,
+one coefficient at a time.  y is then read off (x**i)' by the normalization
+of du, a * y**j = -sigma**j * (x**i)' / i.  Each series is kept as integer
 numerators over one shared denominator (_Coeffs), so a recurrence step is
 an integer dot product and one Fraction division.  expand_by_reversion
 runs the definition above, inverting u(t) and composing; it is a test
@@ -161,13 +161,6 @@ class _Coeffs:
         self.nums.append(c.numerator * (self.den // d))
 
 
-def _conv(f: _Coeffs, g: _Coeffs, m: int, lo: int = 0) -> Fraction:
-    """[f*g]_m as a Fraction, from the terms f_k * g_{m-k} with lo <= k <= m - lo."""
-    hi = m + 1 - lo
-    total = sum(map(mul, f.nums[lo:hi], reversed(g.nums[lo:hi])))
-    return Fraction(total, f.den * g.den)
-
-
 def _miller(f: _Coeffs, p: _Coeffs, alpha: Fraction) -> Fraction:
     """Next coefficient of f**alpha by J.C.P. Miller's power recurrence.
 
@@ -194,15 +187,33 @@ def _miller(f: _Coeffs, p: _Coeffs, alpha: Fraction) -> Fraction:
 
 
 def _power(f: _Coeffs, alpha: Fraction) -> _Coeffs:
-    """All the coefficients of f**alpha that f determines, for f_0 = 1.
-
-    The result is kept like f, as integer numerators over one shared
-    denominator, so each _miller step reads it without a conversion.
-    """
+    """All the coefficients of f**alpha that f determines, for f_0 = 1, kept
+    like f over one shared denominator, so _miller reads it as it is."""
     p = _Coeffs([_ONE])
     while len(p) < len(f):
         p.append(_miller(f, p, alpha))
     return p
+
+
+def _square(f: list[int]) -> list[int]:
+    """Numerators of f**2 through len(f), each cross term formed once."""
+    sq = []
+    for m in range(len(f)):
+        h = (m + 1) // 2
+        s = 2 * sum(map(mul, f[:h], reversed(f[m - h + 1 : m + 1])))
+        sq.append(s + f[h] * f[h] if m % 2 == 0 else s)
+    return sq
+
+
+def _tau_hyperelliptic(w: int, n: int) -> _Coeffs:
+    """tau through v**n for a = 2 by one chain S = tau**(w-1); see expand_online."""
+    tau, s, s_last = _Coeffs([_ONE]), _Coeffs([_ONE]), _ONE
+    for m in range(1, n + 1):
+        if m > 1:
+            s_last = _miller(tau, s, Fraction(w - 1))
+            s.append(s_last)
+        tau.append(-s_last / (2 * m * (1 + w * m)))
+    return tau
 
 
 def expand_online(curve: CurveSpec, order: int) -> Expansion:
@@ -215,50 +226,46 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
         T = tau**w,   Q = 1 - v*T,   P = Q**(j/a),   (1 + w*m) * tau_m = P_m,
 
     where T_{m-1} and then P_m are Miller steps on coefficients already
-    known, Q_m = -T_{m-1} and tau_m = P_m / (1 + w*m).  So tau comes out
-    one coefficient at a time, with no series inversion or composition.
-    Then x = u**-a * X(v) with X = tau**-a.
+    known: tau comes out one coefficient at a time, with no inversion or
+    composition.  When a = 2, j = 1 (b*j = 2i + 1 with b odd), so t'**2 =
+    1 - t**w, t'' = -(w/2) * t**(w-1), and slot u**(w*m - 1) reads
+    tau_m = -S_{m-1} / (2m * (1 + w*m)) with S = tau**(w-1): one chain, not
+    two.  Only a = 2 qualifies, as t'' = -(w/a) * t**(w-1) * t'**(2-a) for
+    j = 1.  Then x = u**-a * X(v) with X = tau**-a.
 
-    y comes from x' through the differential identity
-    a * y**j = -sigma**j * x**(i-1) * x' (see certify), so no second power
-    of tau computes it again.  On the v-grid -x'/a = u**(-a-1) * D(v) with
-    D_k = (a - w*k)/a * X_k, and since b*j = a*i + 1,
-
-        y = sigma * u**-b * Y(v),   Y**j = U = tau**(-a*(i-1)) * D,
-
-    where U = D when i = 1 and the tau power is X itself when i = 2; Y is
-    U when j = 1 and one Miller power U**(1/j) otherwise.
-    With tau known through v**n, x is exact through u**(-a + w*(n+1) - 1)
-    and y through u**(-b + w*(n+1) - 1); n is the least that covers order,
-    and the series keep that whole window.
+    y comes from x through a * y**j = -sigma**j * (x**i)' / i (see certify):
+    as b*j = a*i + 1, y = sigma * u**-b * Y(v) with Y**j = U and
+    U_k = (a*i - w*k) / (a*i) * [X**i]_k.  X**i is X (i = 1), one integer
+    square of X's numerators (i = 2) or one Miller power tau**(-a*i); Y is
+    U (j = 1) or one Miller power U**(1/j).  With tau known through v**n,
+    x is exact through u**(-a + w*(n+1) - 1) and y through
+    u**(-b + w*(n+1) - 1); n is the least that covers order, and the
+    series keep that whole window.
     """
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
     a, b, w = curve.a, curve.b, curve.weight
     i, j = curve.exponent_pair
     n = -(-(order + 1 + max(a, b)) // w) - 1
-    t_power, q_power = Fraction(w), Fraction(j, a)
-    tau, big_t, q, p = (_Coeffs([_ONE]) for _ in range(4))
-    t_last = _ONE
-    for m in range(1, n + 1):
-        if m > 1:
-            t_last = _miller(tau, big_t, t_power)
-            big_t.append(t_last)
-        q.append(-t_last)
-        p_m = _miller(q, p, q_power)
-        p.append(p_m)
-        tau.append(p_m / (1 + w * m))
-    x_v = _power(tau, Fraction(-a))
-    d_v = [Fraction(a - w * k, a) * c for k, c in enumerate(x_v)]
-    if i == 1:
-        u_v = d_v
+    if a == 2:
+        tau = _tau_hyperelliptic(w, n)
     else:
-        x_pow = x_v if i == 2 else _power(tau, Fraction(-a * (i - 1)))
-        d_c = _Coeffs(d_v)
-        u_v = [_conv(x_pow, d_c, m) for m in range(n + 1)]
+        tau, big_t, q, p = (_Coeffs([_ONE]) for _ in range(4))
+        t_last = _ONE
+        for m in range(1, n + 1):
+            if m > 1:
+                t_last = _miller(tau, big_t, Fraction(w))
+                big_t.append(t_last)
+            q.append(-t_last)
+            p_m = _miller(q, p, Fraction(j, a))
+            p.append(p_m)
+            tau.append(p_m / (1 + w * m))
+    x_v = _power(tau, Fraction(-a))
+    x_i = x_v if i < 3 else _power(tau, Fraction(-a * i))
+    nums, den = (_square(x_i.nums), x_i.den**2) if i == 2 else (x_i.nums, x_i.den)
+    u_v = [Fraction((a * i - w * k) * c, a * i * den) for k, c in enumerate(nums)]
     y_v = u_v if j == 1 else _power(_Coeffs(u_v), Fraction(1, j))
-    sigma = curve.y_leading_sign
-    top = w * (n + 1) - 1
+    sigma, top = curve.y_leading_sign, w * (n + 1) - 1
     x = TruncSeries.from_terms({w * k - a: c for k, c in enumerate(x_v)}, top - a)
     y = TruncSeries.from_terms(
         {w * m - b: sigma * c for m, c in enumerate(y_v)}, top - b

@@ -48,12 +48,10 @@ _ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
-    if type(x) is Fraction:
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
     raise SeriesError(f"coefficients must be exact rationals, got {type(x).__name__}")
 
 
@@ -170,9 +168,7 @@ class TruncSeries:
     # -- ring operations ------------------------------------------------
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(
-            self.base_exponent, tuple(-c for c in self.coefficients), self.trunc_order
-        )
+        return self.scale(-1)
 
     def __add__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
@@ -194,8 +190,6 @@ class TruncSeries:
     __radd__ = __add__
 
     def __sub__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.monomial(0, other, self.trunc_order)
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncSeries":
@@ -216,8 +210,7 @@ class TruncSeries:
             return self._mul(other)
         return self.scale(other)
 
-    def __rmul__(self, other) -> "TruncSeries":
-        return self.scale(other)
+    __rmul__ = scale
 
     def _mul(self, other: "TruncSeries", cap: int | None = None) -> "TruncSeries":
         # Exact through min(trunc_a + val_b, trunc_b + val_a); the unknown
@@ -233,7 +226,7 @@ class TruncSeries:
         base = self.base_exponent + other.base_exponent
         if base > trunc:
             return TruncSeries.zero(trunc)
-        return TruncSeries._make(base, _convolve_int(self, other, base, trunc), trunc)
+        return TruncSeries._make(base, _mul_int(self, other, base, trunc), trunc)
 
     def power(self, n: int, cap: int | None = None) -> "TruncSeries":
         """self**n by binary powering; negative n inverts first."""
@@ -419,7 +412,7 @@ def _integer_terms(s: TruncSeries) -> tuple[list[tuple[int, int]], int]:
     return terms, den
 
 
-def _convolve_int(a: TruncSeries, b: TruncSeries, base: int, trunc: int):
+def _mul_int(a: TruncSeries, b: TruncSeries, base: int, trunc: int):
     # Clear denominators once per operand, convolve plain integers, then
     # restore a single shared denominator.  Fraction construction at the end
     # performs the only gcd per output coefficient.

@@ -3,19 +3,20 @@
 The test suite compares it with the online and reversion routes of
 bhnum.generator (acceptance criterion 3, test_methods_agree).  It never
 builds t(u): it solves the first-order equation the curve forces on x(u)
-directly, on the online route's shared-denominator kernel.
+directly, on the online route's shared-denominator kernel plus a
+convolution of its own (_conv), which compute no longer runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from bhnum.curves import CurveSpec
 from bhnum.generator import (
     Expansion,
     ExpansionError,
     _Coeffs,
-    _conv,
     _miller,
     _power,
     certify,
@@ -24,6 +25,13 @@ from bhnum.series import TruncSeries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _conv(f: _Coeffs, g: _Coeffs, m: int, lo: int = 0) -> Fraction:
+    """[f*g]_m as a Fraction, from the terms f_k * g_{m-k} with lo <= k <= m - lo."""
+    hi = m + 1 - lo
+    total = sum(map(mul, f.nums[lo:hi], reversed(g.nums[lo:hi])))
+    return Fraction(total, f.den * g.den)
 
 
 def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:

@@ -168,6 +168,10 @@ def test_vsc_requires_weight_present(table100):
     with pytest.raises(MissingWeightError) as exc:
         vsc_decompose(table100, 110)
     assert exc.value.weights == [110]
+    assert str(exc.value) == (
+        "vsc_decompose needs weights [110] not present in the table "
+        "(available up to 100)"
+    )
 
 
 def test_vsc_refuses_other_curves():
@@ -243,6 +247,10 @@ def test_kummer_missing_weights_are_reported(table100):
     with pytest.raises(MissingWeightError) as exc:
         kummer_check(table100, 41, 2, 5)
     assert exc.value.weights == [130]
+    assert str(exc.value) == (
+        "kummer_check(p=41, a=2, n=5) needs weights [130] not present in the "
+        "table (available up to 100)"
+    )
 
 
 def test_kummer_is_not_vacuous(table100):
@@ -376,11 +384,33 @@ def test_digits_are_built_once_per_prime(table100, monkeypatch):
     table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
     built = []
     real = congruence._digit
-    monkeypatch.setattr(congruence, "_digit", lambda q, p: built.append(p) or real(q, p))
+    monkeypatch.setattr(
+        congruence, "_digit", lambda q, p, units: built.append(p) or real(q, p, units)
+    )
     for t in kummer_triples(100, 3, 100):
         kummer_check(table, *t)
     integrality_scan(table, 100)
     assert sorted(built) == [p for p in naive_primes(100) for _ in range(2 * 10)]
+
+
+def test_digit_tables_invert_each_denominator_once(table100, monkeypatch):
+    # The 20 quotients share 6 denominators; a prime's digit table inverts
+    # each distinct one at most once, not once per quotient.
+    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
+    dens = {q.denominator for cd in table._quotients.values() for q in cd}
+    assert len(dens) < 2 * len(table.rows)
+    moduli = []
+
+    def counted(base, exp, mod=None):
+        if exp == -1:
+            moduli.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(congruence, "pow", counted, raising=False)
+    integrality_scan(table, 100)
+    primes = naive_primes(100)
+    assert sorted(set(moduli)) == [p**congruence._DIGITS for p in primes]
+    assert all(moduli.count(p**congruence._DIGITS) <= len(dens) for p in primes)
 
 
 @pytest.fixture()

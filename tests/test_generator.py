@@ -120,6 +120,22 @@ def test_online_matches_reversion(curve):
 
 @pytest.mark.parametrize(
     "curve",
+    [CurveSpec.cyclotomic(2, 3), CurveSpec.cyclotomic(2, 7), CurveSpec.minus_x(3)],
+    ids=str,
+)
+def test_online_hyperelliptic_chain_matches_reversion_deep(curve):
+    # The a = 2 curves acceptance criterion 3 leaves out, through 12
+    # v-slots (test_online_matches_reversion stops at 4): tau from the one
+    # chain S = tau**(w-1) must match reversion slot by slot, in x and y.
+    order = 12 * curve.weight + 2
+    online = expand_online(curve, order)
+    by_rev = expand_by_reversion(curve, order)
+    assert online.x_series.truncate(order) == by_rev.x_series
+    assert online.y_series.truncate(order) == by_rev.y_series
+
+
+@pytest.mark.parametrize(
+    "curve",
     [MAIN, CurveSpec.cyclotomic(3, 4), CurveSpec.cyclotomic(5, 3), CurveSpec.minus_x(2)],
     ids=str,
 )
@@ -199,8 +215,8 @@ KERNEL_CURVES = [
     CurveSpec.minus_x(2),
 ]
 
-# Each mutant is the kernel function with one fault; certify runs on the
-# TruncSeries product and never calls them.
+# Each mutant is the kernel function with one fault; certify runs in
+# bhnum.certificate and never calls them.
 
 
 def _miller_weight_off(f, p, alpha):
@@ -214,12 +230,24 @@ def _miller_weight_off(f, p, alpha):
     return F(total, lead * f.nums[0] * p.den)
 
 
-def _conv_term_dropped(f, g, m, lo=0):
-    ks = range(lo, m + 1 - lo)
-    # the top term k = m - lo is left out of the index range, unless it is
-    # the only one (a slot-0 fault would only break the leading term)
-    total = sum(f.nums[k] * g.nums[m - k] for k in ks[:-1] or ks)
-    return F(total, f.den * g.den)
+def _square_cross_terms_undoubled(f):
+    sq = []
+    for m in range(len(f)):
+        h = (m + 1) // 2
+        s = sum(f[k] * f[m - k] for k in range(h))  # the factor 2 is missing
+        sq.append(s + f[h] * f[h] if m % 2 == 0 else s)
+    return sq
+
+
+def _tau_hyperelliptic_step_off(w, n):
+    tau, s = generator._Coeffs([F(1)]), generator._Coeffs([F(1)])
+    s_last = F(1)
+    for m in range(1, n + 1):
+        if m > 1:
+            s_last = generator._miller(tau, s, F(w - 1))
+            s.append(s_last)
+        tau.append(-s_last / (2 * m * (2 + w * m)))  # 1 + w*m is off by one
+    return tau
 
 
 def _append_one_unscaled(self, c):
@@ -234,34 +262,40 @@ def _append_one_unscaled(self, c):
     self.nums.append(c.numerator * (self.den // d))
 
 
+HYPERELLIPTIC_KERNEL_CURVES = [c for c in KERNEL_CURVES if c.a == 2]
+
+
 @pytest.mark.parametrize(
-    "target, mutant",
+    "target, mutant, must_catch",
     [
-        ("_miller", _miller_weight_off),
-        ("_conv", _conv_term_dropped),
-        ("_Coeffs.append", _append_one_unscaled),
+        ("_miller", _miller_weight_off, []),
+        ("_square", _square_cross_terms_undoubled, []),
+        ("_tau_hyperelliptic", _tau_hyperelliptic_step_off, HYPERELLIPTIC_KERNEL_CURVES),
+        ("_Coeffs.append", _append_one_unscaled, []),
     ],
-    ids=["_miller", "_conv", "_Coeffs.append"],
+    ids=["_miller", "_square", "_tau_hyperelliptic", "_Coeffs.append"],
 )
-def test_certify_catches_kernel_mutants(target, mutant, monkeypatch):
-    # The online route runs on _miller, _conv and _Coeffs; certify shares
-    # none of them, so a fault in that kernel cannot hide from it.  A curve
-    # with i = 1 never calls _conv, so there the mutant must leave the
-    # expansion as it was.
+def test_certify_catches_kernel_mutants(target, mutant, must_catch, monkeypatch):
+    # The online route runs on _miller, _square, _tau_hyperelliptic and
+    # _Coeffs; certify shares none of them, so a fault in that kernel
+    # cannot hide from it.  A curve with i != 2 never calls _square, and
+    # one with a != 2 never calls _tau_hyperelliptic, so there the mutant
+    # must leave the expansion as it was.
     clean = {curve: expand_online(curve, 102) for curve in KERNEL_CURVES}
     owner, _, name = target.rpartition(".")
     monkeypatch.setattr(getattr(generator, owner) if owner else generator, name, mutant)
-    caught = 0
+    caught = []
     for curve in KERNEL_CURVES:
         expansion = expand_online(curve, 102)
         try:
             certify(expansion)
         except ExpansionError as exc:
             assert re.search(r"at u\^", str(exc))
-            caught += 1
+            caught.append(curve)
         else:
             assert expansion == clean[curve], curve
-    assert caught >= 1
+    assert len(caught) >= 1
+    assert all(curve in caught for curve in must_catch), caught
 
 
 @pytest.mark.parametrize(
