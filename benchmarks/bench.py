@@ -1,7 +1,9 @@
 """Time the layers compute and verify run, and the reversion oracle.
 
   pipeline  expand_online vs expand_by_reversion end to end on any
-            curve.
+            curve.  The online row also gives the bits of the shared
+            denominators of X and Y on the grid rescaled by (w + 1)**k,
+            which the online loop and the certificate both run on.
   certify   the curve-equation and differential certificate on the
             online expansion, the one check every compute runs before
             it writes a table.  Its row also gives the number of v-grid
@@ -54,6 +56,15 @@ def best_of(repeat: int, fn) -> float:
     return min(times)
 
 
+def denominator_bits(expansion) -> str:
+    """Bits of the shared denominators of X and Y on the rescaled v-grid."""
+    c = expansion.curve
+    x, y = expansion.x_series, expansion.y_series
+    n = min(x.trunc_order + c.a, y.trunc_order + c.b) // c.weight
+    bits = [certificate._grid(s, c.weight, n)[1].bit_length() for s in (x, y)]
+    return "X, Y denominators {} and {} bits".format(*bits)
+
+
 def certificate_shape(expansion) -> str:
     """How many products certify forms on expansion, and its largest operand."""
     real = certificate._mul
@@ -84,11 +95,12 @@ def main() -> None:
     curve = parse_curve(args.curve)
     routes = [("online", expand_online), ("reversion", expand_by_reversion)]
     at = f"{curve}@{args.order}"
+    online = expand_online(curve, args.order)
     rows = []
     for name, expand in routes:
         seconds = best_of(args.repeat, lambda: expand(curve, args.order))
-        rows.append((f"pipeline/{name:<9s} {at}", seconds, ""))
-    online = expand_online(curve, args.order)
+        note = denominator_bits(online) if name == "online" else ""
+        rows.append((f"pipeline/{name:<9s} {at}", seconds, note))
     table = extract_numbers(online)
     text = table.dumps()
     for name, fn, note in (

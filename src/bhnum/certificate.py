@@ -7,14 +7,18 @@ differential du.  Both series live on one residue class mod the weight w:
 
 so the check runs on the v-grid, on X_k = [u**(w*k - a)] x and
 Y_k = [u**(w*k - b)] y, and never touches the w - 1 zero slots between
-them.  Each v-series is a list of integer numerators over one
-denominator; a product convolves the numerators and divides out their
-content gcd with the denominator once, so the denominator stays the lcm
-of the coefficients' own (fraction-free, in the sense of Bareiss, Math.
-Comp. 22, 1968).
+them.  Slot k is scaled by (w + 1)**k: X_1 = j / (w + 1) on every curve,
+and the factor, mostly kept in the denominators of X_k and Y_k, then
+drops out of them.  Each identity is homogeneous slot by slot, so only
+the curve's v becomes (w + 1) * v.  Each v-series is a list of integer
+numerators over one denominator; a product convolves the numerators and
+divides out their content gcd with the denominator once, so the
+denominator stays the lcm of the coefficients' own (fraction-free, in
+the sense of Bareiss, Math. Comp. 22, 1968).
 
-This module shares no code with bhnum.generator's online kernel (_miller,
-_square, _tau_hyperelliptic, _Coeffs): a fault there cannot hide from it.
+The grid and its scaling are this module's own code.  It shares nothing
+with bhnum.generator's online kernel (_miller, _cross, _Coeffs and the
+X_m solve in expand_online): a fault there cannot hide from it.
 """
 
 from __future__ import annotations
@@ -35,11 +39,18 @@ class ExpansionError(ValueError):
 
 
 def _grid(series, w: int, n: int) -> tuple[list[int], int]:
-    """Slots 0, w, ..., w*n of series past its base exponent, as numerators
-    over their lcm denominator."""
+    """Slots 0, w, ..., w*n of series past its base exponent, slot k scaled
+    by (w + 1)**k, as numerators over their lcm denominator."""
     coeffs = series.coefficients[: w * n + 1 : w]
     den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    nums = (c.numerator * (den // c.denominator) for c in coeffs)
+    return _reduced([v * (w + 1) ** k for k, v in enumerate(nums)], den)
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den with their content gcd divided out."""
+    g = gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
 def _mul(p, q, n: int) -> tuple[list[int], int]:
@@ -62,10 +73,7 @@ def _mul(p, q, n: int) -> tuple[list[int], int]:
             sum(map(mul, f[: m + 1], reversed(g[: m + 1]))) for m in range(n + 1)
         ]
         den *= dg
-    content = gcd(den, *nums)
-    if content > 1:
-        return [v // content for v in nums], den // content
-    return nums, den
+    return _reduced(nums, den)
 
 
 def _powers(base, n: int, *exponents: int) -> list:
@@ -129,10 +137,12 @@ def certify(expansion: Expansion) -> int:
         a * (Y**j)_k + sigma**j * (w*k - a*i) / i * (X**i)_k
 
     at u**(w*k - a*i - 1).  The slots between lie off the support pattern,
-    which Expansion guarantees to be empty.
+    which Expansion guarantees to be empty.  On the rescaled grid v reads
+    (w + 1) * v and slot k comes out (w + 1)**k times its value; a failure
+    reports the value itself.
 
-    Together the identities pin every coefficient through slot n, even
-    though expand_online builds y from x' by the second.  If the second
+    Together the identities pin every coefficient through slot n, so no
+    expansion but the true one passes both.  If the second
     vanishes, Y**j and hence Y (its leading term is fixed) is what X makes
     it.  Let X be wrong first at slot m >= 1, by e, and Y follow.  Then
     (Y**j)_m moves by -sigma**j * (w*m - a*i) / a * e, so (Y**a)_m moves
@@ -159,7 +169,7 @@ def certify(expansion: Expansion) -> int:
         tail = [0] + big_x[0][:n], big_x[1]
     else:
         tail = [0, 1, *[0] * n][: n + 1], 1
-    on_curve = _combine((1, y_a), (-1, x_b), (1, tail))
+    on_curve = _combine((1, y_a), (-1, x_b), (w + 1, tail))
     dx = [(w * k - a * i) * v for k, v in enumerate(x_i[0])], x_i[1] * i
     normalized = _combine((a, y_j), (c.y_leading_sign**j, dx))
     for name, (nums, den), shift in (
@@ -168,7 +178,7 @@ def certify(expansion: Expansion) -> int:
     ):
         k = next((k for k, v in enumerate(nums) if v), None)
         if k is not None:
-            r = Fraction(nums[k], den)
+            r = Fraction(nums[k], den * (w + 1) ** k)
             # Sizes, not digits: str() of a residual past 4300 digits raises.
             raise ExpansionError(
                 f"{expansion.method} expansion of {c} fails the {name} at "

@@ -153,12 +153,12 @@ def cmd_compute(args) -> int:
         raise ValueError("--max-weight is required")
     expansion = expand_checked(cfg.curve, cfg.max_weight + 2)
     table = extract_numbers(expansion)
-    table.write(cfg.cache_path)
+    text = table.write(cfg.cache_path)
     line = (
         f"COMPUTE curve={cfg.curve} max_weight={cfg.max_weight} "
         f"rows={len(table.rows)} method={table.method} cache={cfg.cache_path}"
     )
-    _emit(args, lambda: [line], table.dumps, table.order)
+    _emit(args, lambda: [line], lambda: text, table.order)
     return EXIT_OK
 
 

@@ -16,8 +16,8 @@ step.
 
 The distinguished exponent pair (i, j) with b*j - a*i = 1 makes
 x**(i-1) dx / (a y**j) a differential with neither zero nor pole at
-infinity; u(t) is its normalized integral, u = t + higher, and everything
-downstream inverts that u.
+infinity; u(t) is its normalized integral, u = t + higher, and that u is
+the variable every expansion of x and y is taken in.
 """
 
 from __future__ import annotations

@@ -138,3 +138,17 @@ def test_v_grid_product_matches_fraction_convolution():
         nums, d = certificate._mul(p, q, n)
         assert [F(v, d) for v in nums] == want
         assert d == lcm(*(c.denominator for c in want))
+
+
+def test_grid_is_rescaled():
+    # X_k carries most of (w + 1)**k in its denominator, and the grid is
+    # rescaled to drop it: on cyclo(3,4) through v**84 its denominator must
+    # fall below the 1776-bit lcm of the unscaled X_k, or the rescale is gone.
+    curve = CurveSpec.cyclotomic(3, 4)
+    w, n = curve.weight, 84
+    x = expand_online(curve, 1010).x_series
+    coeffs = x.coefficients[: w * n + 1 : w]
+    assert lcm(*(c.denominator for c in coeffs)).bit_length() == 1776
+    nums, den = certificate._grid(x, w, n)
+    assert den.bit_length() < 1776
+    assert [F(v, den * (w + 1) ** k) for k, v in enumerate(nums)] == list(coeffs)

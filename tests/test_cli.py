@@ -52,6 +52,26 @@ def test_compute_writes_cache(cache_env, capsys):
     assert [r["weight"] for r in doc["rows"]] == [10, 20, 30]
 
 
+def test_compute_json_prints_the_cache_text_serialized_once(
+    cache_env, capsys, monkeypatch
+):
+    calls = []
+    real = BHTable.dumps
+
+    def counted(table):
+        calls.append(table)
+        return real(table)
+
+    monkeypatch.setattr(BHTable, "dumps", counted)
+    rc, out, err = run(
+        capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "30",
+        "--format", "json",
+    )
+    assert (rc, err) == (0, "")
+    assert out.encode() == (cache_env / "cyclo_a2_b5.json").read_bytes()
+    assert len(calls) == 1
+
+
 def test_compute_rejects_misaligned_weight(cache_env, capsys):
     rc, out, err = run(
         capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "7"

@@ -1,8 +1,10 @@
+import inspect
 import json
 import math
 import re
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -118,15 +120,24 @@ def test_online_matches_reversion(curve):
     assert extract_numbers(online).rows == extract_numbers(by_rev).rows
 
 
-@pytest.mark.parametrize(
-    "curve",
-    [CurveSpec.cyclotomic(2, 3), CurveSpec.cyclotomic(2, 7), CurveSpec.minus_x(3)],
-    ids=str,
-)
-def test_online_hyperelliptic_chain_matches_reversion_deep(curve):
-    # The a = 2 curves acceptance criterion 3 leaves out, through 12
-    # v-slots (test_online_matches_reversion stops at 4): tau from the one
-    # chain S = tau**(w-1) must match reversion slot by slot, in x and y.
+# One curve per branch of the online loop: i = j = 1; X**i by a Miller
+# step (i = 3) on both families; i = 3 with Y**j a square (j = 2); X**i a
+# square (i = 2) with Y**j a Miller step (j = 3); and i = 1 with j = 2.
+DEEP_CURVES = [
+    CurveSpec.cyclotomic(2, 3),
+    CurveSpec.cyclotomic(2, 7),
+    CurveSpec.minus_x(3),
+    CurveSpec.cyclotomic(3, 5),
+    CurveSpec.cyclotomic(4, 3),
+    CurveSpec.cyclotomic(5, 3),
+]
+
+
+@pytest.mark.parametrize("curve", DEEP_CURVES, ids=str)
+def test_online_matches_reversion_deep(curve):
+    # Through 12 v-slots (test_online_matches_reversion stops at 4): the
+    # X_m solve on the rescaled grid must match reversion slot by slot, in
+    # x and y.
     order = 12 * curve.weight + 2
     online = expand_online(curve, order)
     by_rev = expand_by_reversion(curve, order)
@@ -230,24 +241,22 @@ def _miller_weight_off(f, p, alpha):
     return F(total, lead * f.nums[0] * p.den)
 
 
-def _square_cross_terms_undoubled(f):
-    sq = []
-    for m in range(len(f)):
-        h = (m + 1) // 2
-        s = sum(f[k] * f[m - k] for k in range(h))  # the factor 2 is missing
-        sq.append(s + f[h] * f[h] if m % 2 == 0 else s)
-    return sq
+def _cross_pairs_undoubled(f, m):
+    h, nums = (m + 1) // 2, f.nums
+    total = sum(map(mul, nums[1:h], reversed(nums[m - h + 1 : m])))  # no 2 *
+    if m % 2 == 0:
+        total += nums[h] * nums[h]
+    return F(total, f.den * f.den)
 
 
-def _tau_hyperelliptic_step_off(w, n):
-    tau, s = generator._Coeffs([F(1)]), generator._Coeffs([F(1)])
-    s_last = F(1)
-    for m in range(1, n + 1):
-        if m > 1:
-            s_last = generator._miller(tau, s, F(w - 1))
-            s.append(s_last)
-        tau.append(-s_last / (2 * m * (2 + w * m)))  # 1 + w*m is off by one
-    return tau
+def _solve_divisor_off():
+    """expand_online with X_m divided by i*(w*m + 2), not i*(w*m + 1)."""
+    source = inspect.getsource(generator.expand_online)
+    solve = "x_m = -rho / (i * (w * m + 1))"
+    assert source.count(solve) == 1
+    namespace = dict(vars(generator))
+    exec(source.replace(solve, solve.replace("+ 1", "+ 2")), namespace)
+    return namespace["expand_online"]
 
 
 def _append_one_unscaled(self, c):
@@ -262,31 +271,31 @@ def _append_one_unscaled(self, c):
     self.nums.append(c.numerator * (self.den // d))
 
 
-HYPERELLIPTIC_KERNEL_CURVES = [c for c in KERNEL_CURVES if c.a == 2]
+# cyclo(3,4) has i = j = 1 and a = 3: it forms no square.
+SQUARING_KERNEL_CURVES = [c for c in KERNEL_CURVES if c != CurveSpec.cyclotomic(3, 4)]
 
 
 @pytest.mark.parametrize(
     "target, mutant, must_catch",
     [
         ("_miller", _miller_weight_off, []),
-        ("_square", _square_cross_terms_undoubled, []),
-        ("_tau_hyperelliptic", _tau_hyperelliptic_step_off, HYPERELLIPTIC_KERNEL_CURVES),
+        ("_cross", _cross_pairs_undoubled, SQUARING_KERNEL_CURVES),
+        ("expand_online", _solve_divisor_off(), KERNEL_CURVES),
         ("_Coeffs.append", _append_one_unscaled, []),
     ],
-    ids=["_miller", "_square", "_tau_hyperelliptic", "_Coeffs.append"],
+    ids=["_miller", "_cross", "solve", "_Coeffs.append"],
 )
 def test_certify_catches_kernel_mutants(target, mutant, must_catch, monkeypatch):
-    # The online route runs on _miller, _square, _tau_hyperelliptic and
-    # _Coeffs; certify shares none of them, so a fault in that kernel
-    # cannot hide from it.  A curve with i != 2 never calls _square, and
-    # one with a != 2 never calls _tau_hyperelliptic, so there the mutant
-    # must leave the expansion as it was.
+    # The online route runs on _miller, _cross, _Coeffs and the X_m solve
+    # in expand_online; certify shares none of them, so a fault in that
+    # kernel cannot hide from it.  A curve that never calls the mutant
+    # (cyclo(3,4) forms no square) must get the expansion it got before.
     clean = {curve: expand_online(curve, 102) for curve in KERNEL_CURVES}
     owner, _, name = target.rpartition(".")
     monkeypatch.setattr(getattr(generator, owner) if owner else generator, name, mutant)
     caught = []
     for curve in KERNEL_CURVES:
-        expansion = expand_online(curve, 102)
+        expansion = generator.expand_online(curve, 102)
         try:
             certify(expansion)
         except ExpansionError as exc:
