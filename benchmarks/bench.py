@@ -1,9 +1,9 @@
-"""Time the layers compute and verify run, and the reversion oracle.
+"""Time the layers compute and verify run.
 
-  pipeline  expand_online vs expand_by_reversion end to end on any
-            curve.  The online row also gives the bits of the shared
-            denominators of X and Y on the grid rescaled by (w + 1)**k,
-            which the online loop and the certificate both run on.
+  pipeline  expand_online end to end on any curve.  The row also gives
+            the bits of the shared denominators of X and Y on the grid
+            rescaled by (w + 1)**k, which the online loop and the
+            certificate both run on.
   certify   the curve-equation and differential certificate on the
             online expansion, the one check every compute runs before
             it writes a table.  Its row also gives the number of v-grid
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from math import lcm
 
 from bhnum import certificate
 from bhnum.certificate import certify
@@ -39,12 +40,7 @@ from bhnum.congruence import (
     vsc_decompose,
 )
 from bhnum.curves import CurveSpec, parse_curve
-from bhnum.generator import (
-    BHTable,
-    expand_by_reversion,
-    expand_online,
-    extract_numbers,
-)
+from bhnum.generator import BHTable, expand_online, extract_numbers
 
 
 def best_of(repeat: int, fn) -> float:
@@ -58,10 +54,11 @@ def best_of(repeat: int, fn) -> float:
 
 def denominator_bits(expansion) -> str:
     """Bits of the shared denominators of X and Y on the rescaled v-grid."""
-    c = expansion.curve
-    x, y = expansion.x_series, expansion.y_series
-    n = min(x.trunc_order + c.a, y.trunc_order + c.b) // c.weight
-    bits = [certificate._grid(s, c.weight, n)[1].bit_length() for s in (x, y)]
+    scale = expansion.curve.weight + 1
+    bits = [
+        lcm(*((q * scale**k).denominator for k, q in enumerate(grid))).bit_length()
+        for grid in (expansion.x, expansion.y)
+    ]
     return "X, Y denominators {} and {} bits".format(*bits)
 
 
@@ -93,14 +90,10 @@ def main() -> None:
     args = ap.parse_args()
 
     curve = parse_curve(args.curve)
-    routes = [("online", expand_online), ("reversion", expand_by_reversion)]
     at = f"{curve}@{args.order}"
     online = expand_online(curve, args.order)
-    rows = []
-    for name, expand in routes:
-        seconds = best_of(args.repeat, lambda: expand(curve, args.order))
-        note = denominator_bits(online) if name == "online" else ""
-        rows.append((f"pipeline/{name:<9s} {at}", seconds, note))
+    seconds = best_of(args.repeat, lambda: expand_online(curve, args.order))
+    rows = [(f"pipeline/online    {at}", seconds, denominator_bits(online))]
     table = extract_numbers(online)
     text = table.dumps()
     for name, fn, note in (

@@ -15,10 +15,7 @@ from .curves import (
     CurveError,
     CurveSpec,
     canonical_exponents,
-    differential_pullback,
     parse_curve,
-    u_series,
-    xy_of_t,
 )
 from .generator import (
     BHTable,
@@ -27,14 +24,12 @@ from .generator import (
     ExpansionError,
     bernoulli,
     certify,
-    expand_by_reversion,
     expand_checked,
     expand_online,
     extract_numbers,
     hurwitz,
 )
 from .numtheory import (
-    NegativeValuationError,
     NonInvertibleError,
     PrimeResidueClass,
     binomial,
@@ -43,13 +38,6 @@ from .numtheory import (
     padic_valuation,
     primes_below,
     primes_in_class,
-    rational_residue,
-)
-from .series import (
-    SeriesError,
-    TruncSeries,
-    binomial_series,
-    revert,
 )
 
 __version__ = "0.1.0"

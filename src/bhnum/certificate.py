@@ -5,9 +5,9 @@ differential du.  Both series live on one residue class mod the weight w:
 
     x = u**-a * X(v),   y = u**-b * Y(v),   v = u**w,
 
-so the check runs on the v-grid, on X_k = [u**(w*k - a)] x and
-Y_k = [u**(w*k - b)] y, and never touches the w - 1 zero slots between
-them.  Slot k is scaled by (w + 1)**k: X_1 = j / (w + 1) on every curve,
+so the check runs on the v-grids Expansion holds, X_k = [u**(w*k - a)] x
+and Y_k = [u**(w*k - b)] y; the w - 1 zero slots between them are not
+stored.  Slot k is scaled by (w + 1)**k: X_1 = j / (w + 1) on every curve,
 and the factor, mostly kept in the denominators of X_k and Y_k, then
 drops out of them.  Each identity is homogeneous slot by slot, so only
 the curve's v becomes (w + 1) * v.  Each v-series is a list of integer
@@ -38,10 +38,9 @@ class ExpansionError(ValueError):
     """An expansion violated a structural invariant."""
 
 
-def _grid(series, w: int, n: int) -> tuple[list[int], int]:
-    """Slots 0, w, ..., w*n of series past its base exponent, slot k scaled
-    by (w + 1)**k, as numerators over their lcm denominator."""
-    coeffs = series.coefficients[: w * n + 1 : w]
+def _grid(coeffs, w: int) -> tuple[list[int], int]:
+    """coeffs with slot k scaled by (w + 1)**k, as numerators over their
+    lcm denominator."""
     den = lcm(*(c.denominator for c in coeffs))
     nums = (c.numerator * (den // c.denominator) for c in coeffs)
     return _reduced([v * (w + 1) ** k for k, v in enumerate(nums)], den)
@@ -137,7 +136,7 @@ def certify(expansion: Expansion) -> int:
         a * (Y**j)_k + sigma**j * (w*k - a*i) / i * (X**i)_k
 
     at u**(w*k - a*i - 1).  The slots between lie off the support pattern,
-    which Expansion guarantees to be empty.  On the rescaled grid v reads
+    and the grids have no place to hold them.  On the rescaled grid v reads
     (w + 1) * v and slot k comes out (w + 1)**k times its value; a failure
     reports the value itself.
 
@@ -158,10 +157,8 @@ def certify(expansion: Expansion) -> int:
     c = expansion.curve
     a, b, w = c.a, c.b, c.weight
     i, j = c.exponent_pair
-    x, y = expansion.x_series, expansion.y_series
-    span = min(x.trunc_order + a, y.trunc_order + b)
-    n = span // w
-    big_x, big_y = _grid(x, w, n), _grid(y, w, n)
+    n = len(expansion.x) - 1
+    big_x, big_y = _grid(expansion.x, w), _grid(expansion.y, w)
     x_b, x_i = _powers(big_x, n, b, i)
     y_a, y_j = _powers(big_y, n, a, j)
     # the curve equation's + 1 (cyclo) or + x (minusx), on the v-grid
@@ -186,4 +183,4 @@ def certify(expansion: Expansion) -> int:
                 f"{r.numerator.bit_length()}-bit numerator, "
                 f"{r.denominator.bit_length()}-bit denominator)"
             )
-    return span - max(a * b, a * i + 1)
+    return w * (n + 1) - 1 - max(a * b, a * i + 1)

@@ -24,20 +24,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .numtheory import mod_inverse
-from .series import TruncSeries, binomial_series
 
 __all__ = [
     "CurveError",
     "CurveSpec",
     "canonical_exponents",
-    "differential_pullback",
     "parse_curve",
-    "u_series",
-    "xy_of_t",
 ]
 
 
@@ -155,44 +150,3 @@ def parse_curve(text: str) -> CurveSpec:
             raise CurveError(f"minusx descriptor needs g=, got {text!r}")
         return CurveSpec.minus_x(fields["g"])
     raise CurveError(f"unknown curve family in {text!r}")
-
-
-def xy_of_t(curve: CurveSpec, order: int) -> tuple[TruncSeries, TruncSeries]:
-    """(x(t), y(t)) at infinity, each exact through t**order."""
-    x = TruncSeries.monomial(-curve.a, 1, order)
-    y = (
-        binomial_series(curve.weight, Fraction(1, curve.a), order + curve.b)
-        .shift(-curve.b)
-        .scale(curve.y_leading_sign)
-    )
-    return x, y
-
-
-def differential_pullback(curve: CurveSpec, order: int) -> TruncSeries:
-    """The distinguished differential written in t, as a series in t.
-
-    Computed honestly from the x(t), y(t) expansions as
-    x**(i-1) * dx/dt / (a * y**j); no closed form is assumed.  The result
-    has valuation 0 and leading coefficient sigma = -y_leading_sign**j
-    (+1 on even-a curves with odd j); u_series() integrates the
-    sigma-normalized version.
-    """
-    i, j = curve.exponent_pair
-    slack = 2 * (curve.a + curve.b * j) + 2
-    x, y = xy_of_t(curve, order + slack)
-    numer = x.power(i - 1) * x.derive()
-    pulled = numer * y.power(j).invert() * Fraction(1, curve.a)
-    return pulled.truncate(order)
-
-
-def u_series(curve: CurveSpec, order: int) -> TruncSeries:
-    """The normalized integral u(t) = t + higher, exact through t**order.
-
-    u is the integral of (1 - t**w)**(-j/a) dt, the sign-normalized
-    pullback of the distinguished differential.
-    """
-    if order < 1:
-        raise CurveError("u series needs order at least 1")
-    _, j = curve.exponent_pair
-    integrand = binomial_series(curve.weight, Fraction(-j, curve.a), order - 1)
-    return integrand.integrate()

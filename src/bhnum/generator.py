@@ -1,10 +1,9 @@
 """Laurent expansions of x(u), y(u) and the number tables read off them.
 
-x(u) and y(u) are the functional inverses attached to a curve: u(t) is the
-normalized Abelian integral from curves.u_series, t(u) its compositional
-inverse, and x, y are the local expansions x = t**-a, y = sigma * t**-b *
-(1 - t**w)**(1/a) pushed through t(u).  Their Laurent coefficients carry
-the generalized Bernoulli-Hurwitz numbers:
+x and y are the coordinates of the curve near its point at infinity,
+written in u, the normalized integral of the distinguished differential
+(see bhnum.curves).  Their Laurent coefficients carry the generalized
+Bernoulli-Hurwitz numbers:
 
     C_N = N * (N - a)! * [u**(N - a)] x(u)
     D_N = N * (N - b)! * [u**(N - b)] y(u)
@@ -13,25 +12,21 @@ for N a positive multiple of the weight w.  The (N - a)! here is the
 factorial matching the actual Laurent slot of weight N; see
 extract_numbers.
 
-Two expansion routes are provided.  expand_online is the production
-route: it solves the curve equation and the normalization of du for
-X(v) = u**a * x(u), v = u**w, one slot at a time, on a grid rescaled by
-(w + 1)**k (see its docstring), with no t(u), inversion or composition.
-Its kernel is J.C.P. Miller's power recurrence (_miller) and a half-sum
-square (_cross) on integer numerators over one shared denominator
-(_Coeffs).  expand_by_reversion runs the definition above, inverting u(t)
-and composing; it is a test oracle.
+x lives on exponents congruent to -a mod w and y on -b mod w: with
+v = u**w, x = u**-a * X(v) and y = u**-b * Y(v).  An Expansion holds X
+and Y as their v-grids, so that support pattern is its representation.
+expand_online solves the curve equation and the normalization of du for
+X one v-slot at a time, on a grid rescaled by (w + 1)**k (see its
+docstring).  Its kernel is J.C.P. Miller's power recurrence (_miller)
+and a half-sum square (_cross) on integer numerators over one shared
+denominator (_Coeffs).
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du
-(bhnum.certificate, re-exported here).  The certificate reads X and Y off
-x and y on the v-grid and checks both identities slot by slot on integer
-numerators; it shares no code with the online kernel (_miller, _cross,
-_Coeffs and the X_m solve), and it pins every coefficient.
-
-Coefficient support is sparse: x lives on exponents congruent to -a mod w
-and y on -b mod w.  That symmetry is asserted on every expansion, never
-assumed by the arithmetic.
+(bhnum.certificate, re-exported here).  The certificate checks both
+identities slot by slot on integer numerators; it shares no code with the
+online kernel (_miller, _cross, _Coeffs and the X_m solve), and it pins
+every coefficient.
 """
 
 from __future__ import annotations
@@ -50,8 +45,7 @@ from operator import mul
 from pathlib import Path
 
 from .certificate import ExpansionError, certify
-from .curves import CurveSpec, parse_curve, u_series
-from .series import TruncSeries, binomial_series, revert
+from .curves import CurveSpec, parse_curve
 
 __all__ = [
     "BHTable",
@@ -60,7 +54,6 @@ __all__ = [
     "ExpansionError",
     "bernoulli",
     "certify",
-    "expand_by_reversion",
     "expand_checked",
     "expand_online",
     "extract_numbers",
@@ -79,54 +72,42 @@ class CacheError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Expansion:
-    """x(u), y(u) for a curve, each exact at least through u**order.
+    """x(u), y(u) for a curve as their v-grids, exact at least through u**order.
 
-    Construction re-checks the leading terms and the support pattern, so a
-    tampered or buggy expansion cannot flow further.
+    With v = u**w, x = u**-a * X(v) and y = u**-b * Y(v): x[k] = X_k, the
+    coefficient of u**(w*k - a) in x, and y[k] = Y_k, that of u**(w*k - b)
+    in y (sigma included), for k = 0..n.  Knowing both through v**n makes
+    x exact through u**(w*(n + 1) - 1 - a) and y through
+    u**(w*(n + 1) - 1 - b).  Construction re-checks the leading terms and
+    that window, so a tampered or buggy expansion cannot flow further.
     """
 
     curve: CurveSpec
-    x_series: TruncSeries
-    y_series: TruncSeries
+    x: tuple[Fraction, ...]
+    y: tuple[Fraction, ...]
     method: str
     order: int
 
     def __post_init__(self) -> None:
         c = self.curve
-        w = c.weight
-        for name, s, pole, lead in (
-            ("x", self.x_series, c.a, Fraction(1)),
-            ("y", self.y_series, c.b, Fraction(c.y_leading_sign)),
+        a, b, w = c.a, c.b, c.weight
+        for name, grid, pole, lead in (
+            ("x", self.x, a, _ONE), ("y", self.y, b, c.y_leading_sign)
         ):
-            if s.trunc_order < self.order:
-                raise ExpansionError(
-                    f"{name} series is only exact through u^{s.trunc_order}, "
-                    f"claimed order {self.order}"
-                )
-            if s.base_exponent != -pole or s.coeff(-pole) != lead:
-                raise ExpansionError(
-                    f"{name} series must start with {lead} * u^{-pole}"
-                )
-            for e, _ in s.terms():
-                if (e + pole) % w != 0:
-                    raise ExpansionError(
-                        f"{name} series has a term at u^{e}, breaking the "
-                        f"support pattern {-pole} mod {w}"
-                    )
-
-
-def expand_by_reversion(curve: CurveSpec, order: int) -> Expansion:
-    """Expand x(u), y(u) by inverting the Abelian integral directly."""
-    if order < 1:
-        raise ExpansionError("expansion order must be at least 1")
-    a, b, w = curve.a, curve.b, curve.weight
-    depth = order + max(a, b) + 1
-    t_of_u = revert(u_series(curve, depth))
-    t_inv = t_of_u.invert()
-    x = t_inv.power(a).truncate(order)
-    unit = binomial_series(w, Fraction(1, a), order + b).compose(t_of_u)
-    y = (t_inv.power(b) * unit).scale(curve.y_leading_sign).truncate(order)
-    return Expansion(curve, x, y, "reversion", order)
+            if not grid or grid[0] != lead:
+                raise ExpansionError(f"{name} must start with {lead} * u^{-pole}")
+        n, m = len(self.x) - 1, len(self.y) - 1
+        if n != m:
+            raise ExpansionError(
+                f"x grid ends at u^{w * n - a} (slot {n}) but y grid at "
+                f"u^{w * m - b} (slot {m})"
+            )
+        top = w * (n + 1) - 1 - max(a, b)
+        if self.order > top:
+            raise ExpansionError(
+                f"grids through slot {n} are exact only through u^{top}, "
+                f"claimed order {self.order}"
+            )
 
 
 class _Coeffs:
@@ -229,8 +210,7 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     denominator on cyclo(3,4) through v**84; the scaling is undone once,
     as the coefficients are read out.  With X and Y known through v**n, x
     is exact through u**(-a + w*(n+1) - 1) and y through
-    u**(-b + w*(n+1) - 1); n is the least that covers order, and the
-    series keep that whole window.
+    u**(-b + w*(n+1) - 1); n is the least that covers order.
     """
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
@@ -257,14 +237,12 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
         y.append(y_m)
         if j > 1:
             y_j.append(yj_m + j * y_m)
-    sigma, top = curve.y_leading_sign, w * (n + 1) - 1
-    xs, ys, scale = {}, {}, 1
-    for k, (xk, yk) in enumerate(zip(x.nums, y.nums)):
-        xs[w * k - a] = Fraction(xk, x.den * scale)
-        ys[w * k - b] = Fraction(sigma * yk, y.den * scale)
+    sigma, xs, ys, scale = curve.y_leading_sign, [], [], 1
+    for xk, yk in zip(x.nums, y.nums):
+        xs.append(Fraction(xk, x.den * scale))
+        ys.append(Fraction(sigma * yk, y.den * scale))
         scale *= w + 1
-    x_s, y_s = TruncSeries.from_terms(xs, top - a), TruncSeries.from_terms(ys, top - b)
-    return Expansion(curve, x_s, y_s, "online", order)
+    return Expansion(curve, tuple(xs), tuple(ys), "online", order)
 
 
 def expand_checked(curve: CurveSpec, order: int) -> Expansion:
@@ -498,20 +476,21 @@ class BHTable:
 def extract_numbers(expansion: Expansion) -> BHTable:
     """Read the number table off an expansion.
 
-    The weight-N numbers sit in the Laurent slots u**(N-a) of x and
-    u**(N-b) of y; the normalization multiplies the slot coefficient by
-    N * (N - a)! resp. N * (N - b)!, the factorial belonging to the slot
-    that actually carries the coefficient.  Rows run over multiples of w
-    up to order - 2, keeping a safety margin inside the exactness window.
+    The weight-N numbers sit in grid slot k = N / w, which holds the
+    coefficients of u**(N-a) in x and u**(N-b) in y; the normalization
+    multiplies them by N * (N - a)! resp. N * (N - b)!, the factorial
+    belonging to the Laurent slot that actually carries the coefficient.
+    Rows run over multiples of w up to order - 2, keeping a safety margin
+    inside the exactness window.
     """
     c = expansion.curve
     a, b, w = c.a, c.b, c.weight
-    x, y = expansion.x_series, expansion.y_series
+    x, y = expansion.x, expansion.y
     rows: dict[int, tuple[Fraction, Fraction]] = {}
     # (N - a)! and (N - b)!, carried from one row to the next
     fact_a, fact_b = factorial(w - a), factorial(w - b)
-    for n in range(w, expansion.order - 1, w):
-        rows[n] = (n * fact_a * x.coeff(n - a), n * fact_b * y.coeff(n - b))
+    for k, n in enumerate(range(w, expansion.order - 1, w), 1):
+        rows[n] = (n * fact_a * x[k], n * fact_b * y[k])
         fact_a *= prod(range(n - a + 1, n + w - a + 1))
         fact_b *= prod(range(n - b + 1, n + w - b + 1))
     return BHTable(c, expansion.order, expansion.method, rows)

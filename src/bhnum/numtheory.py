@@ -13,7 +13,6 @@ from math import comb, inf, isqrt
 
 __all__ = [
     "NonInvertibleError",
-    "NegativeValuationError",
     "PrimeResidueClass",
     "binomial",
     "is_prime",
@@ -21,16 +20,11 @@ __all__ = [
     "padic_valuation",
     "primes_below",
     "primes_in_class",
-    "rational_residue",
 ]
 
 
 class NonInvertibleError(ValueError):
     """x shares a factor with the modulus, so no inverse exists."""
-
-
-class NegativeValuationError(ValueError):
-    """The rational has p in its denominator, so it has no residue mod p**k."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -150,19 +144,3 @@ def padic_valuation(q: Fraction | int, p: int) -> int | float:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _valuation(Fraction(q), p)
-
-
-def rational_residue(q: Fraction | int, p: int, k: int = 1) -> int:
-    """The residue of a p-integral rational modulo p**k, in [0, p**k).
-
-    The denominator is inverted mod p**k, so q may have any prime-to-p
-    denominator.  A rational with negative p-valuation has no residue and
-    raises NegativeValuationError.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    q = Fraction(q)
-    if padic_valuation(q, p) < 0:
-        raise NegativeValuationError(f"{q} has a factor {p} in its denominator")
-    pk = p**k
-    return q.numerator % pk * mod_inverse(q.denominator % pk, pk) % pk

@@ -6,13 +6,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bhnum import (
-    CurveSpec,
-    expand_by_reversion,
-    expand_online,
-    extract_numbers,
-)
+from bhnum import CurveSpec, expand_online, extract_numbers
 from ode_route import expand_by_ode
+from reversion_route import expand_by_reversion
 
 TOP_ORDER = 302
 

@@ -7,6 +7,7 @@ between an oracle and the library is evidence rather than tautology.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -38,6 +39,34 @@ def brute_mod_inverse(x: int, m: int) -> int | None:
         if x * y % m == 1:
             return y
     return None
+
+
+class NegativeValuationError(ValueError):
+    """The rational has p in its denominator, so it has no residue mod p**k."""
+
+
+def rational_residue(q: Fraction | int, p: int, k: int = 1) -> int:
+    """The residue of a p-integral rational modulo p**k, in [0, p**k), for
+    a prime p.
+
+    The denominator is inverted mod p**k, so q may have any prime-to-p
+    denominator.  A rational with negative p-valuation has no residue and
+    raises NegativeValuationError.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    q = Fraction(q)
+    if q.denominator % p == 0:
+        raise NegativeValuationError(f"{q} has a factor {p} in its denominator")
+    pk = p**k
+    return q.numerator % pk * pow(q.denominator, -1, pk) % pk
+
+
+def bump(expansion, name: str, k: int, by):
+    """expansion with `by` added to slot k of its x (or y) grid."""
+    grid = list(getattr(expansion, name))
+    grid[k] += by
+    return replace(expansion, **{name: tuple(grid)})
 
 
 # -- dict-based series arithmetic (exponent -> Fraction, zero terms absent) --
@@ -154,35 +183,3 @@ def hyperelliptic_residual(x, family: str, g: int):
     if r.trunc_order < 0:
         return r
     return r + 4
-
-
-def truncseries_certificate(expansion):
-    """The curve-equation and differential certificate on dense TruncSeries.
-
-    This is the certificate as it ran before it moved to the v-grid, on
-    series that store every slot, the zeros off the support pattern
-    included, with each power from TruncSeries.power.  It works only
-    through the methods of the series it is given.  Returns ("window", last
-    checked exponent) when both identities vanish, and otherwise (identity,
-    exponent of the first nonzero slot, numerator bits, denominator bits)
-    of the first identity that fails.
-    """
-    c = expansion.curve
-    x, y = expansion.x_series, expansion.y_series
-    i, j = c.exponent_pair
-    on_curve = y.power(c.a) - x.power(c.b)
-    if c.family == "minusx":
-        on_curve = on_curve + x
-    elif on_curve.trunc_order >= 0:  # else the +1 sits above the window
-        on_curve = on_curve + 1
-    dx = x.power(i).derive().scale(Fraction(c.y_leading_sign**j, i))
-    normalized = y.power(j).scale(c.a) + dx
-    for name, residual in (
-        ("curve equation", on_curve),
-        ("differential identity", normalized),
-    ):
-        if not residual.is_zero():
-            e = residual.base_exponent
-            r = residual.coeff(e)
-            return name, e, r.numerator.bit_length(), r.denominator.bit_length()
-    return "window", min(on_curve.trunc_order, normalized.trunc_order)

@@ -1,10 +1,11 @@
 """The ODE route: a second expansion of x(u), y(u) for hyperelliptic curves.
 
-The test suite compares it with the online and reversion routes of
-bhnum.generator (acceptance criterion 3, test_methods_agree).  It never
-builds t(u): it solves the first-order equation the curve forces on x(u)
-directly, on the online route's shared-denominator kernel plus a
-convolution of its own (_conv), which compute no longer runs.
+The test suite compares it with the online route of bhnum.generator and
+the reversion route of tests/reversion_route.py (acceptance criterion 3,
+test_methods_agree).  It never builds t(u): it solves the first-order
+equation the curve forces on x(u) directly, on the online route's
+shared-denominator kernel plus a convolution of its own (_conv), which
+compute no longer runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from bhnum.generator import (
     _power,
     certify,
 )
-from bhnum.series import TruncSeries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -83,11 +83,7 @@ def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
         d2.append(d2_m - 4 * delta_m)
         c_last = alpha_m if curve.family == "minusx" else _ZERO
     lift = _power(alpha, Fraction(g - 1))
-    top = w * (n + 1) - 1
-    x = TruncSeries.from_terms({w * k - 2: q for k, q in enumerate(alpha)}, top - 2)
-    y = TruncSeries.from_terms(
-        {w * m - b: _conv(lift, delta, m) / 2 for m in range(n + 1)}, top - b
-    )
-    expansion = Expansion(curve, x, y, "ode", order)
+    y = tuple(_conv(lift, delta, m) / 2 for m in range(n + 1))
+    expansion = Expansion(curve, tuple(alpha), y, "ode", order)
     certify(expansion)
     return expansion

@@ -1,4 +1,14 @@
-"""Truncated Laurent series over exact rationals.
+"""The reversion route: x(u), y(u) by inverting the Abelian integral.
+
+The test suite's oracle for the online route of bhnum.generator
+(acceptance criterion 3 and test_online_matches_reversion).  It runs the
+definition: u(t) is the normalized integral of the distinguished
+differential, t(u) its compositional inverse, and x = t**-a, y = sigma *
+t**-b * (1 - t**w)**(1/a) are pushed through t(u), on dense truncated
+Laurent series that store every slot, the zeros off the support pattern
+included.  from_dense turns such series into an Expansion's v-grids and
+checks that every off-pattern slot is 0; truncseries_certificate, the
+oracle of bhnum.certificate, checks an expansion on such series.
 
 A series is stored as (base_exponent, coefficients, trunc_order): the
 coefficient of t**(base_exponent + i) sits at index i, and the series is
@@ -21,8 +31,7 @@ Coefficients are fractions.Fraction throughout.  Floats are rejected.
 Products run on an integer-normalized kernel: it clears denominators once
 per operand, convolves machine/big integers, and restores a single shared
 denominator, so each output coefficient costs one gcd.  Reversion (see
-revert) is Newton doubling; it backs the reversion route, the test oracle
-of the expansion engine.
+revert) is Newton doubling (Brent and Kung, J. ACM 25, 1978).
 """
 
 from __future__ import annotations
@@ -31,12 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-__all__ = [
-    "SeriesError",
-    "TruncSeries",
-    "binomial_series",
-    "revert",
-]
+from bhnum.curves import CurveError, CurveSpec
+from bhnum.generator import Expansion, ExpansionError
 
 
 class SeriesError(ValueError):
@@ -379,24 +384,6 @@ class TruncSeries:
             acc = acc + cur.scale(c)
         return acc
 
-    # -- display ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        parts = []
-        for e, c in self.terms()[:8]:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mag = f"t^{e}" if e != 1 else "t"
-                parts.append(mag if c == 1 else f"-{mag}" if c == -1 else f"{c}*{mag}")
-        if len(self.terms()) > 8:
-            parts.append("...")
-        parts.append(f"O(t^{self.trunc_order + 1})")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"TruncSeries({self})"
-
 
 # -- multiplication kernel -------------------------------------------------
 
@@ -485,3 +472,130 @@ def revert(s: TruncSeries) -> TruncSeries:
         err = s.truncate(m).compose(gh) - TruncSeries.monomial(1, 1, m)
         g = (gh - gh.derive()._mul(err, cap=m)).truncate(m)
     return g
+
+
+# -- the route -------------------------------------------------------------------
+
+
+def xy_of_t(curve: CurveSpec, order: int) -> tuple[TruncSeries, TruncSeries]:
+    """(x(t), y(t)) at infinity, each exact through t**order."""
+    x = TruncSeries.monomial(-curve.a, 1, order)
+    y = (
+        binomial_series(curve.weight, Fraction(1, curve.a), order + curve.b)
+        .shift(-curve.b)
+        .scale(curve.y_leading_sign)
+    )
+    return x, y
+
+
+def differential_pullback(curve: CurveSpec, order: int) -> TruncSeries:
+    """The distinguished differential written in t, as a series in t.
+
+    Computed honestly from the x(t), y(t) expansions as
+    x**(i-1) * dx/dt / (a * y**j); no closed form is assumed.  The result
+    has valuation 0 and leading coefficient sigma = -y_leading_sign**j
+    (+1 on even-a curves with odd j); u_series() integrates the
+    sigma-normalized version.
+    """
+    i, j = curve.exponent_pair
+    slack = 2 * (curve.a + curve.b * j) + 2
+    x, y = xy_of_t(curve, order + slack)
+    numer = x.power(i - 1) * x.derive()
+    pulled = numer * y.power(j).invert() * Fraction(1, curve.a)
+    return pulled.truncate(order)
+
+
+def u_series(curve: CurveSpec, order: int) -> TruncSeries:
+    """The normalized integral u(t) = t + higher, exact through t**order.
+
+    u is the integral of (1 - t**w)**(-j/a) dt, the sign-normalized
+    pullback of the distinguished differential.
+    """
+    if order < 1:
+        raise CurveError("u series needs order at least 1")
+    _, j = curve.exponent_pair
+    integrand = binomial_series(curve.weight, Fraction(-j, curve.a), order - 1)
+    return integrand.integrate()
+
+
+def from_dense(curve, x, y, method, order) -> Expansion:
+    """The Expansion of dense x(u), y(u), with the grids their windows cover.
+
+    Every term of x must sit on u**(w*k - a) and every term of y on
+    u**(w*k - b); one off that pattern raises ExpansionError naming its
+    exponent.
+    """
+    a, b, w = curve.a, curve.b, curve.weight
+    n = min((x.trunc_order + a + 1) // w, (y.trunc_order + b + 1) // w) - 1
+    grids = []
+    for name, s, pole in (("x", x, a), ("y", y, b)):
+        for e, _ in s.terms():
+            if (e + pole) % w:
+                raise ExpansionError(
+                    f"{name} series has a term at u^{e}, breaking the "
+                    f"support pattern {-pole} mod {w}"
+                )
+        grids.append(tuple(s.coeff(w * k - pole) for k in range(n + 1)))
+    return Expansion(curve, *grids, method, order)
+
+
+def as_series(expansion) -> tuple[TruncSeries, TruncSeries]:
+    """x(u), y(u) of an expansion as dense series over their windows."""
+    c, w = expansion.curve, expansion.curve.weight
+    top = w * len(expansion.x) - 1
+    return tuple(
+        TruncSeries.from_terms(
+            {w * k - pole: q for k, q in enumerate(grid)}, top - pole
+        )
+        for grid, pole in ((expansion.x, c.a), (expansion.y, c.b))
+    )
+
+
+def expand_by_reversion(curve: CurveSpec, order: int) -> Expansion:
+    """Expand x(u), y(u) by inverting the Abelian integral directly.
+
+    The expansion reaches the grid window expand_online covers for the
+    same order: x through u**(w*(n+1) - 1 - a), y through
+    u**(w*(n+1) - 1 - b).
+    """
+    if order < 1:
+        raise ExpansionError("expansion order must be at least 1")
+    a, b, w = curve.a, curve.b, curve.weight
+    top = w * -(-(order + 1 + max(a, b)) // w) - 1
+    t_of_u = revert(u_series(curve, top + 1))
+    t_inv = t_of_u.invert()
+    x = t_inv.power(a)
+    unit = binomial_series(w, Fraction(1, a), top).compose(t_of_u)
+    y = (t_inv.power(b) * unit).scale(curve.y_leading_sign)
+    return from_dense(curve, x, y, "reversion", order)
+
+
+def truncseries_certificate(expansion):
+    """The curve-equation and differential certificate on dense TruncSeries.
+
+    This is the certificate as it ran before it moved to the v-grid, on
+    series that store every slot, the zeros off the support pattern
+    included, with each power from TruncSeries.power.  Returns ("window",
+    last checked exponent) when both identities vanish, and otherwise
+    (identity, exponent of the first nonzero slot, numerator bits,
+    denominator bits) of the first identity that fails.
+    """
+    c = expansion.curve
+    x, y = as_series(expansion)
+    i, j = c.exponent_pair
+    on_curve = y.power(c.a) - x.power(c.b)
+    if c.family == "minusx":
+        on_curve = on_curve + x
+    elif on_curve.trunc_order >= 0:  # else the +1 sits above the window
+        on_curve = on_curve + 1
+    dx = x.power(i).derive().scale(Fraction(c.y_leading_sign**j, i))
+    normalized = y.power(j).scale(c.a) + dx
+    for name, residual in (
+        ("curve equation", on_curve),
+        ("differential identity", normalized),
+    ):
+        if not residual.is_zero():
+            e = residual.base_exponent
+            r = residual.coeff(e)
+            return name, e, r.numerator.bit_length(), r.denominator.bit_length()
+    return "window", min(on_curve.trunc_order, normalized.trunc_order)

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import bhnum
 from bhnum import congruence
 from bhnum.cli import main
 from bhnum.congruence import (
@@ -15,8 +18,8 @@ from bhnum.congruence import (
     vsc_decompose,
 )
 from bhnum.curves import CurveSpec
-from bhnum.generator import BHTable, Expansion, expand_online
-from bhnum.series import TruncSeries
+from bhnum.generator import BHTable, expand_online
+from helpers import bump
 
 MAIN_CURVE = "cyclo:a=2,b=5"
 
@@ -70,6 +73,25 @@ def test_compute_json_prints_the_cache_text_serialized_once(
     assert (rc, err) == (0, "")
     assert out.encode() == (cache_env / "cyclo_a2_b5.json").read_bytes()
     assert len(calls) == 1
+
+
+def test_compute_runs_without_the_dense_series_engine(tmp_path):
+    # compute works on v-grids alone; the dense series engine belongs to
+    # the tests' reversion oracle and must not come back into the package.
+    probe = (
+        "import json, sys, bhnum, bhnum.cli; rc = bhnum.cli.main(sys.argv[1:]); "
+        "print(json.dumps([rc, 'bhnum.series' in sys.modules, "
+        "hasattr(bhnum, 'TruncSeries')]))"
+    )
+    cache = tmp_path / "table.json"
+    argv = ["compute", "--curve", MAIN_CURVE, "--max-weight", "30", "--cache", str(cache)]
+    src = str(Path(bhnum.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, False, False]
+    assert cache.exists()
 
 
 def test_compute_rejects_misaligned_weight(cache_env, capsys):
@@ -344,25 +366,13 @@ def test_bad_arguments_exit_code(cache_env, capsys):
     assert run(capsys, "compute", "--curve", MAIN_CURVE)[0] == 2
 
 
-def _bump_top_x(good, by=1):
-    terms = dict(good.x_series.terms())
-    terms[max(terms)] += by
-    return Expansion(
-        good.curve,
-        TruncSeries.from_terms(terms, good.x_series.trunc_order),
-        good.y_series,
-        good.method,
-        good.order,
-    )
-
-
 def test_certificate_failure_exit_code(cache_env, capsys, monkeypatch):
     curve = CurveSpec.cyclotomic(3, 4)
     good = expand_online(curve, 14)
     limit = sys.get_int_max_str_digits()
     # The second bump leaves a residual too long for str() to format.
     for by in (1, Fraction(BIG + 1, 7)):
-        bad = _bump_top_x(good, by)
+        bad = bump(good, "x", len(good.x) - 1, by)
         monkeypatch.setattr("bhnum.generator.expand_online", lambda c, o: bad)
         rc, out, err = run(
             capsys, "compute", "--curve", str(curve), "--max-weight", "12"

@@ -22,7 +22,6 @@ from bhnum.curves import CurveSpec
 from bhnum.generator import (
     BHTable,
     bernoulli,
-    expand_by_reversion,
     extract_numbers,
 )
 from bhnum.numtheory import (
@@ -31,9 +30,9 @@ from bhnum.numtheory import (
     mod_inverse,
     padic_valuation,
     primes_in_class,
-    rational_residue,
 )
-from bhnum.series import binomial_series
+from helpers import rational_residue
+from reversion_route import binomial_series, expand_by_reversion
 
 F = Fraction
 

@@ -7,12 +7,14 @@ from bhnum.curves import (
     CurveError,
     CurveSpec,
     canonical_exponents,
-    differential_pullback,
     parse_curve,
+)
+from reversion_route import (
+    binomial_series,
+    differential_pullback,
     u_series,
     xy_of_t,
 )
-from bhnum.series import TruncSeries, binomial_series
 
 F = Fraction
 

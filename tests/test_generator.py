@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -13,20 +14,24 @@ from bhnum.curves import CurveSpec
 from bhnum.generator import (
     BHTable,
     CacheError,
-    Expansion,
     ExpansionError,
     bernoulli,
     certify,
-    expand_by_reversion,
     expand_checked,
     expand_online,
     extract_numbers,
     hurwitz,
 )
-from bhnum.series import TruncSeries, binomial_series
-from helpers import assert_dict_eq, oracle_bernoulli, oracle_x_of_u, series_dict
+from helpers import assert_dict_eq, bump, oracle_bernoulli, oracle_x_of_u, series_dict
 import ode_route
 from ode_route import expand_by_ode
+from reversion_route import (
+    TruncSeries,
+    as_series,
+    binomial_series,
+    expand_by_reversion,
+    from_dense,
+)
 
 F = Fraction
 
@@ -35,9 +40,9 @@ MAIN = CurveSpec.cyclotomic(2, 5)
 
 def test_main_curve_leading_window():
     exp = expand_by_reversion(MAIN, 8)
-    assert series_dict(exp.x_series) == {-2: F(1), 8: F(1, 11)}
+    assert series_dict(as_series(exp)[0]) == {-2: F(1), 8: F(1, 11)}
     exp = expand_by_reversion(MAIN, 5)
-    assert series_dict(exp.y_series) == {-5: F(-1), 5: F(3, 11)}
+    assert series_dict(as_series(exp)[1]) == {-5: F(-1), 5: F(3, 11)}
 
 
 @pytest.mark.parametrize(
@@ -88,8 +93,8 @@ def test_methods_agree(curve):
     order = 4 * curve.weight + 2
     by_rev = expand_by_reversion(curve, order)
     by_ode = expand_by_ode(curve, order)
-    assert by_rev.x_series.agrees_through(by_ode.x_series, order)
-    assert by_rev.y_series.agrees_through(by_ode.y_series, order)
+    assert by_rev.x == by_ode.x
+    assert by_rev.y == by_ode.y
     assert extract_numbers(by_rev).rows == extract_numbers(by_ode).rows
 
 
@@ -115,8 +120,8 @@ def test_online_matches_reversion(curve):
     online = expand_online(curve, order)
     by_rev = expand_by_reversion(curve, order)
     assert online.method == "online"
-    assert online.x_series.truncate(order) == by_rev.x_series
-    assert online.y_series.truncate(order) == by_rev.y_series
+    assert online.x == by_rev.x
+    assert online.y == by_rev.y
     assert extract_numbers(online).rows == extract_numbers(by_rev).rows
 
 
@@ -141,8 +146,8 @@ def test_online_matches_reversion_deep(curve):
     order = 12 * curve.weight + 2
     online = expand_online(curve, order)
     by_rev = expand_by_reversion(curve, order)
-    assert online.x_series.truncate(order) == by_rev.x_series
-    assert online.y_series.truncate(order) == by_rev.y_series
+    assert online.x == by_rev.x
+    assert online.y == by_rev.y
 
 
 @pytest.mark.parametrize(
@@ -151,17 +156,16 @@ def test_online_matches_reversion_deep(curve):
     ids=str,
 )
 def test_online_window_is_honest(curve):
-    # The online series keep their whole window, which is never shorter
-    # than asked and is exact to its last slot.
-    order = 2 * curve.weight + 1
+    # The online grids cover a window never shorter than asked, and are
+    # exact to their last slot.
+    a, b, w = curve.a, curve.b, curve.weight
+    order = 2 * w + 1
     online = expand_online(curve, order)
-    for s in (online.x_series, online.y_series):
-        assert order <= s.trunc_order < order + curve.weight + max(curve.a, curve.b)
-    wide = expand_by_reversion(
-        curve, max(online.x_series.trunc_order, online.y_series.trunc_order)
-    )
-    assert online.x_series.agrees_through(wide.x_series, online.x_series.trunc_order)
-    assert online.y_series.agrees_through(wide.y_series, online.y_series.trunc_order)
+    n = len(online.x) - 1
+    assert order <= w * (n + 1) - 1 - max(a, b) < order + w
+    wide = expand_by_reversion(curve, order + w)
+    assert online.x == wide.x[: n + 1]
+    assert online.y == wide.y[: n + 1]
 
 
 @pytest.mark.parametrize(
@@ -181,12 +185,9 @@ def test_certificate_rejects_pattern_preserving_tamper(name):
     # only the certificate can tell.
     for curve in (MAIN, CurveSpec.cyclotomic(3, 4), CurveSpec.minus_x(2)):
         good = expand_online(curve, 102)
-        target = good.x_series if name == "x" else good.y_series
-        lead = target.base_exponent
-        for e in range(lead + curve.weight, target.trunc_order + 1, curve.weight):
-            tampered = _pattern_preserving_tamper(good, name, e, F(1, 7))
+        for k in range(1, len(good.x)):
             with pytest.raises(ExpansionError, match=r"at u\^"):
-                certify(tampered)
+                certify(bump(good, name, k, F(1, 7)))
 
 
 @pytest.mark.parametrize(
@@ -204,14 +205,14 @@ def test_certificate_rejects_consistent_x_tamper(curve):
     i, j = curve.exponent_pair
     assert j == 1
     good = expand_online(curve, 102)
-    lead = good.x_series.base_exponent
-    for e in range(lead + w, good.x_series.trunc_order + 1, w):
-        x = _pattern_preserving_tamper(good, "x", e, F(1, 7)).x_series
+    for k in range(1, len(good.x)):
+        e = w * k - a
+        x = as_series(bump(good, "x", k, F(1, 7)))[0]
         dx = x.derive()
         if i > 1:
             dx = x.power(i - 1) * dx
         y = dx.scale(F(-curve.y_leading_sign, a))
-        tampered = Expansion(curve, x, y, good.method, good.order)
+        tampered = from_dense(curve, x, y, good.method, good.order)
         with pytest.raises(
             ExpansionError, match=rf"curve equation at u\^{e + a - a * b} "
         ):
@@ -313,10 +314,10 @@ def test_certify_catches_kernel_mutants(target, mutant, must_catch, monkeypatch)
     ids=str,
 )
 def test_expansion_satisfies_curve_equation(curve):
-    exp = expand_by_reversion(curve, 3 * curve.weight)
-    lhs = exp.y_series.power(curve.a)
-    rhs = exp.x_series.power(curve.b)
-    rhs = rhs - exp.x_series if curve.family == "minusx" else rhs - 1
+    x, y = as_series(expand_by_reversion(curve, 3 * curve.weight))
+    lhs = y.power(curve.a)
+    rhs = x.power(curve.b)
+    rhs = rhs - x if curve.family == "minusx" else rhs - 1
     assert lhs.agrees_through(rhs)
 
 
@@ -324,11 +325,11 @@ def test_expansion_satisfies_curve_equation(curve):
 def test_y_is_half_power_derivative(curve):
     # u was normalized so that x' = 2 y / x**(g-1)
     g = curve.genus_if_hyperelliptic
-    exp = expand_by_reversion(curve, 3 * curve.weight)
-    lhs = exp.y_series.scale(2)
-    rhs = exp.x_series.derive()
+    x, y = as_series(expand_by_reversion(curve, 3 * curve.weight))
+    lhs = y.scale(2)
+    rhs = x.derive()
     if g >= 2:
-        rhs = exp.x_series.power(g - 1) * rhs
+        rhs = x.power(g - 1) * rhs
     assert lhs.agrees_through(rhs)
 
 
@@ -337,7 +338,7 @@ def test_expansion_against_independent_pipeline():
         _, j = curve.exponent_pair
         exp = expand_by_reversion(curve, 30)
         oracle = oracle_x_of_u(curve.a, curve.b, j, curve.weight, 30)
-        assert_dict_eq(series_dict(exp.x_series), oracle, 30)
+        assert_dict_eq(series_dict(as_series(exp)[0]), oracle, 30)
 
 
 def test_ode_wrong_coefficient_is_named(monkeypatch):
@@ -413,33 +414,36 @@ def test_order_validation():
         expand_online(MAIN, 0)
 
 
-def test_expansion_rejects_tampering():
-    exp = expand_by_reversion(MAIN, 18)
-    off_pattern = exp.x_series + TruncSeries.monomial(3, 1, 18)
-    with pytest.raises(ExpansionError):
-        Expansion(MAIN, off_pattern, exp.y_series, "reversion", 18)
-    wrong_lead = exp.x_series.scale(2)
-    with pytest.raises(ExpansionError):
-        Expansion(MAIN, wrong_lead, exp.y_series, "reversion", 18)
-    with pytest.raises(ExpansionError):
-        Expansion(MAIN, exp.x_series, exp.y_series, "reversion", 25)
+@pytest.mark.parametrize("curve", [MAIN, CurveSpec.cyclotomic(3, 4)], ids=str)
+def test_expansion_checks_its_grids(curve):
+    # Through order 18 MAIN keeps slots 0..2: x through u^27, y through u^24;
+    # cyclo(3,4) keeps slots 0..1, x through u^20, y through u^19.
+    good = expand_online(curve, 18)
+    a, b, n = curve.a, curve.b, len(good.x) - 1
+    for name, pole in (("x", a), ("y", b)):
+        with pytest.raises(ExpansionError, match=rf"^{name} must start .* u\^-{pole}$"):
+            bump(good, name, 0, 1)
+    with pytest.raises(ExpansionError, match=rf"y grid at u\^{curve.weight * (n - 1) - b} "):
+        replace(good, y=good.y[:-1])
+    top = curve.weight * (n + 1) - 1 - max(a, b)
+    assert replace(good, order=top).order == top
+    with pytest.raises(ExpansionError, match=rf"through u\^{top}, claimed order {top + 1}$"):
+        replace(good, order=top + 1)
 
 
-def _pattern_preserving_tamper(exp, name="x", slot=None, by=1):
-    """exp with `by` added to the coefficient of x (or y) at u**slot
-    (default: its top stored slot)."""
-    target = exp.x_series if name == "x" else exp.y_series
-    terms = dict(target.terms())
-    slot = max(terms) if slot is None else slot
-    terms[slot] = terms.get(slot, 0) + by
-    bad = TruncSeries.from_terms(terms, target.trunc_order)
-    x, y = (bad, exp.y_series) if name == "x" else (exp.x_series, bad)
-    return Expansion(exp.curve, x, y, exp.method, exp.order)
+def test_reversion_oracle_rejects_off_pattern_terms():
+    x, y = as_series(expand_by_reversion(MAIN, 18))
+    assert from_dense(MAIN, x, y, "reversion", 18).order == 18
+    with pytest.raises(ExpansionError, match=r"^x series has a term at u\^3,"):
+        from_dense(MAIN, x + TruncSeries.monomial(3, 1, 18), y, "reversion", 18)
+    with pytest.raises(ExpansionError, match=r"^y series has a term at u\^7,"):
+        from_dense(MAIN, x, y + TruncSeries.monomial(7, 1, 18), "reversion", 18)
 
 
 def test_expand_checked_runs_the_certificate(monkeypatch):
     curve = CurveSpec.cyclotomic(3, 4)
-    bad = _pattern_preserving_tamper(expand_online(curve, 26))
+    good = expand_online(curve, 26)
+    bad = bump(good, "x", len(good.x) - 1, 1)
     monkeypatch.setattr("bhnum.generator.expand_online", lambda c, o: bad)
     with pytest.raises(ExpansionError, match="curve equation"):
         expand_checked(curve, 26)

@@ -5,7 +5,6 @@ from math import inf
 import pytest
 
 from bhnum.numtheory import (
-    NegativeValuationError,
     NonInvertibleError,
     PrimeResidueClass,
     binomial,
@@ -14,9 +13,13 @@ from bhnum.numtheory import (
     padic_valuation,
     primes_below,
     primes_in_class,
+)
+from helpers import (
+    NegativeValuationError,
+    brute_mod_inverse,
+    oracle_sieve,
     rational_residue,
 )
-from helpers import brute_mod_inverse, oracle_sieve
 
 
 def test_binomial_values():

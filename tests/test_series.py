@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bhnum.series import (
-    SeriesError,
-    TruncSeries,
-    binomial_series,
-    revert,
-)
 from helpers import binom_frac, n_compose, n_mul, n_revert, series_dict
+from reversion_route import SeriesError, TruncSeries, binomial_series, revert
 
 F = Fraction
 
