@@ -17,7 +17,7 @@ denominator stays the lcm of the coefficients' own (fraction-free, in
 the sense of Bareiss, Math. Comp. 22, 1968).
 
 The grid and its scaling are this module's own code.  It shares nothing
-with bhnum.generator's online kernel (_miller, _cross, _Coeffs and the
+with bhnum.generator's online kernel (_miller, _cross, _extend and the
 X_m solve in expand_online): a fault there cannot hide from it.
 """
 

@@ -18,14 +18,15 @@ and Y as their v-grids, so that support pattern is its representation.
 expand_online solves the curve equation and the normalization of du for
 X one v-slot at a time, on a grid rescaled by (w + 1)**k (see its
 docstring).  Its kernel is J.C.P. Miller's power recurrence (_miller)
-and a half-sum square (_cross) on integer numerators over one shared
-denominator (_Coeffs).
+and a half-sum square (_cross), run in integers: every series is a list
+of numerators over one shared denominator, and each slot is solved with
+one gcd (_extend); Fraction appears only as the grids are read out.
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du
 (bhnum.certificate, re-exported here).  The certificate checks both
 identities slot by slot on integer numerators; it shares no code with the
-online kernel (_miller, _cross, _Coeffs and the X_m solve), and it pins
+online kernel (_miller, _cross, _extend and the X_m solve), and it pins
 every coefficient.
 """
 
@@ -40,6 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import factorial, gcd, lgamma, log, prod
 from operator import mul
 from pathlib import Path
@@ -63,7 +65,7 @@ __all__ = [
 TABLE_FORMAT = "bhnum.table"
 TABLE_VERSION = 1
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE = Fraction(1)
 
 
 class CacheError(ValueError):
@@ -110,84 +112,67 @@ class Expansion:
             )
 
 
-class _Coeffs:
-    """Series coefficients c_k = nums[k] / den over one shared denominator.
+def _miller(f: list[int], p: list[int], e: int) -> int:
+    """The next coefficient of f**e by J.C.P. Miller's power recurrence, as
+    the integer it takes over m * f[0] * (p's denominator).
 
-    append grows den by d // gcd(den, d) when a coefficient's denominator d
-    brings in a new factor, and rescales the stored numerators then, so den
-    stays the lcm of the denominators seen (fraction-free arithmetic in the
-    sense of Bareiss, Math. Comp. 22, 1968).
-    """
+    With p holding the numerators of the first m coefficients of f**e and
+    f at least m + 1 numerators of f (any one scale), P_m is
 
-    def __init__(self, coeffs=()) -> None:
-        self.nums: list[int] = []
-        self.den = 1
-        for c in coeffs:
-            self.append(c)
+        sum_{k=1..m} ((e + 1) * k - m) * f_k * P_{m-k} / (m * f_0).
 
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __iter__(self):
-        return (Fraction(v, self.den) for v in self.nums)
-
-    def append(self, c: Fraction) -> None:
-        d = c.denominator
-        scale = d // gcd(self.den, d)
-        if scale > 1:
-            self.den *= scale
-            self.nums = [v * scale for v in self.nums]
-        self.nums.append(c.numerator * (self.den // d))
-
-
-def _miller(f: _Coeffs, p: _Coeffs, alpha: Fraction) -> Fraction:
-    """Next coefficient of f**alpha by J.C.P. Miller's power recurrence.
-
-    With p holding the first m coefficients of f**alpha and f at least
-    m + 1 coefficients of f, returns
-
-        P_m = sum_{k=1..m} ((alpha + 1) * k - m) * f_k * P_{m-k} / (m * f_0).
-
-    (Knuth, TAOCP vol. 2, 4.7.)  The recurrence is what f * (f**alpha)' =
-    alpha * f' * f**alpha says degree by degree, so P_m needs no
-    coefficient of f beyond f_m; that is what lets callers feed f online.
-    If f stops at f_{m-1}, f_m is taken as 0.  Over the shared
-    denominators f's cancels against f_0, so the sum runs on the integer
-    numerators and P_m is one Fraction of it over p.den * m * f_0.
+    (Knuth, TAOCP vol. 2, 4.7.)  The recurrence is what f * (f**e)' =
+    e * f' * f**e says degree by degree, so P_m needs no coefficient of f
+    beyond f_m; that is what lets callers feed f online.  If f stops at
+    f_{m-1}, f_m is taken as 0.  f's scale cancels against f_0, so the sum
+    runs on the numerators as they are stored, weights included, in C.
     """
     m = len(p)
-    num, den = alpha.numerator, alpha.denominator
-    step, lead = num + den, den * m
-    total = sum(
-        (step * k - lead) * fk * pk
-        for k, fk, pk in zip(range(1, m + 1), f.nums[1 : m + 1], reversed(p.nums))
-    )
-    return Fraction(total, lead * f.nums[0] * p.den)
+    weights = map(mul, count(e + 1 - m, e + 1), f[1 : m + 1])
+    return sum(map(mul, weights, reversed(p)))
 
 
-def _power(f: _Coeffs, alpha: Fraction) -> _Coeffs:
-    """All the coefficients of f**alpha that f determines, for f_0 = 1, kept
-    like f over one shared denominator, so _miller reads it as it is."""
-    p = _Coeffs([_ONE])
-    while len(p) < len(f):
-        p.append(_miller(f, p, alpha))
-    return p
-
-
-def _cross(f: _Coeffs, m: int) -> Fraction:
-    """[f**2]_m less 2 * f_0 * f_m: each pair f_k * f_(m-k), 0 < k < m, once."""
-    h, nums = (m + 1) // 2, f.nums
-    total = 2 * sum(map(mul, nums[1:h], reversed(nums[m - h + 1 : m])))
+def _cross(f: list[int], m: int) -> int:
+    """[f**2]_m less 2 * f_0 * f_m over den**2, for f's numerators over den:
+    each pair f_k * f_(m-k), 0 < k < m, formed once."""
+    h = (m + 1) // 2
+    total = 2 * sum(map(mul, f[1:h], reversed(f[m - h + 1 : m])))
     if m % 2 == 0:
-        total += nums[h] * nums[h]
-    return Fraction(total, f.den * f.den)
+        total += f[h] * f[h]
+    return total
 
 
-def _rest(f: _Coeffs, p: _Coeffs, e: int) -> Fraction:
-    """[f**e]_m at f_m = 0, from f and p = f**e through m - 1 (f_0 = p_0 = 1)."""
+def _rest(f: list[int], p: list[int], e: int) -> int:
+    """[f**e]_m at f_m = 0 over m * den**2, from the numerators over den of f
+    and of p = f**e through m - 1 (f_0 = p_0 = den)."""
     if e == 1:
-        return _ZERO
-    return _cross(f, len(p)) if e == 2 else _miller(f, p, Fraction(e))
+        return 0
+    m = len(p)
+    return m * _cross(f, m) if e == 2 else _miller(f, p, e)
+
+
+def _extend(series: list[list[int]], den: int, nums: list[int], over: int) -> int:
+    """Append nums[t] / over to series[t], every series kept as numerators
+    over the one shared denominator den; return the new den.
+
+    Each new coefficient's own denominator is over // gcd(over, v), a
+    divisor of over, and the lcm of such divisors is over // g with
+    g = gcd(over, *nums): one gcd gives it, and den stays the lcm of every
+    denominator stored (fraction-free arithmetic in the sense of Bareiss,
+    Math. Comp. 22, 1968).  The stored numerators are rescaled only when
+    den grows.
+    """
+    g = gcd(over, *nums)
+    new = over // g
+    scale = new // gcd(den, new)
+    if scale > 1:
+        den *= scale
+        for s in series:
+            s[:] = [v * scale for v in s]
+    up = den // new
+    for s, v in zip(series, nums):
+        s.append(v // g * up)
+    return den
 
 
 def expand_online(curve: CurveSpec, order: int) -> Expansion:
@@ -203,44 +188,56 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     power is one step on coefficients already known (_rest): a half-sum
     square or a Miller step, and Y reads Y**a = Q as its power.
 
+    The loop runs in integers.  X, X**i, X**b, Q, Y and Y**j are numerator
+    lists over one shared denominator D, and with X_m = 0 every value of
+    slot m is an integer over S = m * D**2 (a*Y_m too).  Then X_m and the
+    five powers, each moved by its slope times X_m, are integers over
+    M = S * a * i*(w*m + 1), and one gcd of M with those six numerators
+    leaves exactly the lcm of their own denominators (_extend): one
+    reduction per slot, and Fraction only as the grids are read out.
+
     X_1 = j / (w + 1), and X_k and Y_k carry most of (w + 1)**k in their
     denominators, so the loop runs on X'_k = (w + 1)**k * X_k and Y'_k =
     (w + 1)**k * Y_k: v becomes (w + 1) * v in Q, the identity holds slot
-    by slot as it is, and X'_1 = j.  That takes 17% off X's shared
-    denominator on cyclo(3,4) through v**84; the scaling is undone once,
-    as the coefficients are read out.  With X and Y known through v**n, x
-    is exact through u**(-a + w*(n+1) - 1) and y through
-    u**(-b + w*(n+1) - 1); n is the least that covers order.
+    by slot as it is, and X'_1 = j.  That takes 17% off X's denominator on
+    cyclo(3,4) through v**84; the scaling is undone once, as the
+    coefficients are read out.  With X and Y known through v**n, x is exact
+    through u**(-a + w*(n+1) - 1) and y through u**(-b + w*(n+1) - 1); n is
+    the least that covers order.
     """
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
     a, b, w = curve.a, curve.b, curve.weight
     i, j = curve.exponent_pair
     n = -(-(order + 1 + max(a, b)) // w) - 1
-    x, x_b, q, y = (_Coeffs([_ONE]) for _ in range(4))
-    x_i = x if i == 1 else _Coeffs([_ONE])
-    y_j = y if j == 1 else _Coeffs([_ONE])
+    minusx = curve.family == "minusx"
+    x, x_b, q, y = [1], [1], [1], [1]
+    x_i = x if i == 1 else [1]
+    y_j = y if j == 1 else [1]
+    series = [x, x_b, q, y] + [x_i] * (i > 1) + [y_j] * (j > 1)
+    den = 1
     for m in range(1, n + 1):
-        # slot m at X_m = 0; then each power moves by its slope times X_m
+        # slot m at X_m = 0, over s = m * den**2
+        s = m * den * den
         xi_m, xb_m, yj_m = _rest(x, x_i, i), _rest(x, x_b, b), _rest(y, y_j, j)
-        tail = Fraction(x.nums[-1], x.den) if curve.family == "minusx" else int(m == 1)
+        tail = x[-1] * m * den if minusx else s * (m == 1)
         q_m = xb_m - (w + 1) * tail
-        y_m = (q_m - _rest(y, q, a)) / a
-        rho = (w * m - a * i) * xi_m + a * i * (yj_m + j * y_m)
-        x_m = -rho / (i * (w * m + 1))
-        x.append(x_m)
+        ay_m = q_m - _rest(y, q, a)
+        rho = (w * m - a * i) * xi_m + a * i * yj_m + i * j * ay_m
+        # X_m = -rho / slope; over s * c each power moves by its slope times X_m
+        slope = i * (w * m + 1)
+        c = a * slope
+        x_m, y_m = -a * rho, slope * ay_m - b * rho
+        nums = [x_m, c * xb_m + b * x_m, c * q_m + b * x_m, y_m]
         if i > 1:
-            x_i.append(xi_m + i * x_m)
-        x_b.append(xb_m + b * x_m)
-        q.append(q_m + b * x_m)
-        y_m += Fraction(b, a) * x_m
-        y.append(y_m)
+            nums.append(c * xi_m + i * x_m)
         if j > 1:
-            y_j.append(yj_m + j * y_m)
-    sigma, xs, ys, scale = curve.y_leading_sign, [], [], 1
-    for xk, yk in zip(x.nums, y.nums):
-        xs.append(Fraction(xk, x.den * scale))
-        ys.append(Fraction(sigma * yk, y.den * scale))
+            nums.append(c * yj_m + j * y_m)
+        den = _extend(series, den, nums, s * c)
+    sigma, xs, ys, scale = curve.y_leading_sign, [], [], den
+    for xk, yk in zip(x, y):
+        xs.append(Fraction(xk, scale))
+        ys.append(Fraction(sigma * yk, scale))
         scale *= w + 1
     return Expansion(curve, tuple(xs), tuple(ys), "online", order)
 
@@ -506,16 +503,17 @@ def bernoulli(count: int) -> list[Fraction]:
     u**(2n-2) / (2n-2)! is the genus-zero instance of the x(u) machinery
     (the curve y**2 = x**2 - 1, u of arcsin type).  It is u**-2 * f(v)**-2
     with v = u**2 and f = sin(u)/u = sum (-1)**k * v**k / (2k+1)!, so B_{2n}
-    is slot n of f**-2, one Miller chain (_power) of the online kernel.
+    is slot n of f**-2, one chain of the online kernel's Miller steps.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    f = _Coeffs(Fraction((-1) ** k, factorial(2 * k + 1)) for k in range(count + 1))
-    g = _power(f, Fraction(-2))
+    top = factorial(2 * count + 1)
+    f = [(-1) ** k * (top // factorial(2 * k + 1)) for k in range(count + 1)]
+    g, den = [1], 1
+    for m in range(1, count + 1):
+        den = _extend([g], den, [_miller(f, g, -2)], m * top * den)
     return [
-        Fraction(
-            (-1) ** (n + 1) * 2 * n * factorial(2 * n - 2) * g.nums[n], 4**n * g.den
-        )
+        Fraction((-1) ** (n + 1) * 2 * n * factorial(2 * n - 2) * g[n], 4**n * den)
         for n in range(1, count + 1)
     ]
 

@@ -3,28 +3,79 @@
 The test suite compares it with the online route of bhnum.generator and
 the reversion route of tests/reversion_route.py (acceptance criterion 3,
 test_methods_agree).  It never builds t(u): it solves the first-order
-equation the curve forces on x(u) directly, on the online route's
-shared-denominator kernel plus a convolution of its own (_conv), which
-compute no longer runs.
+equation the curve forces on x(u) directly, on a kernel of its own:
+Fraction coefficients over one shared denominator per series (_Coeffs),
+J.C.P. Miller's power recurrence (_miller, _power) and a convolution
+(_conv).  It takes none of these from bhnum.generator, so the online
+route's kernel cannot hide a fault from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from bhnum.curves import CurveSpec
-from bhnum.generator import (
-    Expansion,
-    ExpansionError,
-    _Coeffs,
-    _miller,
-    _power,
-    certify,
-)
+from bhnum.generator import Expansion, ExpansionError, certify
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class _Coeffs:
+    """Series coefficients c_k = nums[k] / den over one shared denominator.
+
+    append grows den by d // gcd(den, d) when a coefficient's denominator d
+    brings in a new factor, and rescales the stored numerators then, so den
+    stays the lcm of the denominators seen.
+    """
+
+    def __init__(self, coeffs=()) -> None:
+        self.nums: list[int] = []
+        self.den = 1
+        for c in coeffs:
+            self.append(c)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self):
+        return (Fraction(v, self.den) for v in self.nums)
+
+    def append(self, c: Fraction) -> None:
+        d = c.denominator
+        scale = d // gcd(self.den, d)
+        if scale > 1:
+            self.den *= scale
+            self.nums = [v * scale for v in self.nums]
+        self.nums.append(c.numerator * (self.den // d))
+
+
+def _miller(f: _Coeffs, p: _Coeffs, alpha: Fraction) -> Fraction:
+    """Next coefficient of f**alpha by J.C.P. Miller's power recurrence.
+
+    With p holding the first m coefficients of f**alpha and f at least m
+    coefficients of f (f_m read as 0 when missing), returns
+
+        P_m = sum_{k=1..m} ((alpha + 1) * k - m) * f_k * P_{m-k} / (m * f_0).
+    """
+    m = len(p)
+    num, den = alpha.numerator, alpha.denominator
+    step, lead = num + den, den * m
+    total = sum(
+        (step * k - lead) * fk * pk
+        for k, fk, pk in zip(range(1, m + 1), f.nums[1 : m + 1], reversed(p.nums))
+    )
+    return Fraction(total, lead * f.nums[0] * p.den)
+
+
+def _power(f: _Coeffs, alpha: Fraction) -> _Coeffs:
+    """All the coefficients of f**alpha that f determines, for f_0 = 1."""
+    p = _Coeffs([_ONE])
+    while len(p) < len(f):
+        p.append(_miller(f, p, alpha))
+    return p
 
 
 def _conv(f: _Coeffs, g: _Coeffs, m: int, lo: int = 0) -> Fraction:

@@ -231,45 +231,45 @@ KERNEL_CURVES = [
 # bhnum.certificate and never calls them.
 
 
-def _miller_weight_off(f, p, alpha):
+def _miller_weight_off(f, p, e):
     m = len(p)
-    num, den = alpha.numerator, alpha.denominator
-    step, lead = num + den, den * m
-    total = sum(
-        (step * k - lead + (k == 1)) * fk * pk  # the k = 1 weight is off by one
-        for k, fk, pk in zip(range(1, m + 1), f.nums[1 : m + 1], reversed(p.nums))
-    )
-    return F(total, lead * f.nums[0] * p.den)
+    weights = [(e + 1) * k - m + (k == 1) for k in range(1, m + 1)]  # k = 1 off by one
+    return sum(map(mul, map(mul, weights, f[1 : m + 1]), reversed(p)))
 
 
 def _cross_pairs_undoubled(f, m):
-    h, nums = (m + 1) // 2, f.nums
-    total = sum(map(mul, nums[1:h], reversed(nums[m - h + 1 : m])))  # no 2 *
+    h = (m + 1) // 2
+    total = sum(map(mul, f[1:h], reversed(f[m - h + 1 : m])))  # no 2 *
     if m % 2 == 0:
-        total += nums[h] * nums[h]
-    return F(total, f.den * f.den)
+        total += f[h] * f[h]
+    return total
 
 
 def _solve_divisor_off():
     """expand_online with X_m divided by i*(w*m + 2), not i*(w*m + 1)."""
     source = inspect.getsource(generator.expand_online)
-    solve = "x_m = -rho / (i * (w * m + 1))"
+    solve = "slope = i * (w * m + 1)"
     assert source.count(solve) == 1
     namespace = dict(vars(generator))
     exec(source.replace(solve, solve.replace("+ 1", "+ 2")), namespace)
     return namespace["expand_online"]
 
 
-def _append_one_unscaled(self, c):
-    d = c.denominator
-    scale = d // gcd(self.den, d)
+def _extend_one_unscaled(series, den, nums, over):
+    g = gcd(over, *nums)
+    new = over // g
+    scale = new // gcd(den, new)
     if scale > 1:
-        self.den *= scale
-        # the newest stored numerator keeps its old scale, unless it is the
-        # leading one (that fault would only break the leading term)
-        last = len(self.nums) - 1
-        self.nums = [v if 0 < k == last else v * scale for k, v in enumerate(self.nums)]
-    self.nums.append(c.numerator * (self.den // d))
+        den *= scale
+        for s in series:
+            # the newest stored numerator keeps its old scale, unless it is
+            # the leading one (that fault would only break the leading term)
+            last = len(s) - 1
+            s[:] = [v if 0 < k == last else v * scale for k, v in enumerate(s)]
+    up = den // new
+    for s, v in zip(series, nums):
+        s.append(v // g * up)
+    return den
 
 
 # cyclo(3,4) has i = j = 1 and a = 3: it forms no square.
@@ -282,18 +282,17 @@ SQUARING_KERNEL_CURVES = [c for c in KERNEL_CURVES if c != CurveSpec.cyclotomic(
         ("_miller", _miller_weight_off, []),
         ("_cross", _cross_pairs_undoubled, SQUARING_KERNEL_CURVES),
         ("expand_online", _solve_divisor_off(), KERNEL_CURVES),
-        ("_Coeffs.append", _append_one_unscaled, []),
+        ("_extend", _extend_one_unscaled, []),
     ],
-    ids=["_miller", "_cross", "solve", "_Coeffs.append"],
+    ids=["_miller", "_cross", "solve", "_extend"],
 )
 def test_certify_catches_kernel_mutants(target, mutant, must_catch, monkeypatch):
-    # The online route runs on _miller, _cross, _Coeffs and the X_m solve
+    # The online route runs on _miller, _cross, _extend and the X_m solve
     # in expand_online; certify shares none of them, so a fault in that
     # kernel cannot hide from it.  A curve that never calls the mutant
     # (cyclo(3,4) forms no square) must get the expansion it got before.
     clean = {curve: expand_online(curve, 102) for curve in KERNEL_CURVES}
-    owner, _, name = target.rpartition(".")
-    monkeypatch.setattr(getattr(generator, owner) if owner else generator, name, mutant)
+    monkeypatch.setattr(generator, target, mutant)
     caught = []
     for curve in KERNEL_CURVES:
         expansion = generator.expand_online(curve, 102)
@@ -356,7 +355,7 @@ def test_ode_wrong_coefficient_is_named(monkeypatch):
         expand_by_ode(MAIN, 62)
 
 
-# -- the shared-denominator kernel ------------------------------------------
+# -- the integer kernel --------------------------------------------------------
 
 # Pairwise coprime denominators: every append brings a new factor into the
 # shared denominator and rescales the numerators stored before it.
@@ -364,40 +363,83 @@ COPRIME = [F(1), F(1, 2), F(-1, 3), F(5, 7), F(1, 11), F(-4, 13), F(2, 17), F(-3
 
 
 def test_shared_denominator_reproduces_every_coefficient():
-    # The last two append without a rescale: 0, and 7/22 with 22 | den.
+    # Each step appends c to one series and c / 6 to another, both handed
+    # over with a common factor 23 that no denominator has.  The last two
+    # append without a rescale: 0, and 7/22 with 22 | den.
     values = COPRIME + [F(0), F(7, 22)]
-    s = generator._Coeffs()
+    s, t, den = [], [], 1
     for k, c in enumerate(values):
-        s.append(c)
-        assert list(s) == values[: k + 1]
-        assert s.den == math.lcm(*(q.denominator for q in values[: k + 1]))
+        nums, over = [138 * c.numerator, 23 * c.numerator], 138 * c.denominator
+        den = generator._extend([s, t], den, nums, over)
+        assert [F(v, den) for v in s] == values[: k + 1]
+        assert [F(v, den) for v in t] == [q / 6 for q in values[: k + 1]]
+        seen = values[: k + 1] + [q / 6 for q in values[: k + 1]]
+        assert den == math.lcm(*(q.denominator for q in seen))
+
+
+def _power(coeffs, e):
+    """f**e through f's last coefficient on the integer kernel, for f_0 = 1:
+    f's numerators, then f**e's, Miller step by step, over their shared
+    denominator, which comes last."""
+    den_f = math.lcm(*(q.denominator for q in coeffs))
+    f = [int(c * den_f) for c in coeffs]
+    p, den = [1], 1
+    for m in range(1, len(f)):
+        den = generator._extend([p], den, [generator._miller(f, p, e)], m * f[0] * den)
+    return f, p, den
 
 
 def _as_series(coeffs):
     return TruncSeries.from_terms(dict(enumerate(coeffs)), len(coeffs) - 1)
 
 
-@pytest.mark.parametrize("alpha", [F(-3), F(-1, 2), F(1, 3), F(5)])
-def test_power_matches_series_oracle(alpha):
-    # g = f**(p/q) exactly when g**q = f**p; TruncSeries.power inverts
-    # first for a negative exponent.
-    f = _as_series(COPRIME)
-    g = _as_series(list(generator._power(generator._Coeffs(COPRIME), alpha)))
-    lhs, rhs = g.power(alpha.denominator), f.power(alpha.numerator)
-    assert lhs.terms() == rhs.terms() and lhs.trunc_order == rhs.trunc_order
-    # (1 - t)**alpha against the binomial series.
-    one_minus_t = generator._Coeffs([F(1), F(-1)] + [F(0)] * 10)
-    binomial = binomial_series(1, alpha, 11)
-    assert list(generator._power(one_minus_t, alpha)) == [
-        binomial.coeff(k) for k in range(12)
-    ]
+@pytest.mark.parametrize("e", [-3, -2, 5])
+def test_power_matches_series_oracle(e):
+    # TruncSeries.power inverts first for a negative exponent.
+    _, p, den = _power(COPRIME, e)
+    g, f = _as_series([F(v, den) for v in p]), _as_series(COPRIME).power(e)
+    assert g.terms() == f.terms() and g.trunc_order == f.trunc_order
+    # (1 - t)**e against the binomial series.
+    _, p, den = _power([F(1), F(-1)] + [F(0)] * 10, e)
+    binomial = binomial_series(1, e, 11)
+    assert [F(v, den) for v in p] == [binomial.coeff(k) for k in range(12)]
 
 
 def test_miller_reads_a_missing_top_coefficient_as_zero():
-    p = generator._power(generator._Coeffs(COPRIME[:4]), F(5))
-    assert generator._miller(generator._Coeffs(COPRIME[:4]), p, F(5)) == (
-        generator._miller(generator._Coeffs(COPRIME[:4] + [F(0)]), p, F(5))
-    )
+    f, p, _ = _power(COPRIME[:4], 5)
+    assert generator._miller(f, p, 5) == generator._miller(f + [0], p, 5)
+
+
+# The benchmark's compute curves at the orders it expands them to.
+BENCH_CURVES = [
+    (MAIN, 602),
+    (CurveSpec.minus_x(2), 602),
+    (CurveSpec.minus_x(1), 302),
+    (CurveSpec.cyclotomic(3, 4), 1010),
+    (CurveSpec.cyclotomic(3, 5), 1007),
+]
+
+
+@pytest.mark.parametrize("curve, order", BENCH_CURVES, ids=str)
+def test_online_denominator_is_the_lcm_of_its_coefficients(curve, order, monkeypatch):
+    # A dropped or partial reduction in the slot loop leaves the shared
+    # denominator larger than it must be: the tables stay right, and only
+    # the time grows.  Pin it after every slot, and at the end against
+    # every stored coefficient.
+    real, slots, lcm = generator._extend, [], 1
+
+    def checked(series, den, nums, over):
+        nonlocal lcm
+        den = real(series, den, nums, over)
+        lcm = math.lcm(lcm, *(F(s[-1], den).denominator for s in series))
+        assert den == lcm, len(slots) + 1
+        slots.append(series)
+        return den
+
+    monkeypatch.setattr(generator, "_extend", checked)
+    expansion = generator.expand_online(curve, order)
+    assert len(slots) == len(expansion.x) - 1
+    assert lcm == math.lcm(*(F(v, lcm).denominator for s in slots[-1] for v in s))
 
 
 def test_ode_refuses_non_hyperelliptic():
