@@ -15,10 +15,11 @@
             the cache file's text without the disk.
   verify    each verifier on the table read off that expansion, as
             verify all runs it with --prime-limit at the top weight and
-            --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for).
-            Every repetition runs vsc, kummer and integrality in that
-            order on one fresh table, so kummer pays for the quotient memo
-            and the p-adic digit tables, and integrality reads the digits
+            --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for):
+            vsc_decompose per weight, one kummer_sweep and one
+            integrality_scan.  Every repetition runs them in that order on
+            one fresh table, so kummer pays for the quotient memo and both
+            tiers of the p-adic digit rows, and integrality reads the rows
             kummer built; A_p stays cached across repetitions, as it does
             across commands in one process.
 
@@ -33,12 +34,7 @@ from math import lcm
 
 from bhnum import certificate
 from bhnum.certificate import certify
-from bhnum.congruence import (
-    integrality_scan,
-    kummer_check,
-    kummer_triples,
-    vsc_decompose,
-)
+from bhnum.congruence import integrality_scan, kummer_sweep, vsc_decompose
 from bhnum.curves import CurveSpec, parse_curve
 from bhnum.generator import BHTable, expand_online, extract_numbers
 
@@ -106,10 +102,9 @@ def main() -> None:
 
     if curve == CurveSpec.cyclotomic(2, 5):
         top = max(table.weights())
-        triples = list(kummer_triples(top, 3, top))
         checks = (
             ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()]),
-            ("kummer", lambda t: [kummer_check(t, *triple) for triple in triples]),
+            ("kummer", lambda t: kummer_sweep(t, top, 3)),
             ("integrality", lambda t: integrality_scan(t, top)),
         )
 

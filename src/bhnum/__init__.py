@@ -8,6 +8,7 @@ from .congruence import (
     classical_vsc_bernoulli,
     integrality_scan,
     kummer_check,
+    kummer_sweep,
     kummer_triples,
     vsc_decompose,
 )

@@ -25,8 +25,7 @@ from pathlib import Path
 from .congruence import (
     REPORT_VERSION,
     integrality_scan,
-    kummer_check,
-    kummer_triples,
+    kummer_sweep,
     vsc_decompose,
 )
 from .curves import CurveSpec, parse_curve
@@ -62,11 +61,15 @@ class RunConfig:
         if self.max_weight is not None:
             if self.max_weight < 1:
                 raise ValueError("--max-weight must be positive")
-            if self.curve is not None and self.max_weight % self.curve.weight:
-                raise ValueError(
-                    f"--max-weight must be a multiple of the curve weight "
-                    f"{self.curve.weight}"
-                )
+            if self.curve is not None:
+                _require_multiple(self.max_weight, self.curve)
+
+
+def _require_multiple(max_weight: int, curve: CurveSpec) -> None:
+    if max_weight % curve.weight:
+        raise ValueError(
+            f"--max-weight must be a multiple of the curve weight {curve.weight}"
+        )
 
 
 def _default_cache_dir() -> Path:
@@ -108,6 +111,7 @@ def _load_table(cfg: RunConfig):
         )
     if cfg.max_weight is None:
         return table
+    _require_multiple(cfg.max_weight, table.curve)  # --cache alone names no curve
     missing = [
         n
         for n in range(table.curve.weight, cfg.max_weight + 1, table.curve.weight)
@@ -176,8 +180,7 @@ def cmd_verify(args) -> int:
         rows = [vsc_decompose(table, n) for n in table.weights()]
         sections.append(("VSC", rows, "", rows))
     if which in ("kummer", "all"):
-        triples = kummer_triples(args.prime_limit, args.depth, max_weight)
-        rows = [kummer_check(table, p, depth, n) for p, depth, n in triples]
+        rows = kummer_sweep(table, args.prime_limit, args.depth)
         bounds = f" (p<={args.prime_limit}, a<={args.depth})"
         sections.append(("KUMMER", rows, bounds, rows))
     if which in ("integrality", "all"):

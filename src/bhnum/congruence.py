@@ -19,26 +19,21 @@ proven ground.  The same decomposition engine, run with contribution -1/p
 at every prime with p - 1 | 2n, reproduces the classical von Staudt-Clausen
 statement for Bernoulli numbers and anchors the machinery.
 
-Each piece of number theory is done once.  The quotients C_N / N and
-D_N / N are built once per table (BHTable keeps them), A_p once per prime
-(ap_invariant is cached; a p it refuses is refused on every call), and
-valuations at a p that came out of the sieve, or that ap_invariant has
-already proved prime, skip padic_valuation's primality proof.
-
-Valuations are read off a p-adic digit table, built once per (table, p):
-for every weight, v_p(X_N / N) and its unit part mod p**k, from one
-reduction of the numerator mod p**_DIGITS.  A Kummer combination is then
-a sum of small integers modulo the precision its terms carry; a nonzero
-sum gives its valuation exactly, and a zero sum, or a numerator that is
-0 mod p**_DIGITS, sends the check to the exact combination instead.
+Each piece of number theory is done once: the quotients C_N / N and
+D_N / N once per table (BHTable keeps them), A_p once per prime
+(ap_invariant is cached; a p it refuses is refused on every call), and the
+p-adic digit rows the valuations are read off (_Digits) once per (table,
+p) and tier.  Valuations at a p that came out of the sieve, or that
+ap_invariant has proved prime, skip padic_valuation's primality proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
+from typing import NamedTuple
 
 from .curves import CurveSpec
 from .generator import BHTable, rational_pair
@@ -59,15 +54,17 @@ __all__ = [
     "classical_vsc_bernoulli",
     "integrality_scan",
     "kummer_check",
+    "kummer_sweep",
     "kummer_triples",
     "vsc_decompose",
 ]
 
 REPORT_VERSION = 1
 
-# p-adic digits each digit table keeps per numerator: an algorithm
-# constant, not an option; both paths give the same valuations.
+# p-adic digits per numerator: p**_DIGITS bounds the deep tier, and _LIMB,
+# one 30-bit CPython digit, the first.  Algorithm constants, not options.
 _DIGITS = 8
+_LIMB = 2**30
 
 _MAIN_CURVE = CurveSpec.cyclotomic(2, 5)
 
@@ -135,8 +132,7 @@ def _decompose(value: Fraction, parts: list[Fraction]) -> tuple[Fraction, bool]:
     return remainder, remainder.denominator == 1
 
 
-@dataclass(frozen=True, slots=True)
-class VscContribution:
+class VscContribution(NamedTuple):
     p: int
     exponent: int
     ap: int
@@ -144,8 +140,7 @@ class VscContribution:
     d_part: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class VscReport:
+class VscReport(NamedTuple):
     weight: int
     contributions: tuple[VscContribution, ...]
     g_remainder: Fraction
@@ -162,13 +157,8 @@ class VscReport:
             "version": REPORT_VERSION,
             "weight": self.weight,
             "contributions": [
-                {
-                    "p": c.p,
-                    "exponent": c.exponent,
-                    "ap": str(c.ap),
-                    "c_part": rational_pair(c.c_part),
-                    "d_part": rational_pair(c.d_part),
-                }
+                {**c._asdict(), "ap": str(c.ap), "c_part": rational_pair(c.c_part),
+                 "d_part": rational_pair(c.d_part)}
                 for c in self.contributions
             ],
             "g_remainder": rational_pair(self.g_remainder),
@@ -199,8 +189,7 @@ def vsc_decompose(table: BHTable, weight: int) -> VscReport:
     return VscReport(weight, tuple(contributions), g_rem, h_rem, g_ok and h_ok)
 
 
-@dataclass(frozen=True, slots=True)
-class BernoulliVscReport:
+class BernoulliVscReport(NamedTuple):
     index: int
     primes: tuple[int, ...]
     remainder: Fraction
@@ -228,8 +217,7 @@ def classical_vsc_bernoulli(index: int, value: Fraction) -> BernoulliVscReport:
 # -- Kummer-style congruences --------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class KummerReport:
+class KummerReport(NamedTuple):
     p: int
     depth: int
     index: int
@@ -237,21 +225,27 @@ class KummerReport:
     c_valuation: int | float  # an int, or math.inf when the value is 0
     d_valuation: int | float
     passed: bool
-    table: BHTable = field(repr=False, compare=False)  # source of the exact sums
+    table: BHTable  # source of the exact sums; equality, hash and repr skip it
 
-    @property
-    def c_combination(self) -> Fraction:
-        """The exact C-side combination, built on each call."""
-        return self._exact(self.table.c_over_n)
+    def __eq__(self, other):
+        return isinstance(other, KummerReport) and self[:7] == other[:7]
 
-    @property
-    def d_combination(self) -> Fraction:
-        """The exact D-side combination, built on each call."""
-        return self._exact(self.table.d_over_n)
+    def __ne__(self, other):
+        return not isinstance(other, KummerReport) or self[:7] != other[:7]
 
-    def _exact(self, quotient) -> Fraction:
-        coeffs = _kummer_coefficients(self.p, self.depth)
-        return _combination(coeffs, [quotient(w) for w in self.weights])
+    def __hash__(self):
+        return hash(self[:7])
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:7]))
+        return f"KummerReport({shown})"
+
+    c_combination = property(lambda self: self._exact(0), doc="The exact C-side sum.")
+    d_combination = property(lambda self: self._exact(1), doc="The exact D-side sum.")
+
+    def _exact(self, side: int) -> Fraction:
+        values = [self.table._quotients[w][side] for w in self.weights]
+        return _combination(_kummer_coefficients(self.p, self.depth), values)
 
     def summary_line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
@@ -293,49 +287,79 @@ def _kummer_coefficients(p: int, depth: int) -> tuple[int, ...]:
     )
 
 
-def _digit(q: Fraction, p: int, units: dict) -> tuple[int, int, int] | None:
-    """(v, u, k) with q = p**v * U, U a p-adic unit = u mod p**k, read off
-    the numerator mod p**_DIGITS; None when that residue is 0.  units keeps
-    each denominator's valuation and unit-part inverse mod p**_DIGITS."""
-    r, den = q.numerator % p**_DIGITS, q.denominator
-    if not r:
-        return None
-    if den not in units:
-        b = _int_valuation(den, p)
-        units[den] = b, pow(den // p**b, -1, p**_DIGITS)
-    b, inverse = units[den]
-    a = _int_valuation(r, p)
-    k = _DIGITS - a
-    return a - b, r // p**a * inverse % p**k, k
+class _Digits:
+    """One prime's digit rows off the numerators mod p**prec: sides (C, then D)
+    hold at N // 10 x = p**B * X_N / N mod p**P and p**P, with B the largest
+    v_p of a denominator (0 for p**P where the numerator is 0 mod p**prec);
+    log maps p**j to j - B, units a denominator to (v_p, unit inverse)."""
+
+    def __init__(self, table: BHTable, p: int, prec: int, units: dict):
+        qs = table._quotients  # N -> (C_N / N, D_N / N)
+        for den in {q.denominator for cd in qs.values() for q in cd} - units.keys():
+            b = _int_valuation(den, p)
+            units[den] = b, pow(den // p**b, -1, p**_DIGITS)
+        shift = max((b for b, _ in units.values()), default=0)
+        self.prec, self.units, mod = prec, units, p**prec
+        self.log = {p**j: j - shift for j in range(prec + shift)}
+        scale = {d: (p ** (shift - b) * inv, p ** (prec + shift - b))
+                 for d, (b, inv) in units.items()}
+        size = max(qs, default=0) // 10 + 1
+        self.sides = ([0] * size, [0] * size), ([0] * size, [0] * size)
+        rows = [n // 10 for n in qs]
+        for (x, mods), side in zip(self.sides, zip(*qs.values())):  # C, then D
+            for i, q in zip(rows, side):
+                r = q.numerator % mod  # a one-digit remainder on the first tier
+                if r:
+                    factor, top = scale[q.denominator]
+                    x[i], mods[i] = r * factor % top, top
 
 
-def _digits(table: BHTable, p: int) -> dict[int, tuple]:
-    """weight N -> (_digit(C_N / N), _digit(D_N / N)), built once per (table, p)."""
+def _digits(table: BHTable, p: int, deep: bool = False) -> _Digits:
+    """p's digit rows for table, mod the largest p**k below _LIMB (k at most
+    _DIGITS) until deep asks for p**_DIGITS, which then replaces them."""
     digits = table._digit_tables.get(p)
-    if digits is None:
-        units: dict[int, tuple[int, int]] = {}
-        digits = table._digit_tables[p] = {
-            n: (_digit(c, p, units), _digit(d, p, units))
-            for n, (c, d) in table._quotients.items()
-        }
+    if digits is None or deep and digits.prec < _DIGITS:
+        prec = _DIGITS if deep else 1
+        while prec < _DIGITS and p ** (prec + 1) < _LIMB:
+            prec += 1
+        units = digits.units if digits else {}
+        digits = table._digit_tables[p] = _Digits(table, p, prec, units)
     return digits
 
 
-def _residue_valuation(coeffs: tuple[int, ...], terms: list, p: int) -> int | None:
-    """v_p(sum c_r * X_r) off the digits of the X_r, or None if they cannot tell.
+def _valuations(table: BHTable, p: int, coeffs: tuple, at: slice) -> list:
+    """v_p(sum c_r * X_W / W), W = 10 * i for i in at, for X = C and X = D:
+    p**-B times an integer sum known mod the least p**P of its terms, whose
+    nonzero residue gives the valuation exactly.  A zero rereads the rows
+    mod p**_DIGITS; a zero there takes the exact combination."""
+    digits = _digits(table, p)
+    vals = []
+    for x, mods in digits.sides:
+        m = min(mods[at])  # 0 if a term has no digits
+        s = m and sum(map(mul, coeffs, x[at])) % m
+        vals.append(digits.log[gcd(s, m)] if s else None)
+    if None not in vals:
+        return vals
+    if digits.prec < _DIGITS:
+        _digits(table, p, deep=True)
+        return _valuations(table, p, coeffs, at)
+    weights = range(10 * at.start, 10 * at.stop, 10 * at.step)
+    for side, v in enumerate(vals):  # p is from a sieve or ap_invariant
+        if v is None:
+            exact = [table._quotients[w][side] for w in weights]
+            vals[side] = _valuation(_combination(coeffs, exact), p)
+    return vals
 
-    The sum is p**m * sum c_r * p**(v_r - m) * U_r for the least v_r = m,
-    and the inner sum is known mod p**min(v_r - m + k_r).
-    """
-    if None in terms:
-        return None
-    m = min(terms)[0]  # tuples order by v first
-    s, prec = 0, _DIGITS
-    for c, (v, u, k) in zip(coeffs, terms):
-        s += c * p ** (v - m) * u
-        prec = min(prec, v - m + k)
-    s %= p**prec
-    return m + _int_valuation(s, p) if s else None
+
+def _kummer(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
+    """The check at an admissible (p, depth, index) on weights the table has;
+    its sums are built when the report is asked for them (JSON reports)."""
+    step = (p - 1) // 10
+    at = slice(index, index + depth * step + 1, step)
+    c_val, d_val = _valuations(table, p, _kummer_coefficients(p, depth), at)
+    weights = tuple(range(10 * index, 10 * at.stop, p - 1))
+    passed = c_val >= depth and d_val >= depth
+    return KummerReport(p, depth, index, weights, c_val, d_val, passed, table)
 
 
 def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
@@ -346,19 +370,11 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
     must have p-adic valuation at least a, both for X = C and X = D.
     Inadmissible inputs raise: p must be a prime = 1 mod 5 with p - 1 not
     dividing 10*n, and 10*n - 2 >= a.
-
-    Each valuation is read off the table's p-adic digits: once the power
-    p**m of the least term valuation is taken out, the combination is a
-    sum of small integers modulo the precision its terms carry, and a
-    nonzero residue there is a unit times p**j, so v_p = m + j exactly.  A
-    zero residue, or a term whose numerator is 0 mod p**_DIGITS, takes the
-    exact combination instead.  The report builds the exact sums only when
-    asked for them (JSON reports).
     """
     _require_main_curve(table, "the Kummer-style congruence")
     if depth < 1 or index < 1:
         raise VerifierDomainError("depth and index must be positive")
-    coeffs = _kummer_coefficients(p, depth)  # validates p
+    _kummer_coefficients(p, depth)  # validates p
     n10 = 10 * index
     if n10 % (p - 1) == 0:
         raise VerifierDomainError(
@@ -369,29 +385,14 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
         raise VerifierDomainError(f"10n - 2 = {n10 - 2} is below depth {depth}")
     weights = [n10 + r * (p - 1) for r in range(depth + 1)]
     _require_weights(table, weights, "kummer_check(p=%s, a=%s, n=%s)", p, depth, index)
-    digits = _digits(table, p)
-    vals = []
-    for side, quotient in enumerate((table.c_over_n, table.d_over_n)):
-        val = _residue_valuation(coeffs, [digits[w][side] for w in weights], p)
-        if val is None:
-            # ap_invariant has proved p prime.
-            val = _valuation(_combination(coeffs, [quotient(w) for w in weights]), p)
-        vals.append(val)
-    c_val, d_val = vals
-    return KummerReport(
-        p, depth, index, tuple(weights), c_val, d_val,
-        c_val >= depth and d_val >= depth, table,
-    )
+    return _kummer(table, p, depth, index)
 
 
 def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
-    """Yield every (p, depth, index) kummer_check admits within max_weight.
-
-    p runs over the primes = 1 mod 5 up to prime_limit, then depth over
+    """Yield every (p, depth, index) kummer_check admits within max_weight:
+    p over the primes = 1 mod 5 up to prime_limit, then depth over
     1..max_depth, then index n upward while the top weight 10*n +
-    depth*(p - 1) stays within max_weight; the triples kummer_check would
-    refuse are skipped.
-    """
+    depth*(p - 1) stays within max_weight."""
     for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1)):
         for depth in range(1, max_depth + 1):
             for n in range(1, (max_weight - depth * (p - 1)) // 10 + 1):
@@ -399,11 +400,20 @@ def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
                     yield p, depth, n
 
 
+def kummer_sweep(table: BHTable, prime_limit: int, max_depth: int) -> list:
+    """kummer_check at every kummer_triples(prime_limit, max_depth, top
+    weight of table), in that order; the curve and the weights 10, 20, ...,
+    top are checked once, not once per triple."""
+    _require_main_curve(table, "the Kummer-style congruence")
+    top = max(table.rows, default=0)
+    _require_weights(table, range(10, top + 1, 10), "kummer_sweep")
+    return [_kummer(table, *t) for t in kummer_triples(prime_limit, max_depth, top)]
+
+
 # -- integrality ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class IntegralityRow:
+class IntegralityRow(NamedTuple):
     p: int
     weight: int
     c_valuation: int | float  # an int, or math.inf when the value is 0
@@ -418,8 +428,7 @@ class IntegralityRow:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class IntegralityReport:
+class IntegralityReport(NamedTuple):
     prime_limit: int
     rows: tuple[IntegralityRow, ...]
     passed: bool
@@ -430,13 +439,8 @@ class IntegralityReport:
             "version": REPORT_VERSION,
             "prime_limit": self.prime_limit,
             "rows": [
-                {
-                    "p": r.p,
-                    "weight": r.weight,
-                    "c_valuation": str(r.c_valuation),
-                    "d_valuation": str(r.d_valuation),
-                    "passed": r.passed,
-                }
+                {**r._asdict(), "c_valuation": str(r.c_valuation),
+                 "d_valuation": str(r.d_valuation)}
                 for r in self.rows
             ],
             "passed": self.passed,
@@ -444,26 +448,22 @@ class IntegralityReport:
 
 
 def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
-    """Scan v_p(C_N / N) >= 0 and v_p(D_N / N) >= 0 over the table.
-
-    Covers primes p <= prime_limit with p = 1 mod 5 and p - 1 not dividing
-    N; rows come out sorted by (p, N) regardless of traversal order.  The
-    valuations come from the digit table kummer_check reads (exact below
-    _DIGITS); a numerator that is 0 mod p**_DIGITS is valued exactly.
-    """
+    """Scan v_p(C_N / N) >= 0 and v_p(D_N / N) >= 0 over the table, at the
+    primes p <= prime_limit with p = 1 mod 5 and p - 1 not dividing N, in
+    rows sorted by (p, N), off the digit rows Kummer reads."""
     _require_main_curve(table, "the integrality statement")
     if prime_limit < 1:
         raise VerifierDomainError("prime limit must be positive")
     rows = []
     for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1)):
-        digits = _digits(table, p)
+        digits = _digits(table, p)  # gcd(0, 0) = 0 marks an entry without digits
+        c_vals, d_vals = (list(map(digits.log.get, map(gcd, *s))) for s in digits.sides)
         for n in table.weights():
-            if n % (p - 1) == 0:
-                continue
-            # p is from the sieve; an entry without digits takes the exact path.
-            c_digit, d_digit = digits[n]
-            c_val = c_digit[0] if c_digit else _valuation(table.c_over_n(n), p)
-            d_val = d_digit[0] if d_digit else _valuation(table.d_over_n(n), p)
-            rows.append(IntegralityRow(p, n, c_val, d_val, c_val >= 0 and d_val >= 0))
-    rows.sort(key=lambda r: (r.p, r.weight))
+            if n % (p - 1):
+                c_val, d_val = c_vals[n // 10], d_vals[n // 10]
+                if c_val is None or d_val is None:
+                    at = slice(n // 10, n // 10 + 1, 1)
+                    c_val, d_val = _valuations(table, p, (1,), at)
+                ok = c_val >= 0 and d_val >= 0
+                rows.append(IntegralityRow(p, n, c_val, d_val, ok))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))

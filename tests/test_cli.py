@@ -102,6 +102,18 @@ def test_compute_rejects_misaligned_weight(cache_env, capsys):
     assert "multiple of the curve weight" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["verify", "vsc"], ["export"]], ids=["verify", "export"]
+)
+def test_cache_alone_rejects_misaligned_weight(cache_env, capsys, command):
+    # With --cache and no --curve the weight step comes from the table.
+    compute_main(capsys)
+    cache = str(cache_env / "cyclo_a2_b5.json")
+    rc, out, err = run(capsys, *command, "--cache", cache, "--max-weight", "15")
+    assert (rc, out) == (2, "")
+    assert err == "error: --max-weight must be a multiple of the curve weight 10\n"
+
+
 def test_export_rows(cache_env, capsys):
     compute_main(capsys)
     rc, out, err = run(capsys, "export", "--curve", MAIN_CURVE)
@@ -253,7 +265,7 @@ def test_sweep_bounds_below_one_are_rejected(cache_env, capsys, monkeypatch, arg
     def no_check(*args):
         raise AssertionError("a check ran although the sweep bounds are invalid")
 
-    for name in ("vsc_decompose", "kummer_check", "integrality_scan"):
+    for name in ("vsc_decompose", "kummer_sweep", "integrality_scan"):
         monkeypatch.setattr(f"bhnum.cli.{name}", no_check)
     rc, out, err = run(capsys, "verify", *argv, "--curve", MAIN_CURVE)
     assert rc == 2

@@ -15,6 +15,7 @@ from bhnum.congruence import (
     classical_vsc_bernoulli,
     integrality_scan,
     kummer_check,
+    kummer_sweep,
     kummer_triples,
     vsc_decompose,
 )
@@ -108,8 +109,10 @@ def test_restricted_table_builds_its_own_memo(table100, table300):
     assert child._quotients is not parent._quotients
     assert sorted(child._quotients) == child.weights() == list(range(10, 101, 10))
     assert len(parent._quotients) == 30
-    assert sorted(child._digit_tables[31]) == child.weights()
-    assert len(parent._digit_tables[31]) == 30
+    for table, top in ((child, 100), (parent, 300)):  # rows at N // 10
+        for _, mods in table._digit_tables[31].sides:
+            assert [10 * i for i, m in enumerate(mods) if m > 1] == table.weights()
+            assert table.weights()[-1] == top
 
 
 # -- von Staudt-Clausen ---------------------------------------------------------
@@ -378,18 +381,56 @@ def naive_integrality(table, prime_limit):
     return tuple(rows)
 
 
-def test_digits_are_built_once_per_prime(table100, monkeypatch):
-    # Kummer builds each prime's digit table once; integrality reuses it.
-    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
+def first_tier(p):
+    """The largest k <= _DIGITS with p**k below one 30-bit CPython digit."""
+    return max(k for k in range(1, congruence._DIGITS + 1) if p**k < 2**30)
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The (p, precision) of every digit-row table the verifiers build."""
     built = []
-    real = congruence._digit
-    monkeypatch.setattr(
-        congruence, "_digit", lambda q, p, units: built.append(p) or real(q, p, units)
-    )
+    real = congruence._Digits
+
+    def spy(table, p, prec, units):
+        built.append((p, prec))
+        return real(table, p, prec, units)
+
+    monkeypatch.setattr(congruence, "_Digits", spy)
+    return built
+
+
+def test_digits_are_built_once_per_prime(table100, builds):
+    # Kummer builds each prime's first-tier rows once; integrality reuses
+    # them.  On this table those digits decide every valuation.
+    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
     for t in kummer_triples(100, 3, 100):
         kummer_check(table, *t)
     integrality_scan(table, 100)
-    assert sorted(built) == [p for p in naive_primes(100) for _ in range(2 * 10)]
+    assert sorted(builds) == [(p, first_tier(p)) for p in naive_primes(100)]
+    assert first_tier(11) == congruence._DIGITS and first_tier(71) == 4
+
+
+def test_digit_tiers_invert_each_denominator_once(table100, builds, monkeypatch):
+    # With _LIMB at 0 the first tier keeps one digit, so every prime with a
+    # Kummer check builds its p**_DIGITS rows too; both tiers share one
+    # inverse per distinct denominator.
+    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
+    dens = {q.denominator for cd in table._quotients.values() for q in cd}
+    moduli = []
+
+    def counted(base, exp, mod=None):
+        if exp == -1:
+            moduli.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(congruence, "pow", counted, raising=False)
+    monkeypatch.setattr(congruence, "_LIMB", 0)
+    kummer_sweep(table, 100, 3)
+    primes = naive_primes(100)[1:]  # 10 divides every weight: no check at 11
+    assert builds == [(p, prec) for p in primes for prec in (1, congruence._DIGITS)]
+    assert sorted(set(moduli)) == [p**congruence._DIGITS for p in primes]
+    assert all(moduli.count(p**congruence._DIGITS) <= len(dens) for p in primes)
 
 
 def test_digit_tables_invert_each_denominator_once(table100, monkeypatch):
@@ -499,3 +540,77 @@ def test_edge_entries_take_the_exact_path(table300, exact_calls):
     assert sorted(exact_calls) == sorted(
         [(F(0), p) for p in naive_primes(300) if 40 % (p - 1)] + [(F(deep, 7), 31)]
     )
+
+
+def edge_table(table300):
+    """C_40 / 40 = 0 and 31**(_DIGITS + 2) dividing the numerator of C_70 / 70,
+    as in test_edge_entries_take_the_exact_path."""
+    deep = 31 ** (congruence._DIGITS + 2)
+    rows = dict(table300.rows)
+    rows[40] = (F(0), rows[40][1])
+    rows[70] = (F(70 * deep, 7), rows[70][1])
+    return BHTable(table300.curve, table300.order, table300.method, rows), deep
+
+
+@pytest.mark.parametrize("which", ["table100", "table300", "tampered", "edge"])
+def test_sweep_matches_single_checks_and_naive_reference(table100, table300, which):
+    source = {
+        "table100": table100,
+        "table300": table300,
+        "tampered": tampered(table300, 40, delta_c=F(1, 31)),
+        "edge": edge_table(table300)[0],
+    }[which]
+    top = max(source.rows)
+
+    def fresh():
+        return BHTable(source.curve, source.order, source.method, source.rows)
+
+    triples = list(kummer_triples(top, 3, top))
+    sweep = kummer_sweep(fresh(), top, 3)
+    assert sweep == [kummer_check(fresh(), *t) for t in triples]
+    assert [with_sums(r) for r in sweep] == [naive_kummer(source, *t) for t in triples]
+    assert [r.weights for r in sweep] == [
+        tuple(10 * n + r * (p - 1) for r in range(a + 1)) for p, a, n in triples
+    ]
+
+
+def test_sweep_checks_the_curve_and_the_weight_ladder(table100):
+    other = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 30))
+    with pytest.raises(VerifierDomainError):
+        kummer_sweep(other, 50, 1)
+    rows = dict(table100.rows)
+    del rows[50]
+    gap = BHTable(table100.curve, table100.order, table100.method, rows)
+    with pytest.raises(MissingWeightError) as exc:
+        kummer_sweep(gap, 100, 3)
+    assert exc.value.weights == [50]
+
+
+@pytest.mark.parametrize(
+    "tamper", [False, True, "edge"], ids=["table300", "tampered", "edge"]
+)
+def test_forced_deep_tier_keeps_reports_and_exact_calls(
+    table300, tamper, exact_calls, builds, monkeypatch
+):
+    # With _LIMB at 0 every first tier keeps one digit: a combination of
+    # valuation >= 1 reads 0 there, so its prime's p**_DIGITS rows decide.
+    # Reports and exact valuations must be those of the one-tier verifier.
+    monkeypatch.setattr(congruence, "_LIMB", 0)
+    if tamper != "edge":
+        check_against_naive(table300, tamper)
+        assert exact_calls == []
+    else:
+        table, deep = edge_table(table300)
+        triples = list(kummer_triples(300, 3, 300))
+        reports = kummer_sweep(table, 300, 3)
+        naive = [naive_kummer(table, *t) for t in triples]
+        assert [with_sums(r) for r in reports] == naive
+        exact_calls.clear()
+        assert integrality_scan(table, 300).rows == naive_integrality(table, 300)
+        assert sorted(exact_calls) == sorted(
+            [(F(0), p) for p in naive_primes(300) if 40 % (p - 1)] + [(F(deep, 7), 31)]
+        )
+    assert len(builds) == len(set(builds))  # each tier of each prime once
+    # Every prime but 11, where 10 | N leaves no check and no integrality row.
+    deepened = {p for p, prec in builds if prec == congruence._DIGITS}
+    assert deepened == set(naive_primes(300)[1:])
