@@ -81,18 +81,15 @@ def _cache_path_for(curve: CurveSpec) -> Path:
     return _default_cache_dir() / name
 
 
-def _resolve_config(args, need_curve: bool) -> RunConfig:
-    curve = parse_curve(args.curve) if getattr(args, "curve", None) else None
-    if need_curve and curve is None:
-        raise ValueError("--curve is required")
-    cache = getattr(args, "cache", None)
-    if cache is not None:
-        cache_path = Path(cache)
+def _resolve_config(args) -> RunConfig:
+    curve = None if args.curve is None else parse_curve(args.curve)
+    if args.cache is not None:
+        cache_path = Path(args.cache)
     elif curve is not None:
         cache_path = _cache_path_for(curve)
     else:
         raise ValueError("need --cache or --curve to locate the table")
-    return RunConfig(curve, cache_path, getattr(args, "max_weight", None))
+    return RunConfig(curve, cache_path, args.max_weight)
 
 
 def _load_table(cfg: RunConfig):
@@ -137,7 +134,7 @@ def _emit(args, summary, document, order: int) -> None:
             payload = document()
         else:
             payload = "\n".join(summary()) + "\n"
-    out = getattr(args, "output", None)
+    out = args.output
     if out:
         Path(out).write_text(payload)
     else:
@@ -152,9 +149,7 @@ def _json_text(doc: dict) -> str:
 
 
 def cmd_compute(args) -> int:
-    cfg = _resolve_config(args, need_curve=True)
-    if cfg.max_weight is None:
-        raise ValueError("--max-weight is required")
+    cfg = _resolve_config(args)
     expansion = expand_checked(cfg.curve, cfg.max_weight + 2)
     table = extract_numbers(expansion)
     text = table.write(cfg.cache_path)
@@ -170,7 +165,7 @@ def cmd_verify(args) -> int:
     for flag, value in (("--depth", args.depth), ("--prime-limit", args.prime_limit)):
         if value < 1:
             raise ValueError(f"{flag} must be positive")
-    cfg = _resolve_config(args, need_curve=False)
+    cfg = _resolve_config(args)
     table = _load_table(cfg)
     which = args.check
     max_weight = max(table.weights(), default=0)
@@ -209,7 +204,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = _resolve_config(args, need_curve=False)
+    cfg = _resolve_config(args)
     table = _load_table(cfg)
 
     def summary():

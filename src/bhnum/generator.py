@@ -18,9 +18,9 @@ and Y as their v-grids, so that support pattern is its representation.
 expand_online solves the curve equation and the normalization of du for
 X one v-slot at a time, on a grid rescaled by (w + 1)**k (see its
 docstring).  Its kernel is J.C.P. Miller's power recurrence (_miller)
-and a half-sum square (_cross), run in integers: every series is a list
-of numerators over one shared denominator, and each slot is solved with
-one gcd (_extend); Fraction appears only as the grids are read out.
+and a half-sum square (_cross), run in integers: each series a step
+reads is a list of numerators over one shared denominator, and each slot
+is solved with one gcd (_extend); Fraction appears only at read-out.
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du
@@ -144,10 +144,10 @@ def _cross(f: list[int], m: int) -> int:
 
 def _rest(f: list[int], p: list[int], e: int) -> int:
     """[f**e]_m at f_m = 0 over m * den**2, from the numerators over den of f
-    and of p = f**e through m - 1 (f_0 = p_0 = den)."""
+    and, if e > 2, of p = f**e, both through m - 1 (f_0 = p_0 = den)."""
     if e == 1:
         return 0
-    m = len(p)
+    m = len(f)
     return m * _cross(f, m) if e == 2 else _miller(f, p, e)
 
 
@@ -186,24 +186,25 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     slope b*j/a: in total i*(w*m + 1), never 0 as b*j - a*i = 1.  So X_m =
     -rho_m / (i*(w*m + 1)), with rho_m the slot at X_m = 0, in which each
     power is one step on coefficients already known (_rest): a half-sum
-    square or a Miller step, and Y reads Y**a = Q as its power.
+    square or a Miller step.
 
-    The loop runs in integers.  X, X**i, X**b, Q, Y and Y**j are numerator
-    lists over one shared denominator D, and with X_m = 0 every value of
-    slot m is an integer over S = m * D**2 (a*Y_m too).  Then X_m and the
-    five powers, each moved by its slope times X_m, are integers over
-    M = S * a * i*(w*m + 1), and one gcd of M with those six numerators
-    leaves exactly the lcm of their own denominators (_extend): one
-    reduction per slot, and Fraction only as the grids are read out.
+    The loop runs in integers, on the series a step reads: X, X**b, Y,
+    and X**i or Y**j if a Miller step (a square reads only its base);
+    Y**a's Miller step (cyclo) reads Q off X**b, bar v's term in Q_1.
+    They are numerator lists over one shared denominator D, and with
+    X_m = 0 every value of slot m is an integer over S = m * D**2 (a*Y_m
+    too).  Then X_m, Y_m and the stored powers, each moved by its slope
+    times X_m, are integers over M = S * a * i*(w*m + 1), and one gcd of M
+    with those numerators leaves exactly the lcm of their own denominators
+    (_extend): one reduction per slot, and Fraction only at read-out.
 
     X_1 = j / (w + 1), and X_k and Y_k carry most of (w + 1)**k in their
     denominators, so the loop runs on X'_k = (w + 1)**k * X_k and Y'_k =
     (w + 1)**k * Y_k: v becomes (w + 1) * v in Q, the identity holds slot
     by slot as it is, and X'_1 = j.  That takes 17% off X's denominator on
-    cyclo(3,4) through v**84; the scaling is undone once, as the
-    coefficients are read out.  With X and Y known through v**n, x is exact
-    through u**(-a + w*(n+1) - 1) and y through u**(-b + w*(n+1) - 1); n is
-    the least that covers order.
+    cyclo(3,4) through v**84, and is undone once, at read-out.  With X and
+    Y known through v**n, x is exact through u**(-a + w*(n+1) - 1) and y
+    through u**(-b + w*(n+1) - 1); n is the least that covers order.
     """
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
@@ -211,10 +212,8 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     i, j = curve.exponent_pair
     n = -(-(order + 1 + max(a, b)) // w) - 1
     minusx = curve.family == "minusx"
-    x, x_b, q, y = [1], [1], [1], [1]
-    x_i = x if i == 1 else [1]
-    y_j = y if j == 1 else [1]
-    series = [x, x_b, q, y] + [x_i] * (i > 1) + [y_j] * (j > 1)
+    x, x_b, y, x_i, y_j = [1], [1], [1], [1], [1]
+    series = [x, x_b, y] + [x_i] * (i > 2) + [y_j] * (j > 2)
     den = 1
     for m in range(1, n + 1):
         # slot m at X_m = 0, over s = m * den**2
@@ -222,16 +221,18 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
         xi_m, xb_m, yj_m = _rest(x, x_i, i), _rest(x, x_b, b), _rest(y, y_j, j)
         tail = x[-1] * m * den if minusx else s * (m == 1)
         q_m = xb_m - (w + 1) * tail
-        ay_m = q_m - _rest(y, q, a)
+        ay_m = q_m - _rest(y, x_b, a)
+        if a > 2 and m > 1:  # cyclo: Q_k = X**b_k but Q_1 = X**b_1 - (w + 1)
+            ay_m += ((a + 1) * (m - 1) - m) * y[m - 1] * (w + 1) * den
         rho = (w * m - a * i) * xi_m + a * i * yj_m + i * j * ay_m
         # X_m = -rho / slope; over s * c each power moves by its slope times X_m
         slope = i * (w * m + 1)
         c = a * slope
         x_m, y_m = -a * rho, slope * ay_m - b * rho
-        nums = [x_m, c * xb_m + b * x_m, c * q_m + b * x_m, y_m]
-        if i > 1:
+        nums = [x_m, c * xb_m + b * x_m, y_m]
+        if i > 2:
             nums.append(c * xi_m + i * x_m)
-        if j > 1:
+        if j > 2:
             nums.append(c * yj_m + j * y_m)
         den = _extend(series, den, nums, s * c)
     sigma, xs, ys, scale = curve.y_leading_sign, [], [], den
@@ -411,6 +412,8 @@ class BHTable:
             order = _field(doc, "order", int)
             method = _field(doc, "method", str)
             raw_rows = _field(doc, "rows", list)
+            if _field(doc, "weight_step", int) != curve.weight:
+                raise ValueError(f"weight_step must be {curve.weight} on {curve}")
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed table document: {exc}") from None
         # The rows must be w, 2w, ..., order - 2, each once.  Their count

@@ -370,6 +370,18 @@ def test_bad_curve_descriptor(cache_env, capsys):
     )
     assert rc == 2
     assert "error:" in err
+    # An empty or blank --curve is a descriptor to parse, not an absent
+    # flag, even where --cache alone would locate the table.
+    assert compute_main(capsys)[0] == 0
+    cache = str(cache_env / "cyclo_a2_b5.json")
+    for curve in ("", " "):
+        for argv in (
+            ("compute", "--curve", curve, "--max-weight", "10"),
+            ("verify", "all", "--curve", curve, "--cache", cache),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, ""), argv
+            assert "cannot parse curve descriptor" in err, argv
 
 
 def test_bad_arguments_exit_code(cache_env, capsys):

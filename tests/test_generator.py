@@ -98,8 +98,9 @@ def test_methods_agree(curve):
     assert extract_numbers(by_rev).rows == extract_numbers(by_ode).rows
 
 
-# The last four take the branches of the online y route the first six
-# miss: (i, j) = (3, 1) on both families, (1, 2) and (2, 3).
+# The next four take the branches of the online y route the first six
+# miss: (i, j) = (3, 1) on both families, (1, 2) and (2, 3).  The last two
+# are the b = 2 curves, where Y**a's Miller step reads X**b, a square, as Q.
 ONLINE_CURVES = [
     MAIN,
     CurveSpec.cyclotomic(3, 4),
@@ -111,6 +112,8 @@ ONLINE_CURVES = [
     CurveSpec.cyclotomic(5, 3),
     CurveSpec.cyclotomic(4, 3),
     CurveSpec.minus_x(3),
+    CurveSpec.cyclotomic(3, 2),
+    CurveSpec.cyclotomic(5, 2),
 ]
 
 
@@ -127,7 +130,8 @@ def test_online_matches_reversion(curve):
 
 # One curve per branch of the online loop: i = j = 1; X**i by a Miller
 # step (i = 3) on both families; i = 3 with Y**j a square (j = 2); X**i a
-# square (i = 2) with Y**j a Miller step (j = 3); and i = 1 with j = 2.
+# square (i = 2) with Y**j a Miller step (j = 3); i = 1 with j = 2; and
+# the two b = 2 curves, whose Q is read off the list of a square.
 DEEP_CURVES = [
     CurveSpec.cyclotomic(2, 3),
     CurveSpec.cyclotomic(2, 7),
@@ -135,6 +139,8 @@ DEEP_CURVES = [
     CurveSpec.cyclotomic(3, 5),
     CurveSpec.cyclotomic(4, 3),
     CurveSpec.cyclotomic(5, 3),
+    CurveSpec.cyclotomic(3, 2),
+    CurveSpec.cyclotomic(5, 2),
 ]
 
 
@@ -419,6 +425,11 @@ BENCH_CURVES = [
     (CurveSpec.cyclotomic(3, 5), 1007),
 ]
 
+# The lists the slot loop stores on each: X, X**b and Y, and X**3 on
+# cyclo(3,5), whose (i, j) = (3, 2); no square and no Q has a list.
+STORED_LISTS = {curve: 3 for curve, _ in BENCH_CURVES}
+STORED_LISTS[CurveSpec.cyclotomic(3, 5)] = 4
+
 
 @pytest.mark.parametrize("curve, order", BENCH_CURVES, ids=str)
 def test_online_denominator_is_the_lcm_of_its_coefficients(curve, order, monkeypatch):
@@ -439,6 +450,7 @@ def test_online_denominator_is_the_lcm_of_its_coefficients(curve, order, monkeyp
     monkeypatch.setattr(generator, "_extend", checked)
     expansion = generator.expand_online(curve, order)
     assert len(slots) == len(expansion.x) - 1
+    assert {len(series) for series in slots} == {STORED_LISTS[curve]}
     assert lcm == math.lcm(*(F(v, lcm).denominator for s in slots[-1] for v in s))
 
 
@@ -551,6 +563,10 @@ def test_table_loads_rejects_malformed_documents():
         lambda d: d["rows"].append(d["rows"][0]),
         lambda d: d["rows"][0].update(c=["7" * 5000, "1"]),
         lambda d: d.update(order=10**9),
+        lambda d: d.update(weight_step=999),
+        lambda d: d.update(weight_step="10"),
+        lambda d: d.update(weight_step=True),
+        lambda d: d.pop("weight_step"),
     ):
         doc = json.loads(json.dumps(good))
         mangle(doc)
