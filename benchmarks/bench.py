@@ -18,21 +18,28 @@
             --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for):
             vsc_decompose per weight, one kummer_sweep and one
             integrality_scan.  Every repetition runs them in that order on
-            one fresh table, so kummer pays for the quotient memo and both
-            tiers of the p-adic digit rows, and integrality reads the rows
-            kummer built; A_p stays cached across repetitions, as it does
-            across commands in one process.
+            one fresh table, so kummer pays for the quotient memo and the
+            residue rows: every numerator over its side's common
+            denominator, reduced per prime once, mod p**_DIGITS up front
+            for the primes whose deepest check the first tier cannot
+            decide.  Integrality reads the rows kummer built; A_p stays
+            cached across repetitions, as it does across commands in one
+            process.  The kummer row's note gives how many primes it read
+            mod p**_DIGITS and how many check sides took the exact
+            combination.
 
-Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K]
+Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K] [--json]
+With --json the rows print as one JSON document instead of a table.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import time
 from math import lcm
 
-from bhnum import certificate
+from bhnum import certificate, congruence
 from bhnum.certificate import certify
 from bhnum.congruence import integrality_scan, kummer_sweep, vsc_decompose
 from bhnum.curves import CurveSpec, parse_curve
@@ -78,18 +85,42 @@ def certificate_shape(expansion) -> str:
     return f"{count} products, largest operand {bits} bits"
 
 
+def kummer_shape(table: BHTable, top: int) -> str:
+    """How many primes one sweep over a fresh copy of table reads mod
+    p**_DIGITS, and how many check sides take the exact combination."""
+    fresh = BHTable(table.curve, table.order, table.method, table.rows)
+    real = congruence._valuation
+    exact = 0
+
+    def counted(q, p):
+        nonlocal exact
+        exact += 1
+        return real(q, p)
+
+    congruence._valuation = counted
+    try:
+        kummer_sweep(fresh, top, 3)
+    finally:
+        congruence._valuation = real
+    rows = fresh._digit_tables.values()
+    deep = sum(digits == congruence._DIGITS for digits, _ in rows)
+    return (f"{deep} of {len(rows)} primes read mod p^{congruence._DIGITS}, "
+            f"{exact} check sides exact")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=int, default=302)
     ap.add_argument("--curve", default="cyclo:a=2,b=5")
     ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--json", action="store_true", help="print one JSON document")
     args = ap.parse_args()
 
     curve = parse_curve(args.curve)
     at = f"{curve}@{args.order}"
     online = expand_online(curve, args.order)
     seconds = best_of(args.repeat, lambda: expand_online(curve, args.order))
-    rows = [(f"pipeline/online    {at}", seconds, denominator_bits(online))]
+    rows = [("pipeline/online", seconds, denominator_bits(online))]
     table = extract_numbers(online)
     text = table.dumps()
     for name, fn, note in (
@@ -98,27 +129,33 @@ def main() -> None:
         ("cache/write", table.dumps, ""),
         ("cache/read", lambda: BHTable.loads(text), ""),
     ):
-        rows.append((f"{name:<18s} {at}", best_of(args.repeat, fn), note))
+        rows.append((name, best_of(args.repeat, fn), note))
 
     if curve == CurveSpec.cyclotomic(2, 5):
         top = max(table.weights())
         checks = (
-            ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()]),
-            ("kummer", lambda t: kummer_sweep(t, top, 3)),
-            ("integrality", lambda t: integrality_scan(t, top)),
+            ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()], ""),
+            ("kummer", lambda t: kummer_sweep(t, top, 3), kummer_shape(table, top)),
+            ("integrality", lambda t: integrality_scan(t, top), ""),
         )
 
         def verify_all() -> list[float]:
             fresh = BHTable(table.curve, table.order, table.method, table.rows)
-            return [best_of(1, lambda: check(fresh)) for _, check in checks]
+            return [best_of(1, lambda: check(fresh)) for _, check, _ in checks]
 
         passes = [verify_all() for _ in range(args.repeat)]
-        for (name, _), times in zip(checks, zip(*passes)):
-            rows.append((f"verify/{name:<11s} {at}", min(times), ""))
+        for (name, _, note), times in zip(checks, zip(*passes)):
+            rows.append((f"verify/{name}", min(times), note))
 
-    width = max(len(name) for name, _, _ in rows)
+    if args.json:
+        print(json.dumps({
+            "curve": str(curve), "order": args.order, "repeat": args.repeat,
+            "rows": [{"stage": name, "seconds": seconds, "note": note}
+                     for name, seconds, note in rows],
+        }, indent=2))
+        return
     for name, seconds, note in rows:
-        print(f"{name:<{width}}  {seconds * 1000:9.2f} ms  {note}".rstrip())
+        print(f"{name:<18s} {at}  {seconds * 1000:9.2f} ms  {note}".rstrip())
 
 
 if __name__ == "__main__":

@@ -1,63 +1,44 @@
 """Congruence verification over the weight-graded number tables.
 
-Three classical-style statements are machine-checked for the curve
-y**2 = x**5 - 1 (weight 10):
-
-  * a von Staudt-Clausen analogue: subtracting a computed fractional
-    contribution A_p**(N/(p-1)) / p (times 1/4! mod p on the D side) for
-    each prime p <= N + 1 with p = 1 mod 5 and p - 1 | N leaves an
-    integer;
-  * a Kummer-style congruence mod p**a between the normalized numbers
-    C_N / N at weights in arithmetic progression of step p - 1;
-  * the p-integrality of C_N / N and D_N / N at primes p = 1 mod 5 with
-    p - 1 not dividing N.
-
-Congruence of rationals mod p**a always means: the p-adic valuation of
-the difference is at least a.  Verifiers refuse tables computed on any
-other curve rather than silently apply an invariant A_p outside its
-proven ground.  The same decomposition engine, run with contribution -1/p
-at every prime with p - 1 | 2n, reproduces the classical von Staudt-Clausen
-statement for Bernoulli numbers and anchors the machinery.
+Three statements are machine-checked for y**2 = x**5 - 1 (weight 10): a
+von Staudt-Clausen analogue (subtracting A_p**(N/(p-1)) / p, times 1/4!
+mod p on the D side, at each prime p = 1 mod 5 with p - 1 | N leaves an
+integer); a Kummer-style congruence mod p**a between the C_N / N at
+weights in arithmetic progression of step p - 1; and the p-integrality
+of C_N / N and D_N / N at the primes p = 1 mod 5 with p - 1 not dividing
+N.  Rationals are congruent mod p**a when their difference has p-adic
+valuation at least a.  Verifiers refuse tables of any other curve rather
+than apply A_p outside its proven ground.  Run with contribution -1/p at
+every prime with p - 1 | 2n, the same decomposition engine reproduces
+the classical von Staudt-Clausen theorem for Bernoulli numbers.
 
 Each piece of number theory is done once: the quotients C_N / N and
-D_N / N once per table (BHTable keeps them), A_p once per prime
-(ap_invariant is cached; a p it refuses is refused on every call), and the
-p-adic digit rows the valuations are read off (_Digits) once per (table,
-p) and tier.  Valuations at a p that came out of the sieve, or that
-ap_invariant has proved prime, skip padic_valuation's primality proof.
+D_N / N, and their numerators over each side's common denominator L, per
+table (BHTable keeps them); A_p per prime (cached; a p it refuses is
+refused on every call); and each prime's residue rows, those numerators
+mod p**(k + v_p(L)), per table (_rows).  A Kummer combination is then a
+sum of small integers whose residue, when nonzero, gives its valuation
+exactly.  Valuations at a p from the sieve or ap_invariant skip
+padic_valuation's primality proof.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-from operator import mul
+from itertools import repeat
+from math import gcd, isqrt, lcm, prod
+from operator import add, mod, mul
 from typing import NamedTuple
 
 from .curves import CurveSpec
 from .generator import BHTable, rational_pair
-from .numtheory import (
-    PrimeResidueClass,
-    _int_valuation,
-    _valuation,
-    binomial,
-    is_prime,
-    mod_inverse,
-    primes_in_class,
-)
+from .numtheory import (PrimeResidueClass, _int_valuation, _valuation, binomial, is_prime,
+                        mod_inverse, primes_in_class)
 
-__all__ = [
-    "MissingWeightError",
-    "VerifierDomainError",
-    "ap_invariant",
-    "classical_vsc_bernoulli",
-    "integrality_scan",
-    "kummer_check",
-    "kummer_sweep",
-    "kummer_triples",
-    "vsc_decompose",
-]
+__all__ = ["MissingWeightError", "VerifierDomainError", "ap_invariant",
+           "classical_vsc_bernoulli", "integrality_scan", "kummer_check", "kummer_sweep",
+           "kummer_triples", "vsc_decompose"]
 
 REPORT_VERSION = 1
 
@@ -282,84 +263,86 @@ def _combination(coeffs: tuple[int, ...], values: list[Fraction]) -> Fraction:
 def _kummer_coefficients(p: int, depth: int) -> tuple[int, ...]:
     """(-1)**r * C(a, r) * A_p**(a - r) for r = 0..a; ap_invariant validates p."""
     ap = ap_invariant(p)
-    return tuple(
-        (-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
-    )
+    return tuple((-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1))
 
 
-class _Digits:
-    """One prime's digit rows off the numerators mod p**prec: sides (C, then D)
-    hold at N // 10 x = p**B * X_N / N mod p**P and p**P, with B the largest
-    v_p of a denominator (0 for p**P where the numerator is 0 mod p**prec);
-    log maps p**j to j - B, units a denominator to (v_p, unit inverse)."""
-
-    def __init__(self, table: BHTable, p: int, prec: int, units: dict):
-        qs = table._quotients  # N -> (C_N / N, D_N / N)
-        for den in {q.denominator for cd in qs.values() for q in cd} - units.keys():
-            b = _int_valuation(den, p)
-            units[den] = b, pow(den // p**b, -1, p**_DIGITS)
-        shift = max((b for b, _ in units.values()), default=0)
-        self.prec, self.units, mod = prec, units, p**prec
-        self.log = {p**j: j - shift for j in range(prec + shift)}
-        scale = {d: (p ** (shift - b) * inv, p ** (prec + shift - b))
-                 for d, (b, inv) in units.items()}
-        size = max(qs, default=0) // 10 + 1
-        self.sides = ([0] * size, [0] * size), ([0] * size, [0] * size)
-        rows = [n // 10 for n in qs]
-        for (x, mods), side in zip(self.sides, zip(*qs.values())):  # C, then D
-            for i, q in zip(rows, side):
-                r = q.numerator % mod  # a one-digit remainder on the first tier
-                if r:
-                    factor, top = scale[q.denominator]
-                    x[i], mods[i] = r * factor % top, top
+def _reduce(nums: list, moduli: list) -> list:
+    """[[a % m for a in nums] for m in moduli], down a remainder tree: nums
+    go mod the product of each half of the moduli, and so on down to
+    leaves of at most 8 moduli (measured best), each read off with map."""
+    if len(moduli) <= 8:
+        return [list(map(mod, nums, repeat(m))) for m in moduli]
+    h = len(moduli) // 2
+    return [row for half in (moduli[:h], moduli[h:])
+            for row in _reduce(list(map(mod, nums, repeat(prod(half)))), half)]
 
 
-def _digits(table: BHTable, p: int, deep: bool = False) -> _Digits:
-    """p's digit rows for table, mod the largest p**k below _LIMB (k at most
-    _DIGITS) until deep asks for p**_DIGITS, which then replaces them."""
-    digits = table._digit_tables.get(p)
-    if digits is None or deep and digits.prec < _DIGITS:
-        prec = _DIGITS if deep else 1
-        while prec < _DIGITS and p ** (prec + 1) < _LIMB:
-            prec += 1
-        units = digits.units if digits else {}
-        digits = table._digit_tables[p] = _Digits(table, p, prec, units)
-    return digits
+def _rows(table: BHTable, depths: dict) -> dict:
+    """table's memo p -> (digits, sides), with rows that read a check of
+    depth depths[p]: the first tier (the most digits k <= _DIGITS whose
+    modulus is below _LIMB) if the depth is below k, else p**_DIGITS.  Per
+    side (C, then D): the numerators L * X_N / N over the side's common
+    denominator L at N // 10 mod p**(digits + v), v = v_p(L); that modulus;
+    and log: p**j -> j - v.  What is missing is built in one batch."""
+    memo = table._digit_tables
+    todo = [p for p, d in depths.items() if p not in memo or d >= memo[p][0] < _DIGITS]
+    if not todo:
+        return memo
+    sides = table._over_lcm  # per side (C, then D): L and its numerators
+    shifts = {p: [_int_valuation(den, p) for den, _ in sides] for p in todo}
+    digits = {}
+    for p in todo:
+        fit = [k for k in range(1, _DIGITS + 1) if p ** (k + max(shifts[p])) < _LIMB]
+        digits[p] = fit[-1] if fit and depths[p] < fit[-1] else _DIGITS
+    rows = {p: [] for p in todo}
+    for s, (_, nums) in enumerate(sides):
+        moduli = [p ** (digits[p] + shifts[p][s]) for p in todo]
+        for p, m, x in zip(todo, moduli, _reduce(nums, moduli)):
+            v = shifts[p][s]
+            rows[p].append((x, m, {p**j: j - v for j in range(digits[p] + v)}))
+    memo.update((p, (digits[p], rows[p])) for p in todo)
+    return memo
 
 
-def _valuations(table: BHTable, p: int, coeffs: tuple, at: slice) -> list:
-    """v_p(sum c_r * X_W / W), W = 10 * i for i in at, for X = C and X = D:
-    p**-B times an integer sum known mod the least p**P of its terms, whose
-    nonzero residue gives the valuation exactly.  A zero rereads the rows
-    mod p**_DIGITS; a zero there takes the exact combination."""
-    digits = _digits(table, p)
-    vals = []
-    for x, mods in digits.sides:
-        m = min(mods[at])  # 0 if a term has no digits
-        s = m and sum(map(mul, coeffs, x[at])) % m
-        vals.append(digits.log[gcd(s, m)] if s else None)
-    if None not in vals:
-        return vals
-    if digits.prec < _DIGITS:
-        _digits(table, p, deep=True)
-        return _valuations(table, p, coeffs, at)
-    weights = range(10 * at.start, 10 * at.stop, 10 * at.step)
-    for side, v in enumerate(vals):  # p is from a sieve or ap_invariant
+def _sums(side: tuple, coeffs: tuple, step: int, lo: int, hi: int) -> list:
+    """v_p(sum c_r * X_W / W), W = 10 * (n + r * step), for n in lo..hi - 1,
+    off one side's rows, formed at C level over shifted row slices: exact
+    where the sum mod p**Q is nonzero, None where it is zero."""
+    x, m, log = side
+    acc = repeat(0)
+    for r, c in enumerate(coeffs):
+        acc = map(add, acc, map(mul, repeat(c % m), x[lo + r * step : hi + r * step]))
+    return list(map(log.get, map(gcd, acc, repeat(m))))
+
+
+def _valuations(table: BHTable, p: int, coeffs: tuple, n: int, step: int) -> list:
+    """Both sides' _sums at base index n off p's p**_DIGITS rows, or exactly
+    where zero there (p is from a sieve or ap_invariant)."""
+    sides = _rows(table, {p: _DIGITS})[p][1]
+    vals = [_sums(side, coeffs, step, n, n + 1)[0] for side in sides]
+    for s, v in enumerate(vals):
         if v is None:
-            exact = [table._quotients[w][side] for w in weights]
-            vals[side] = _valuation(_combination(coeffs, exact), p)
+            exact = [table._quotients[10 * (n + r * step)][s] for r in range(len(coeffs))]
+            vals[s] = _valuation(_combination(coeffs, exact), p)
     return vals
 
 
-def _kummer(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
-    """The check at an admissible (p, depth, index) on weights the table has;
-    its sums are built when the report is asked for them (JSON reports)."""
-    step = (p - 1) // 10
-    at = slice(index, index + depth * step + 1, step)
-    c_val, d_val = _valuations(table, p, _kummer_coefficients(p, depth), at)
-    weights = tuple(range(10 * index, 10 * at.stop, p - 1))
-    passed = c_val >= depth and d_val >= depth
-    return KummerReport(p, depth, index, weights, c_val, d_val, passed, table)
+def _column(table: BHTable, p: int, depth: int, indices: list) -> list:
+    """The checks at (p, depth) on ascending admissible base indices, on
+    weights the table has: one _sums per side, and _valuations where that
+    cannot decide.  Sums are built when a report asks (JSON reports)."""
+    coeffs, step, lo = _kummer_coefficients(p, depth), (p - 1) // 10, indices[0]
+    sides = _rows(table, {p: depth})[p][1]
+    c_vals, d_vals = (_sums(side, coeffs, step, lo, indices[-1] + 1) for side in sides)
+    reports = []
+    for n in indices:
+        c_val, d_val = c_vals[n - lo], d_vals[n - lo]
+        if c_val is None or d_val is None:
+            c_val, d_val = _valuations(table, p, coeffs, n, step)
+        weights = tuple(range(10 * n, 10 * n + depth * (p - 1) + 1, p - 1))
+        passed = c_val >= depth and d_val >= depth
+        reports.append(KummerReport(p, depth, n, weights, c_val, d_val, passed, table))
+    return reports
 
 
 def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
@@ -385,7 +368,7 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
         raise VerifierDomainError(f"10n - 2 = {n10 - 2} is below depth {depth}")
     weights = [n10 + r * (p - 1) for r in range(depth + 1)]
     _require_weights(table, weights, "kummer_check(p=%s, a=%s, n=%s)", p, depth, index)
-    return _kummer(table, p, depth, index)
+    return _column(table, p, depth, [index])[0]
 
 
 def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
@@ -403,11 +386,16 @@ def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
 def kummer_sweep(table: BHTable, prime_limit: int, max_depth: int) -> list:
     """kummer_check at every kummer_triples(prime_limit, max_depth, top
     weight of table), in that order; the curve and the weights 10, 20, ...,
-    top are checked once, not once per triple."""
+    top are checked once.  Each (p, depth) runs as one column, after every
+    prime's rows are built in one batch at the tier its deepest check reads."""
     _require_main_curve(table, "the Kummer-style congruence")
     top = max(table.rows, default=0)
     _require_weights(table, range(10, top + 1, 10), "kummer_sweep")
-    return [_kummer(table, *t) for t in kummer_triples(prime_limit, max_depth, top)]
+    columns = {}
+    for p, depth, n in kummer_triples(prime_limit, max_depth, top):
+        columns.setdefault((p, depth), []).append(n)
+    _rows(table, dict(columns.keys()))  # p -> its deepest depth, the last key
+    return [r for (p, depth), ns in columns.items() for r in _column(table, p, depth, ns)]
 
 
 # -- integrality ----------------------------------------------------------------
@@ -450,20 +438,27 @@ class IntegralityReport(NamedTuple):
 def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
     """Scan v_p(C_N / N) >= 0 and v_p(D_N / N) >= 0 over the table, at the
     primes p <= prime_limit with p = 1 mod 5 and p - 1 not dividing N, in
-    rows sorted by (p, N), off the digit rows Kummer reads."""
+    rows sorted by (p, N), off the residue rows Kummer reads."""
     _require_main_curve(table, "the integrality statement")
     if prime_limit < 1:
         raise VerifierDomainError("prime limit must be positive")
+    weights = table.weights()
+    primes = [p for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1))
+              if any(n % (p - 1) for n in weights)]
+    memo = _rows(table, dict.fromkeys(primes, 0))
     rows = []
-    for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1)):
-        digits = _digits(table, p)  # gcd(0, 0) = 0 marks an entry without digits
-        c_vals, d_vals = (list(map(digits.log.get, map(gcd, *s))) for s in digits.sides)
-        for n in table.weights():
+    for p in primes:
+        vals = []
+        for x, m, log in memo[p][1]:  # read mod one CPython digit if m is wider
+            low = max((k for k in (*log, m) if k < _LIMB), default=m)
+            low_log = {k: j for k, j in log.items() if k < low}
+            vals.append(list(map(low_log.get, map(gcd, map(mod, x, repeat(low)), repeat(low)))))
+        c_vals, d_vals = vals
+        for n in weights:
             if n % (p - 1):
                 c_val, d_val = c_vals[n // 10], d_vals[n // 10]
                 if c_val is None or d_val is None:
-                    at = slice(n // 10, n // 10 + 1, 1)
-                    c_val, d_val = _valuations(table, p, (1,), at)
+                    c_val, d_val = _valuations(table, p, (1,), n // 10, 1)
                 ok = c_val >= 0 and d_val >= 0
                 rows.append(IntegralityRow(p, n, c_val, d_val, ok))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))

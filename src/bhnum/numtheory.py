@@ -115,6 +115,10 @@ def mod_inverse(x: int, m: int) -> int:
 
 
 def _int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero integer n and p >= 2; ValueError otherwise, where
+    the division loop would never end."""
+    if n == 0 or p < 2:
+        raise ValueError(f"v_{p}({n}) is not a finite valuation")
     v = 0
     while n % p == 0:
         n //= p

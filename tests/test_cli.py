@@ -301,6 +301,32 @@ BENCH_FIXTURE = Path(__file__).parents[1] / "bhbench/fixtures/cyclo_a2_b5_w1000.
 PINNED_BENCH_FIXTURE_SUMMARY = (
     "978140332c052a140d0d62819e2847fab8519c3727f55e6515b1837e453304d1"
 )
+# SHA-256 of `verify all --max-weight 300 --prime-limit 300 --depth 3
+# --format json` on the same table, recorded with the per-denominator
+# digit-table verifier that the shared-denominator residue rows replaced.
+PINNED_BENCH_FIXTURE_JSON_300 = (
+    "88cdab7f1667a0ff21780384b86074a91f00eedf655744dec982a22ecda62c6d"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--prime-limit", "1000", "--depth", "3"), PINNED_BENCH_FIXTURE_SUMMARY),
+        (
+            ("--max-weight", "300", "--prime-limit", "300", "--depth", "3",
+             "--format", "json"),
+            PINNED_BENCH_FIXTURE_JSON_300,
+        ),
+    ],
+    ids=["summary", "json"],
+)
+def test_bench_fixture_reports_are_pinned_line_for_line(capsys, argv, digest):
+    # Every line of every report, not just the totals: each valuation,
+    # exact combination and remainder the verifiers print.
+    rc, out, err = run(capsys, "verify", "all", "--cache", str(BENCH_FIXTURE), *argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_summary_mode_forms_no_kummer_combination(cache_env, capsys, monkeypatch):

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, lcm
 
 import pytest
 
@@ -98,6 +99,7 @@ def test_restricted_table_builds_its_own_memo(table100, table300):
     child = parent.restrict(100)
     assert "_quotients" not in vars(child)
     assert "_digit_tables" not in vars(child)
+    assert "_over_lcm" not in vars(child)
     triples = list(kummer_triples(100, 3, 100))
     assert [vsc_decompose(child, n) for n in child.weights()] == [
         vsc_decompose(table100, n) for n in table100.weights()
@@ -109,10 +111,13 @@ def test_restricted_table_builds_its_own_memo(table100, table300):
     assert child._quotients is not parent._quotients
     assert sorted(child._quotients) == child.weights() == list(range(10, 101, 10))
     assert len(parent._quotients) == 30
-    for table, top in ((child, 100), (parent, 300)):  # rows at N // 10
-        for _, mods in table._digit_tables[31].sides:
-            assert [10 * i for i, m in enumerate(mods) if m > 1] == table.weights()
-            assert table.weights()[-1] == top
+    for table, top in ((child, 100), (parent, 300)):  # rows at N // 10, to top
+        assert table.weights()[-1] == top
+        digits, sides = table._digit_tables[31]
+        for number, (x, m, log) in zip((table.c, table.d), sides):
+            den = common_denominator(table, number)
+            assert m == 31 ** (digits + padic_valuation(den, 31))
+            assert x == [0] + [number(n) / n * den % m for n in table.weights()]
 
 
 # -- von Staudt-Clausen ---------------------------------------------------------
@@ -381,76 +386,110 @@ def naive_integrality(table, prime_limit):
     return tuple(rows)
 
 
-def first_tier(p):
-    """The largest k <= _DIGITS with p**k below one 30-bit CPython digit."""
-    return max(k for k in range(1, congruence._DIGITS + 1) if p**k < 2**30)
+def fresh(table):
+    """A copy of table with empty memos."""
+    return BHTable(table.curve, table.order, table.method, table.rows)
+
+
+def common_denominator(table, number):
+    """The lcm of the denominators of number(N) / N over the table."""
+    return lcm(*((number(n) / n).denominator for n in table.weights()))
+
+
+def expected_digits(table, p, depth):
+    """The digits p's rows keep for a check of this depth: the largest
+    k <= _DIGITS with p**(k + v) below one 30-bit CPython digit, v the larger
+    v_p of the two sides' common denominators, if depth < k; else _DIGITS."""
+    v = max(padic_valuation(common_denominator(table, x), p) for x in (table.c, table.d))
+    fit = [k for k in range(1, congruence._DIGITS + 1) if p ** (k + v) < 2**30]
+    return fit[-1] if fit and depth < fit[-1] else congruence._DIGITS
 
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """The (p, precision) of every digit-row table the verifiers build."""
+    """The (p, digits) of every prime's residue rows, as the verifiers build them."""
     built = []
-    real = congruence._Digits
+    real = congruence._rows
 
-    def spy(table, p, prec, units):
-        built.append((p, prec))
-        return real(table, p, prec, units)
+    def spy(table, depths):
+        before = dict(table._digit_tables)
+        memo = real(table, depths)
+        built.extend((p, rows[0]) for p, rows in memo.items() if before.get(p) is not rows)
+        return memo
 
-    monkeypatch.setattr(congruence, "_Digits", spy)
+    monkeypatch.setattr(congruence, "_rows", spy)
     return built
 
 
-def test_digits_are_built_once_per_prime(table100, builds):
-    # Kummer builds each prime's first-tier rows once; integrality reuses
-    # them.  On this table those digits decide every valuation.
-    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
-    for t in kummer_triples(100, 3, 100):
-        kummer_check(table, *t)
-    integrality_scan(table, 100)
-    assert sorted(builds) == [(p, first_tier(p)) for p in naive_primes(100)]
-    assert first_tier(11) == congruence._DIGITS and first_tier(71) == 4
+def test_rows_are_built_once_per_prime(table300, builds, exact_calls):
+    # The sweep builds each prime's rows once, at the tier its deepest
+    # check reads, and integrality reads the same rows.  On this table
+    # those rows decide every valuation.
+    table = fresh(table300)
+    deepest = {p: depth for p, depth, _ in kummer_triples(300, 3, 300)}
+    kummer_sweep(table, 300, 3)
+    integrality_scan(table, 300)
+    primes = naive_primes(300)[1:]  # 10 divides every weight: nothing at 11
+    assert builds == [(p, expected_digits(table, p, deepest[p])) for p in primes]
+    assert expected_digits(table, 31, 3) == 5 and expected_digits(table, 71, 3) == 8
+    assert exact_calls == []
 
 
-def test_digit_tiers_invert_each_denominator_once(table100, builds, monkeypatch):
-    # With _LIMB at 0 the first tier keeps one digit, so every prime with a
-    # Kummer check builds its p**_DIGITS rows too; both tiers share one
-    # inverse per distinct denominator.
-    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
-    dens = {q.denominator for cd in table._quotients.values() for q in cd}
-    moduli = []
-
-    def counted(base, exp, mod=None):
-        if exp == -1:
-            moduli.append(mod)
-        return pow(base, exp, mod)
-
-    monkeypatch.setattr(congruence, "pow", counted, raising=False)
+def test_zero_limb_builds_only_deep_rows(table300, builds, monkeypatch):
+    # With _LIMB at 0 no modulus fits a first tier: every prime's rows are
+    # read mod p**(_DIGITS + v) from the start, once.
     monkeypatch.setattr(congruence, "_LIMB", 0)
-    kummer_sweep(table, 100, 3)
-    primes = naive_primes(100)[1:]  # 10 divides every weight: no check at 11
-    assert builds == [(p, prec) for p in primes for prec in (1, congruence._DIGITS)]
-    assert sorted(set(moduli)) == [p**congruence._DIGITS for p in primes]
-    assert all(moduli.count(p**congruence._DIGITS) <= len(dens) for p in primes)
+    table = fresh(table300)
+    kummer_sweep(table, 300, 3)
+    integrality_scan(table, 300)
+    assert builds == [(p, congruence._DIGITS) for p in naive_primes(300)[1:]]
 
 
-def test_digit_tables_invert_each_denominator_once(table100, monkeypatch):
-    # The 20 quotients share 6 denominators; a prime's digit table inverts
-    # each distinct one at most once, not once per quotient.
-    table = BHTable(table100.curve, table100.order, table100.method, table100.rows)
-    dens = {q.denominator for cd in table._quotients.values() for q in cd}
-    assert len(dens) < 2 * len(table.rows)
-    moduli = []
+def test_rows_take_no_inverse_and_one_tree_per_side(table100, monkeypatch):
+    # Over each side's common denominator the rows need no modular inverse,
+    # and each side's numerators go down one remainder tree over every
+    # prime's modulus at once.
+    table = fresh(table100)
+    inverses, trees = [], []
 
     def counted(base, exp, mod=None):
         if exp == -1:
-            moduli.append(mod)
+            inverses.append(mod)
         return pow(base, exp, mod)
 
+    def spy(nums, moduli):
+        trees.append(len(moduli))
+        return real(nums, moduli)
+
+    real = congruence._reduce
     monkeypatch.setattr(congruence, "pow", counted, raising=False)
+    monkeypatch.setattr(congruence, "_reduce", spy)
     integrality_scan(table, 100)
-    primes = naive_primes(100)
-    assert sorted(set(moduli)) == [p**congruence._DIGITS for p in primes]
-    assert all(moduli.count(p**congruence._DIGITS) <= len(dens) for p in primes)
+    assert inverses == []
+    assert trees == [len(naive_primes(100)[1:])] * 2
+
+
+def test_remainder_tree_matches_direct_reduction():
+    rng = random.Random(5)
+    moduli = [p ** rng.randrange(1, 10) for p in naive_primes(400)]
+    assert len(moduli) > 8  # deep enough to split
+    nums = [rng.randrange(-(10**600), 10**600) for _ in range(25)] + [0]
+    assert congruence._reduce(nums, moduli) == [[a % m for a in nums] for m in moduli]
+
+
+def test_rows_shift_by_the_common_denominators_valuation(table300, builds):
+    # 1/31**2 in C_40 / 40 makes v_31 of the C side's common denominator 2:
+    # 31's C rows keep two more digits and read valuations down to -2.
+    source = tampered(table300, 40, delta_c=F(40, 31**2))
+    table = fresh(source)
+    sweep = kummer_sweep(table, 300, 3)
+    digits, ((_, m, log), _) = table._digit_tables[31]
+    assert (m, log[1]) == (31 ** (digits + 2), -2)
+    scan = integrality_scan(table, 300).rows
+    assert scan == naive_integrality(source, 300)
+    assert [(r.p, r.weight, r.c_valuation) for r in scan if not r.passed] == [(31, 40, -2)]
+    assert any(r.p == 31 and not r.passed for r in sweep)
+    assert len(builds) == len(set(builds))
 
 
 @pytest.fixture()
@@ -514,8 +553,10 @@ def test_exact_fallback_matches_naive_reference(
 
 def test_edge_entries_take_the_exact_path(table300, exact_calls):
     # C_40 / 40 = 0, and the numerator of C_70 / 70 is divisible by
-    # 31**(_DIGITS + 2): neither has digits at p = 31, so every check that
-    # reads them must value them exactly.
+    # 31**(_DIGITS + 2): both have residue 0 in every row.  A Kummer sum
+    # takes the exact path only when it is 0 mod p**(_DIGITS + v), here
+    # the one check whose C-side terms are exactly those two entries; an
+    # integrality row takes it for each of them.
     deep = 31 ** (congruence._DIGITS + 2)
     rows = dict(table300.rows)
     rows[40] = (F(0), rows[40][1])
@@ -528,7 +569,8 @@ def test_edge_entries_take_the_exact_path(table300, exact_calls):
         kummer.append(kummer_check(table, *t))
         exact.append(bool(exact_calls))
     assert [with_sums(r) for r in kummer] == [naive_kummer(table, *t) for t in triples]
-    assert exact == [40 in r.weights or (r.p == 31 and 70 in r.weights) for r in kummer]
+    assert exact == [r.p == 31 and set(r.weights) <= {40, 70} for r in kummer]
+    assert [(r.p, r.depth, r.index) for r, e in zip(kummer, exact) if e] == [(31, 1, 4)]
     exact_calls.clear()
     scan = integrality_scan(table, 300).rows
     assert scan == naive_integrality(table, 300)
@@ -552,13 +594,14 @@ def edge_table(table300):
     return BHTable(table300.curve, table300.order, table300.method, rows), deep
 
 
-@pytest.mark.parametrize("which", ["table100", "table300", "tampered", "edge"])
+@pytest.mark.parametrize("which", ["table100", "table300", "tampered", "edge", "shifted"])
 def test_sweep_matches_single_checks_and_naive_reference(table100, table300, which):
     source = {
         "table100": table100,
         "table300": table300,
         "tampered": tampered(table300, 40, delta_c=F(1, 31)),
         "edge": edge_table(table300)[0],
+        "shifted": tampered(table300, 40, delta_c=F(40, 31**2)),  # v_31(L) = 2
     }[which]
     top = max(source.rows)
 
@@ -592,9 +635,9 @@ def test_sweep_checks_the_curve_and_the_weight_ladder(table100):
 def test_forced_deep_tier_keeps_reports_and_exact_calls(
     table300, tamper, exact_calls, builds, monkeypatch
 ):
-    # With _LIMB at 0 every first tier keeps one digit: a combination of
-    # valuation >= 1 reads 0 there, so its prime's p**_DIGITS rows decide.
-    # Reports and exact valuations must be those of the one-tier verifier.
+    # With _LIMB at 0 there is no first tier: every prime's rows are read
+    # mod p**(_DIGITS + v) from the start.  Reports and exact valuations
+    # must be those of the two-tier verifier.
     monkeypatch.setattr(congruence, "_LIMB", 0)
     if tamper != "edge":
         check_against_naive(table300, tamper)
@@ -610,7 +653,6 @@ def test_forced_deep_tier_keeps_reports_and_exact_calls(
         assert sorted(exact_calls) == sorted(
             [(F(0), p) for p in naive_primes(300) if 40 % (p - 1)] + [(F(deep, 7), 31)]
         )
-    assert len(builds) == len(set(builds))  # each tier of each prime once
-    # Every prime but 11, where 10 | N leaves no check and no integrality row.
-    deepened = {p for p, prec in builds if prec == congruence._DIGITS}
-    assert deepened == set(naive_primes(300)[1:])
+    # Each prime once, deep; but 11, where 10 | N leaves no check and no
+    # integrality row, gets no rows.
+    assert sorted(builds) == [(p, congruence._DIGITS) for p in naive_primes(300)[1:]]

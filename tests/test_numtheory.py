@@ -7,6 +7,7 @@ import pytest
 from bhnum.numtheory import (
     NonInvertibleError,
     PrimeResidueClass,
+    _int_valuation,
     binomial,
     is_prime,
     mod_inverse,
@@ -117,6 +118,16 @@ def test_padic_valuation():
     assert padic_valuation(0, 7) == inf
     with pytest.raises(ValueError):
         padic_valuation(Fraction(1, 2), 6)
+
+
+def test_int_valuation_refuses_inputs_without_a_finite_valuation():
+    # v_p(0) and v_1(n) have no finite value: the division loop would never
+    # end, so both raise, as does any p below 2.
+    assert _int_valuation(-250, 5) == 3
+    assert _int_valuation(7, 2) == 0
+    for n, p in ((0, 7), (0, 2), (12, 1), (12, 0), (12, -3)):
+        with pytest.raises(ValueError):
+            _int_valuation(n, p)
 
 
 def test_rational_residue():
