@@ -19,14 +19,15 @@
             vsc_decompose per weight, one kummer_sweep and one
             integrality_scan.  Every repetition runs them in that order on
             one fresh table, so kummer pays for the quotient memo and the
-            residue rows: every numerator over its side's common
-            denominator, reduced per prime once, mod p**_DIGITS up front
-            for the primes whose deepest check the first tier cannot
-            decide.  Integrality reads the rows kummer built; A_p stays
-            cached across repetitions, as it does across commands in one
-            process.  The kummer row's note gives how many primes it read
-            mod p**_DIGITS and how many check sides took the exact
-            combination.
+            residue rows: every numerator over the quotients' common
+            denominator, reduced once per prime down one remainder tree,
+            mod p**_DIGITS up front for the primes whose deepest check the
+            first tier cannot decide.  Integrality reads the rows kummer
+            built; A_p stays cached across repetitions, as it does across
+            commands in one process.  The kummer row's note gives how many
+            of the primes with rows (after the last repetition) are read
+            mod p**_DIGITS, and how many check sides one sweep takes by the
+            exact combination.
 
 Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K] [--json]
 With --json the rows print as one JSON document instead of a table.
@@ -85,29 +86,6 @@ def certificate_shape(expansion) -> str:
     return f"{count} products, largest operand {bits} bits"
 
 
-def kummer_shape(table: BHTable, top: int) -> str:
-    """How many primes one sweep over a fresh copy of table reads mod
-    p**_DIGITS, and how many check sides take the exact combination."""
-    fresh = BHTable(table.curve, table.order, table.method, table.rows)
-    real = congruence._valuation
-    exact = 0
-
-    def counted(q, p):
-        nonlocal exact
-        exact += 1
-        return real(q, p)
-
-    congruence._valuation = counted
-    try:
-        kummer_sweep(fresh, top, 3)
-    finally:
-        congruence._valuation = real
-    rows = fresh._digit_tables.values()
-    deep = sum(digits == congruence._DIGITS for digits, _ in rows)
-    return (f"{deep} of {len(rows)} primes read mod p^{congruence._DIGITS}, "
-            f"{exact} check sides exact")
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=int, default=302)
@@ -133,19 +111,40 @@ def main() -> None:
 
     if curve == CurveSpec.cyclotomic(2, 5):
         top = max(table.weights())
+        exact = []  # the p of each exact valuation the timed sweeps take
+
+        def sweep(t):
+            real = congruence._valuation
+
+            def counted(q, p):
+                exact.append(p)
+                return real(q, p)
+
+            congruence._valuation = counted
+            try:
+                return kummer_sweep(t, top, 3)
+            finally:
+                congruence._valuation = real
+
         checks = (
-            ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()], ""),
-            ("kummer", lambda t: kummer_sweep(t, top, 3), kummer_shape(table, top)),
-            ("integrality", lambda t: integrality_scan(t, top), ""),
+            ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()]),
+            ("kummer", sweep),
+            ("integrality", lambda t: integrality_scan(t, top)),
         )
+        swept = []  # the table the last pass verified
 
         def verify_all() -> list[float]:
             fresh = BHTable(table.curve, table.order, table.method, table.rows)
-            return [best_of(1, lambda: check(fresh)) for _, check, _ in checks]
+            swept[:] = [fresh]
+            return [best_of(1, lambda: check(fresh)) for _, check in checks]
 
         passes = [verify_all() for _ in range(args.repeat)]
-        for (name, _, note), times in zip(checks, zip(*passes)):
-            rows.append((f"verify/{name}", min(times), note))
+        memo = swept[-1]._digit_tables  # p -> (digits, ...); 0 holds L and the numerators
+        deep = sum(memo[p][0] == congruence._DIGITS for p in memo if p)
+        notes = {"kummer": f"{deep} of {len(memo) - 1} primes read mod p^{congruence._DIGITS}, "
+                           f"{len(exact) // args.repeat} check sides exact"}
+        for (name, _), times in zip(checks, zip(*passes)):
+            rows.append((f"verify/{name}", min(times), notes.get(name, "")))
 
     if args.json:
         print(json.dumps({

@@ -1,25 +1,31 @@
 """Congruence verification over the weight-graded number tables.
 
-Three statements are machine-checked for y**2 = x**5 - 1 (weight 10): a
-von Staudt-Clausen analogue (subtracting A_p**(N/(p-1)) / p, times 1/4!
-mod p on the D side, at each prime p = 1 mod 5 with p - 1 | N leaves an
-integer); a Kummer-style congruence mod p**a between the C_N / N at
-weights in arithmetic progression of step p - 1; and the p-integrality
-of C_N / N and D_N / N at the primes p = 1 mod 5 with p - 1 not dividing
-N.  Rationals are congruent mod p**a when their difference has p-adic
-valuation at least a.  Verifiers refuse tables of any other curve rather
-than apply A_p outside its proven ground.  Run with contribution -1/p at
-every prime with p - 1 | 2n, the same decomposition engine reproduces
-the classical von Staudt-Clausen theorem for Bernoulli numbers.
+Three classical-style statements are machine-checked for the curve
+y**2 = x**5 - 1 (weight 10):
+
+  * a von Staudt-Clausen analogue: subtracting a computed fractional
+    contribution A_p**(N/(p-1)) / p (times 1/4! mod p on the D side) for
+    each prime p <= N + 1 with p = 1 mod 5 and p - 1 | N leaves an
+    integer;
+  * a Kummer-style congruence mod p**a between the normalized numbers
+    C_N / N at weights in arithmetic progression of step p - 1;
+  * the p-integrality of C_N / N and D_N / N at primes p = 1 mod 5 with
+    p - 1 not dividing N.
+
+Congruence of rationals mod p**a always means: the p-adic valuation of
+the difference is at least a.  Verifiers refuse tables computed on any
+other curve rather than silently apply an invariant A_p outside its
+proven ground.  The same decomposition engine, run with contribution -1/p
+at every prime with p - 1 | 2n, reproduces the classical von Staudt-Clausen
+statement for Bernoulli numbers and anchors the machinery.
 
 Each piece of number theory is done once: the quotients C_N / N and
-D_N / N, and their numerators over each side's common denominator L, per
-table (BHTable keeps them); A_p per prime (cached; a p it refuses is
-refused on every call); and each prime's residue rows, those numerators
-mod p**(k + v_p(L)), per table (_rows).  A Kummer combination is then a
-sum of small integers whose residue, when nonzero, gives its valuation
-exactly.  Valuations at a p from the sieve or ap_invariant skip
-padic_valuation's primality proof.
+D_N / N once per table (BHTable keeps them), A_p once per prime
+(ap_invariant is cached; a p it refuses is refused on every call), and the
+p-adic residue rows the valuations are read off (_rows) once per (table,
+p), over the quotients' common denominator and at a tier chosen up front
+from p's deepest check.  Valuations at a p that came out of the sieve, or that
+ap_invariant has proved prime, skip padic_valuation's primality proof.
 """
 
 from __future__ import annotations
@@ -33,12 +39,27 @@ from typing import NamedTuple
 
 from .curves import CurveSpec
 from .generator import BHTable, rational_pair
-from .numtheory import (PrimeResidueClass, _int_valuation, _valuation, binomial, is_prime,
-                        mod_inverse, primes_in_class)
+from .numtheory import (
+    PrimeResidueClass,
+    _int_valuation,
+    _valuation,
+    binomial,
+    is_prime,
+    mod_inverse,
+    primes_in_class,
+)
 
-__all__ = ["MissingWeightError", "VerifierDomainError", "ap_invariant",
-           "classical_vsc_bernoulli", "integrality_scan", "kummer_check", "kummer_sweep",
-           "kummer_triples", "vsc_decompose"]
+__all__ = [
+    "MissingWeightError",
+    "VerifierDomainError",
+    "ap_invariant",
+    "classical_vsc_bernoulli",
+    "integrality_scan",
+    "kummer_check",
+    "kummer_sweep",
+    "kummer_triples",
+    "vsc_decompose",
+]
 
 REPORT_VERSION = 1
 
@@ -263,86 +284,95 @@ def _combination(coeffs: tuple[int, ...], values: list[Fraction]) -> Fraction:
 def _kummer_coefficients(p: int, depth: int) -> tuple[int, ...]:
     """(-1)**r * C(a, r) * A_p**(a - r) for r = 0..a; ap_invariant validates p."""
     ap = ap_invariant(p)
-    return tuple((-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1))
+    return tuple(
+        (-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
+    )
 
 
 def _reduce(nums: list, moduli: list) -> list:
     """[[a % m for a in nums] for m in moduli], down a remainder tree: nums
-    go mod the product of each half of the moduli, and so on down to
-    leaves of at most 8 moduli (measured best), each read off with map."""
-    if len(moduli) <= 8:
-        return [list(map(mod, nums, repeat(m))) for m in moduli]
+    mod the product of all the moduli, then of each half, down to each one."""
+    nums = list(map(mod, nums, repeat(prod(moduli))))
+    if len(moduli) < 2:
+        return [nums] * len(moduli)
     h = len(moduli) // 2
-    return [row for half in (moduli[:h], moduli[h:])
-            for row in _reduce(list(map(mod, nums, repeat(prod(half)))), half)]
+    return _reduce(nums, moduli[:h]) + _reduce(nums, moduli[h:])
 
 
 def _rows(table: BHTable, depths: dict) -> dict:
-    """table's memo p -> (digits, sides), with rows that read a check of
-    depth depths[p]: the first tier (the most digits k <= _DIGITS whose
-    modulus is below _LIMB) if the depth is below k, else p**_DIGITS.  Per
-    side (C, then D): the numerators L * X_N / N over the side's common
-    denominator L at N // 10 mod p**(digits + v), v = v_p(L); that modulus;
-    and log: p**j -> j - v.  What is missing is built in one batch."""
+    """table's memo p -> (digits, (C rows, D rows), m, log): the numerators
+    A_N = L * X_N / N of both sides over their common denominator L, at
+    N // 10 mod m = p**(digits + v) with v = v_p(L), and log: p**j -> j - v.
+    digits is the first tier's (the most k <= _DIGITS with m below _LIMB) if
+    depths[p] is below it, else _DIGITS.  What is missing is built in one
+    batch, off memo[0]: L and the A_N, C then D, 0 where N is absent."""
     memo = table._digit_tables
     todo = [p for p, d in depths.items() if p not in memo or d >= memo[p][0] < _DIGITS]
     if not todo:
         return memo
-    sides = table._over_lcm  # per side (C, then D): L and its numerators
-    shifts = {p: [_int_valuation(den, p) for den, _ in sides] for p in todo}
-    digits = {}
+    qs = table._quotients
+    size = max(qs) // 10 + 1
+    if 0 not in memo:
+        den = lcm(*(q.denominator for cd in qs.values() for q in cd))
+        nums = [0] * (2 * size)
+        for n, cd in qs.items():
+            for s, q in enumerate(cd):  # C, then D
+                nums[s * size + n // 10] = q.numerator * (den // q.denominator)
+        memo[0] = den, nums
+    den, nums = memo[0]
+    tiers = {}  # p -> its digits and v_p(L)
     for p in todo:
-        fit = [k for k in range(1, _DIGITS + 1) if p ** (k + max(shifts[p])) < _LIMB]
-        digits[p] = fit[-1] if fit and depths[p] < fit[-1] else _DIGITS
-    rows = {p: [] for p in todo}
-    for s, (_, nums) in enumerate(sides):
-        moduli = [p ** (digits[p] + shifts[p][s]) for p in todo]
-        for p, m, x in zip(todo, moduli, _reduce(nums, moduli)):
-            v = shifts[p][s]
-            rows[p].append((x, m, {p**j: j - v for j in range(digits[p] + v)}))
-    memo.update((p, (digits[p], rows[p])) for p in todo)
+        v = _int_valuation(den, p)
+        k = max((k for k in range(1, _DIGITS + 1) if p ** (k + v) < _LIMB), default=0)
+        tiers[p] = k if depths[p] < k else _DIGITS, v
+    moduli = [p ** (k + v) for p, (k, v) in tiers.items()]
+    for (p, (k, v)), m, x in zip(tiers.items(), moduli, _reduce(nums, moduli)):
+        memo[p] = k, (x[:size], x[size:]), m, {p**j: j - v for j in range(k + v)}
     return memo
 
 
-def _sums(side: tuple, coeffs: tuple, step: int, lo: int, hi: int) -> list:
-    """v_p(sum c_r * X_W / W), W = 10 * (n + r * step), for n in lo..hi - 1,
-    off one side's rows, formed at C level over shifted row slices: exact
-    where the sum mod p**Q is nonzero, None where it is zero."""
-    x, m, log = side
-    acc = repeat(0)
-    for r, c in enumerate(coeffs):
-        acc = map(add, acc, map(mul, repeat(c % m), x[lo + r * step : hi + r * step]))
-    return list(map(log.get, map(gcd, acc, repeat(m))))
+def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: list) -> list:
+    """Per side, v_p(sum c_r * X_W / W) with W = 10 * (n + r * step) for the
+    ascending n in ns, off p's rows for a check of this depth: summed at C
+    level over row slices and read mod the rows' modulus, or one CPython
+    digit's worth of it where that still decides the depth; exact if
+    nonzero.  A zero rereads the p**_DIGITS rows, then takes the exact sum."""
+    _, sides, m, log = _rows(table, {p: depth})[p]
+    q = m
+    if m >= _LIMB:  # a power of p below _LIMB, if one keeps more than depth digits
+        q = max((k for k, j in log.items() if k < _LIMB and j > depth), default=m)
+    read = {k: j for k, j in log.items() if k < q}
+    lo, hi = ns[0], ns[-1] + 1
+    cols = []
+    for s, x in enumerate(sides):
+        acc = None  # the sum; a coefficient 1 takes no product
+        for r, c in enumerate(coeffs):
+            row = x[lo + r * step : hi + r * step]
+            term = row if c == 1 else map(mul, repeat(c % m), row)
+            acc = term if acc is None else map(add, acc, term)
+        col = list(map(read.get, map(gcd, acc, repeat(q))))
+        vals = [col[n - lo] for n in ns]
+        while None in vals:  # p is from a sieve or ap_invariant
+            i = vals.index(None)
+            if depth < _DIGITS:
+                vals[i] = _column(table, p, _DIGITS, coeffs, step, ns[i : i + 1])[s][0]
+            else:
+                exact = [table._quotients[10 * (ns[i] + r * step)][s] for r in range(len(coeffs))]
+                vals[i] = _valuation(_combination(coeffs, exact), p)
+        cols.append(vals)
+    return cols
 
 
-def _valuations(table: BHTable, p: int, coeffs: tuple, n: int, step: int) -> list:
-    """Both sides' _sums at base index n off p's p**_DIGITS rows, or exactly
-    where zero there (p is from a sieve or ap_invariant)."""
-    sides = _rows(table, {p: _DIGITS})[p][1]
-    vals = [_sums(side, coeffs, step, n, n + 1)[0] for side in sides]
-    for s, v in enumerate(vals):
-        if v is None:
-            exact = [table._quotients[10 * (n + r * step)][s] for r in range(len(coeffs))]
-            vals[s] = _valuation(_combination(coeffs, exact), p)
-    return vals
-
-
-def _column(table: BHTable, p: int, depth: int, indices: list) -> list:
+def _kummer(table: BHTable, p: int, depth: int, ns: list) -> list:
     """The checks at (p, depth) on ascending admissible base indices, on
-    weights the table has: one _sums per side, and _valuations where that
-    cannot decide.  Sums are built when a report asks (JSON reports)."""
-    coeffs, step, lo = _kummer_coefficients(p, depth), (p - 1) // 10, indices[0]
-    sides = _rows(table, {p: depth})[p][1]
-    c_vals, d_vals = (_sums(side, coeffs, step, lo, indices[-1] + 1) for side in sides)
-    reports = []
-    for n in indices:
-        c_val, d_val = c_vals[n - lo], d_vals[n - lo]
-        if c_val is None or d_val is None:
-            c_val, d_val = _valuations(table, p, coeffs, n, step)
-        weights = tuple(range(10 * n, 10 * n + depth * (p - 1) + 1, p - 1))
-        passed = c_val >= depth and d_val >= depth
-        reports.append(KummerReport(p, depth, n, weights, c_val, d_val, passed, table))
-    return reports
+    weights the table has; sums are built when a report asks (JSON reports)."""
+    coeffs = _kummer_coefficients(p, depth)
+    c_vals, d_vals = _column(table, p, depth, coeffs, (p - 1) // 10, ns)
+    return [
+        KummerReport(p, depth, n, tuple(range(10 * n, 10 * n + depth * (p - 1) + 1, p - 1)),
+                     c_val, d_val, c_val >= depth and d_val >= depth, table)
+        for n, c_val, d_val in zip(ns, c_vals, d_vals)
+    ]
 
 
 def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
@@ -368,7 +398,7 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
         raise VerifierDomainError(f"10n - 2 = {n10 - 2} is below depth {depth}")
     weights = [n10 + r * (p - 1) for r in range(depth + 1)]
     _require_weights(table, weights, "kummer_check(p=%s, a=%s, n=%s)", p, depth, index)
-    return _column(table, p, depth, [index])[0]
+    return _kummer(table, p, depth, [index])[0]
 
 
 def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
@@ -395,7 +425,7 @@ def kummer_sweep(table: BHTable, prime_limit: int, max_depth: int) -> list:
     for p, depth, n in kummer_triples(prime_limit, max_depth, top):
         columns.setdefault((p, depth), []).append(n)
     _rows(table, dict(columns.keys()))  # p -> its deepest depth, the last key
-    return [r for (p, depth), ns in columns.items() for r in _column(table, p, depth, ns)]
+    return [r for (p, depth), ns in columns.items() for r in _kummer(table, p, depth, ns)]
 
 
 # -- integrality ----------------------------------------------------------------
@@ -445,20 +475,11 @@ def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
     weights = table.weights()
     primes = [p for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1))
               if any(n % (p - 1) for n in weights)]
-    memo = _rows(table, dict.fromkeys(primes, 0))
+    _rows(table, dict.fromkeys(primes, 0))
     rows = []
     for p in primes:
-        vals = []
-        for x, m, log in memo[p][1]:  # read mod one CPython digit if m is wider
-            low = max((k for k in (*log, m) if k < _LIMB), default=m)
-            low_log = {k: j for k, j in log.items() if k < low}
-            vals.append(list(map(low_log.get, map(gcd, map(mod, x, repeat(low)), repeat(low)))))
-        c_vals, d_vals = vals
-        for n in weights:
-            if n % (p - 1):
-                c_val, d_val = c_vals[n // 10], d_vals[n // 10]
-                if c_val is None or d_val is None:
-                    c_val, d_val = _valuations(table, p, (1,), n // 10, 1)
-                ok = c_val >= 0 and d_val >= 0
-                rows.append(IntegralityRow(p, n, c_val, d_val, ok))
+        ns = [n for n in weights if n % (p - 1)]
+        c_vals, d_vals = _column(table, p, 0, (1,), 1, [n // 10 for n in ns])
+        for n, c_val, d_val in zip(ns, c_vals, d_vals):
+            rows.append(IntegralityRow(p, n, c_val, d_val, c_val >= 0 and d_val >= 0))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))

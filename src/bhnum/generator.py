@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import factorial, gcd, lcm, lgamma, log, prod
+from math import factorial, gcd, lgamma, log, prod
 from operator import mul
 from pathlib import Path
 
@@ -362,22 +362,8 @@ class BHTable:
         return {n: (c / n, d / n) for n, (c, d) in self.rows.items()}
 
     @cached_property
-    def _over_lcm(self) -> tuple[tuple[int, list[int]], ...]:
-        """Per side (C, then D): the lcm L of the quotients' denominators, and
-        at N // w the numerator L * X_N / N (0 where N is absent)."""
-        qs, w = self._quotients, self.curve.weight
-        sides = []
-        for side in zip(*qs.values()):
-            den = lcm(*(q.denominator for q in side))
-            nums = [0] * (max(qs, default=0) // w + 1)
-            for n, q in zip(qs, side):
-                nums[n // w] = q.numerator * (den // q.denominator)
-            sides.append((den, nums))
-        return tuple(sides)
-
-    @cached_property
-    def _digit_tables(self) -> dict[int, tuple]:
-        """p -> the quotients' p-adic residue rows, filled by bhnum.congruence."""
+    def _digit_tables(self) -> dict[int, dict]:
+        """p -> the quotients' p-adic digit table, filled by bhnum.congruence."""
         return {}
 
     def c_over_n(self, weight: int) -> Fraction:

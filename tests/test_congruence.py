@@ -99,7 +99,6 @@ def test_restricted_table_builds_its_own_memo(table100, table300):
     child = parent.restrict(100)
     assert "_quotients" not in vars(child)
     assert "_digit_tables" not in vars(child)
-    assert "_over_lcm" not in vars(child)
     triples = list(kummer_triples(100, 3, 100))
     assert [vsc_decompose(child, n) for n in child.weights()] == [
         vsc_decompose(table100, n) for n in table100.weights()
@@ -113,10 +112,10 @@ def test_restricted_table_builds_its_own_memo(table100, table300):
     assert len(parent._quotients) == 30
     for table, top in ((child, 100), (parent, 300)):  # rows at N // 10, to top
         assert table.weights()[-1] == top
-        digits, sides = table._digit_tables[31]
-        for number, (x, m, log) in zip((table.c, table.d), sides):
-            den = common_denominator(table, number)
-            assert m == 31 ** (digits + padic_valuation(den, 31))
+        digits, sides, m, _ = table._digit_tables[31]
+        den = common_denominator(table)
+        assert m == 31 ** (digits + padic_valuation(den, 31))
+        for number, x in zip((table.c, table.d), sides):
             assert x == [0] + [number(n) / n * den % m for n in table.weights()]
 
 
@@ -391,16 +390,16 @@ def fresh(table):
     return BHTable(table.curve, table.order, table.method, table.rows)
 
 
-def common_denominator(table, number):
-    """The lcm of the denominators of number(N) / N over the table."""
-    return lcm(*((number(n) / n).denominator for n in table.weights()))
+def common_denominator(table):
+    """The lcm of the denominators of C_N / N and D_N / N over the table."""
+    return lcm(*((x(n) / n).denominator for n in table.weights() for x in (table.c, table.d)))
 
 
 def expected_digits(table, p, depth):
     """The digits p's rows keep for a check of this depth: the largest
-    k <= _DIGITS with p**(k + v) below one 30-bit CPython digit, v the larger
-    v_p of the two sides' common denominators, if depth < k; else _DIGITS."""
-    v = max(padic_valuation(common_denominator(table, x), p) for x in (table.c, table.d))
+    k <= _DIGITS with p**(k + v) below one 30-bit CPython digit, v the
+    v_p of the quotients' common denominator, if depth < k; else _DIGITS."""
+    v = padic_valuation(common_denominator(table), p)
     fit = [k for k in range(1, congruence._DIGITS + 1) if p ** (k + v) < 2**30]
     return fit[-1] if fit and depth < fit[-1] else congruence._DIGITS
 
@@ -414,25 +413,33 @@ def builds(monkeypatch):
     def spy(table, depths):
         before = dict(table._digit_tables)
         memo = real(table, depths)
-        built.extend((p, rows[0]) for p, rows in memo.items() if before.get(p) is not rows)
+        built.extend((p, rows[0]) for p, rows in memo.items() if p and before.get(p) is not rows)
         return memo
 
     monkeypatch.setattr(congruence, "_rows", spy)
     return built
 
 
-def test_rows_are_built_once_per_prime(table300, builds, exact_calls):
+@pytest.mark.parametrize("route", ["sweep", "checks"])
+def test_rows_are_built_once_per_prime(table100, table300, builds, exact_calls, route):
     # The sweep builds each prime's rows once, at the tier its deepest
-    # check reads, and integrality reads the same rows.  On this table
-    # those rows decide every valuation.
-    table = fresh(table300)
-    deepest = {p: depth for p, depth, _ in kummer_triples(300, 3, 300)}
-    kummer_sweep(table, 300, 3)
-    integrality_scan(table, 300)
-    primes = naive_primes(300)[1:]  # 10 divides every weight: nothing at 11
+    # check reads; so does a kummer_check loop on table100, whose first
+    # tiers are deeper than every check.  Integrality reads the same rows,
+    # and on these tables those rows decide every valuation.
+    top = {"sweep": 300, "checks": 100}[route]
+    table = fresh({"sweep": table300, "checks": table100}[route])
+    triples = list(kummer_triples(top, 3, top))
+    if route == "sweep":
+        kummer_sweep(table, top, 3)
+    for t in triples if route == "checks" else ():
+        kummer_check(table, *t)
+    integrality_scan(table, top)
+    deepest = {p: depth for p, depth, _ in triples}
+    primes = naive_primes(top)[1:]  # 10 divides every weight: nothing at 11
     assert builds == [(p, expected_digits(table, p, deepest[p])) for p in primes]
-    assert expected_digits(table, 31, 3) == 5 and expected_digits(table, 71, 3) == 8
     assert exact_calls == []
+    if route == "sweep":
+        assert expected_digits(table, 31, 3) == 5 and expected_digits(table, 71, 3) == 8
 
 
 def test_zero_limb_builds_only_deep_rows(table300, builds, monkeypatch):
@@ -445,10 +452,10 @@ def test_zero_limb_builds_only_deep_rows(table300, builds, monkeypatch):
     assert builds == [(p, congruence._DIGITS) for p in naive_primes(300)[1:]]
 
 
-def test_rows_take_no_inverse_and_one_tree_per_side(table100, monkeypatch):
-    # Over each side's common denominator the rows need no modular inverse,
-    # and each side's numerators go down one remainder tree over every
-    # prime's modulus at once.
+def test_rows_take_no_inverse_and_one_tree(table100, monkeypatch):
+    # Over the quotients' common denominator the rows need no modular
+    # inverse, and both sides' numerators go down one remainder tree over
+    # every prime's modulus at once: 2k - 1 reductions for k moduli.
     table = fresh(table100)
     inverses, trees = [], []
 
@@ -466,24 +473,26 @@ def test_rows_take_no_inverse_and_one_tree_per_side(table100, monkeypatch):
     monkeypatch.setattr(congruence, "_reduce", spy)
     integrality_scan(table, 100)
     assert inverses == []
-    assert trees == [len(naive_primes(100)[1:])] * 2
+    k = len(naive_primes(100)[1:])
+    assert trees.count(k) == 1 and len(trees) == 2 * k - 1
 
 
 def test_remainder_tree_matches_direct_reduction():
     rng = random.Random(5)
     moduli = [p ** rng.randrange(1, 10) for p in naive_primes(400)]
-    assert len(moduli) > 8  # deep enough to split
+    assert len(moduli) > 8  # a tree several levels deep
     nums = [rng.randrange(-(10**600), 10**600) for _ in range(25)] + [0]
-    assert congruence._reduce(nums, moduli) == [[a % m for a in nums] for m in moduli]
+    for part in (moduli, moduli[:3], moduli[:1], []):
+        assert congruence._reduce(nums, part) == [[a % m for a in nums] for m in part]
 
 
 def test_rows_shift_by_the_common_denominators_valuation(table300, builds):
-    # 1/31**2 in C_40 / 40 makes v_31 of the C side's common denominator 2:
-    # 31's C rows keep two more digits and read valuations down to -2.
+    # 1/31**2 in C_40 / 40 makes v_31 of the common denominator 2: 31's
+    # rows keep two more digits and read valuations down to -2.
     source = tampered(table300, 40, delta_c=F(40, 31**2))
     table = fresh(source)
     sweep = kummer_sweep(table, 300, 3)
-    digits, ((_, m, log), _) = table._digit_tables[31]
+    digits, _, m, log = table._digit_tables[31]
     assert (m, log[1]) == (31 ** (digits + 2), -2)
     scan = integrality_scan(table, 300).rows
     assert scan == naive_integrality(source, 300)
@@ -504,6 +513,27 @@ def exact_calls(monkeypatch):
     real = congruence._valuation
     monkeypatch.setattr(congruence, "_valuation", spy)
     return calls
+
+
+def test_wide_rows_are_read_mod_one_digit_then_reread(table300, exact_calls):
+    # 71's rows on table300 are p**_DIGITS rows wider than one CPython
+    # digit, so integrality reads them mod 71**4 first.  71**5 in C_100 / 100
+    # reads 0 there, and the reread off the full rows values it: 5, with no
+    # exact valuation.
+    rows = dict(table300.rows)
+    rows[100] = (F(100 * 3 * 71**5, 7), rows[100][1])
+    source = BHTable(table300.curve, table300.order, table300.method, rows)
+    table = fresh(source)
+    sweep = kummer_sweep(table, 300, 3)
+    scan = integrality_scan(table, 300).rows
+    digits, _, m, _ = table._digit_tables[71]
+    assert digits == congruence._DIGITS and m >= 2**30 > 71**4
+    assert [with_sums(r) for r in sweep] == [
+        naive_kummer(source, *t) for t in kummer_triples(300, 3, 300)
+    ]
+    assert scan == naive_integrality(source, 300)
+    assert [r.c_valuation for r in scan if (r.p, r.weight) == (71, 100)] == [5]
+    assert exact_calls == []
 
 
 def check_against_naive(table300, tamper):
