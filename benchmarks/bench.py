@@ -28,6 +28,11 @@
             of the primes with rows (after the last repetition) are read
             mod p**_DIGITS, and how many check sides one sweep takes by the
             exact combination.
+  import    the median seconds of a fresh import of bhnum.cli with the
+            standard library already loaded, as the benchmark's set-up
+            imports it: every bhnum module is compiled from source (the
+            bytecode cache is looked up in an empty directory) and no
+            bytecode is written.  Its note gives the number of modules.
 
 Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K] [--json]
 With --json the rows print as one JSON document instead of a table.
@@ -36,7 +41,11 @@ With --json the rows print as one JSON document instead of a table.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import statistics
+import sys
+import tempfile
 import time
 from math import lcm
 
@@ -84,6 +93,35 @@ def certificate_shape(expansion) -> str:
     finally:
         certificate._mul = real
     return f"{count} products, largest operand {bits} bits"
+
+
+def import_row(repeat: int) -> tuple[str, float, str]:
+    """The import row: median seconds of a fresh, compiling import of
+    bhnum.cli.  The modules the rest of the run uses are put back after."""
+    importlib.import_module("bhnum.cli")  # its standard library, loaded untimed
+
+    def ours():
+        return [n for n in sys.modules if n == "bhnum" or n.startswith("bhnum.")]
+
+    saved = {n: sys.modules[n] for n in ours()}
+    settings = sys.pycache_prefix, sys.dont_write_bytecode
+    times = []
+    with tempfile.TemporaryDirectory() as empty:
+        sys.pycache_prefix, sys.dont_write_bytecode = empty, True
+        try:
+            for _ in range(repeat):
+                for name in ours():
+                    del sys.modules[name]
+                t0 = time.perf_counter()
+                importlib.import_module("bhnum.cli")
+                times.append(time.perf_counter() - t0)
+            compiled = len(ours())
+        finally:
+            sys.pycache_prefix, sys.dont_write_bytecode = settings
+            for name in ours():
+                del sys.modules[name]
+            sys.modules.update(saved)
+    return "import", statistics.median(times), f"{compiled} modules compiled"
 
 
 def main() -> None:
@@ -145,6 +183,7 @@ def main() -> None:
                            f"{len(exact) // args.repeat} check sides exact"}
         for (name, _), times in zip(checks, zip(*passes)):
             rows.append((f"verify/{name}", min(times), notes.get(name, "")))
+    rows.append(import_row(args.repeat))
 
     if args.json:
         print(json.dumps({

@@ -15,7 +15,6 @@ from .congruence import (
 from .curves import (
     CurveError,
     CurveSpec,
-    canonical_exponents,
     parse_curve,
 )
 from .generator import (
@@ -31,11 +30,7 @@ from .generator import (
     hurwitz,
 )
 from .numtheory import (
-    NonInvertibleError,
-    PrimeResidueClass,
-    binomial,
     is_prime,
-    mod_inverse,
     padic_valuation,
     primes_below,
     primes_in_class,

@@ -33,21 +33,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import add, mod, mul
 from typing import NamedTuple
 
 from .curves import CurveSpec
 from .generator import BHTable, rational_pair
-from .numtheory import (
-    PrimeResidueClass,
-    _int_valuation,
-    _valuation,
-    binomial,
-    is_prime,
-    mod_inverse,
-    primes_in_class,
-)
+from .numtheory import _int_valuation, _valuation, is_prime, primes_in_class
 
 __all__ = [
     "MissingWeightError",
@@ -114,18 +106,18 @@ def ap_invariant(p: int) -> int:
     if p % 5 != 1:
         raise VerifierDomainError(f"A_p needs p = 1 mod 5, got {p}")
     e = (p - 1) // 10
-    return (-1) ** e * binomial((p - 1) // 2, e)
+    return (-1) ** e * comb((p - 1) // 2, e)
 
 
 # -- shared decomposition engine ----------------------------------------------
 
 
-def _dividing_primes(n: int, cls: PrimeResidueClass) -> list[int]:
-    """Primes p in cls with p - 1 dividing n, ascending: p = d + 1 over the
-    divisors d of n, so no sieve up to n + 1 is run."""
+def _dividing_primes(n: int, modulus: int, residue: int) -> list[int]:
+    """Primes p = residue mod modulus with p - 1 dividing n, ascending: p =
+    d + 1 over the divisors d of n, so no sieve up to n + 1 is run."""
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     divisors = sorted({*small, *(n // d for d in small)})
-    return [d + 1 for d in divisors if cls.contains(d + 1) and is_prime(d + 1)]
+    return [d + 1 for d in divisors if (d + 1) % modulus == residue and is_prime(d + 1)]
 
 
 def _decompose(value: Fraction, parts: list[Fraction]) -> tuple[Fraction, bool]:
@@ -179,12 +171,12 @@ def vsc_decompose(table: BHTable, weight: int) -> VscReport:
     _require_main_curve(table, "the von Staudt-Clausen analogue")
     _require_weights(table, [weight], "vsc_decompose")
     contributions = []
-    for p in _dividing_primes(weight, PrimeResidueClass(5, 1)):
+    for p in _dividing_primes(weight, 5, 1):
         e = weight // (p - 1)
         ap = ap_invariant(p)
         ape = pow(ap, e)
         c_part = Fraction(ape, p)
-        d_part = Fraction(mod_inverse(24, p) * ape, p)
+        d_part = Fraction(pow(24, -1, p) * ape, p)
         contributions.append(VscContribution(p, e, ap, c_part, d_part))
     g_rem, g_ok = _decompose(table.c(weight), [c.c_part for c in contributions])
     h_rem, h_ok = _decompose(table.d(weight), [c.d_part for c in contributions])
@@ -211,7 +203,7 @@ def classical_vsc_bernoulli(index: int, value: Fraction) -> BernoulliVscReport:
     """
     if index < 2 or index % 2:
         raise VerifierDomainError(f"index must be an even integer >= 2, got {index}")
-    primes = _dividing_primes(index, PrimeResidueClass(1, 0))
+    primes = _dividing_primes(index, 1, 0)
     remainder, ok = _decompose(value, [Fraction(-1, p) for p in primes])
     return BernoulliVscReport(index, tuple(primes), remainder, ok)
 
@@ -285,7 +277,7 @@ def _kummer_coefficients(p: int, depth: int) -> tuple[int, ...]:
     """(-1)**r * C(a, r) * A_p**(a - r) for r = 0..a; ap_invariant validates p."""
     ap = ap_invariant(p)
     return tuple(
-        (-1) ** r * binomial(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
+        (-1) ** r * comb(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
     )
 
 
@@ -406,7 +398,7 @@ def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
     p over the primes = 1 mod 5 up to prime_limit, then depth over
     1..max_depth, then index n upward while the top weight 10*n +
     depth*(p - 1) stays within max_weight."""
-    for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1)):
+    for p in primes_in_class(prime_limit, 5, 1):
         for depth in range(1, max_depth + 1):
             for n in range(1, (max_weight - depth * (p - 1)) // 10 + 1):
                 if (10 * n) % (p - 1) != 0 and 10 * n - 2 >= depth:
@@ -473,7 +465,7 @@ def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
     if prime_limit < 1:
         raise VerifierDomainError("prime limit must be positive")
     weights = table.weights()
-    primes = [p for p in primes_in_class(prime_limit, PrimeResidueClass(5, 1))
+    primes = [p for p in primes_in_class(prime_limit, 5, 1)
               if any(n % (p - 1) for n in weights)]
     _rows(table, dict.fromkeys(primes, 0))
     rows = []

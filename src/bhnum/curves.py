@@ -26,33 +26,15 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .numtheory import mod_inverse
-
 __all__ = [
     "CurveError",
     "CurveSpec",
-    "canonical_exponents",
     "parse_curve",
 ]
 
 
 class CurveError(ValueError):
     """Malformed or unsupported curve description."""
-
-
-def canonical_exponents(a: int, b: int) -> tuple[int, int]:
-    """The unique (i, j) with b*j - a*i = 1, 1 <= j <= a - 1.
-
-    This is the exponent pair of the distinguished differential
-    x**(i-1) dx / (a y**j) on y**a = x**b - 1.
-    """
-    if a < 2 or b < 2:
-        raise CurveError("exponents must be at least 2")
-    if gcd(a, b) != 1:
-        raise CurveError(f"exponents must be coprime, got gcd({a}, {b}) != 1")
-    j = mod_inverse(b % a, a)
-    i = (b * j - 1) // a
-    return i, j
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,17 +83,12 @@ class CurveSpec:
         return 2 * (self.b - 1)
 
     @property
-    def genus_if_hyperelliptic(self) -> int:
-        if self.a != 2:
-            raise CurveError("not a hyperelliptic model")
-        return (self.b - 1) // 2
-
-    @property
     def exponent_pair(self) -> tuple[int, int]:
-        """(i, j) of the distinguished differential x**(i-1) dx / (a y**j)."""
-        if self.family == "cyclo":
-            return canonical_exponents(self.a, self.b)
-        return (self.b - 1) // 2, 1
+        """(i, j) of the distinguished differential x**(i-1) dx / (a y**j):
+        the unique pair with b*j - a*i = 1 and 1 <= j <= a - 1, which is
+        (g, 1) on minusx."""
+        j = pow(self.b, -1, self.a)
+        return (self.b * j - 1) // self.a, j
 
     @property
     def y_leading_sign(self) -> int:

@@ -362,8 +362,14 @@ class BHTable:
         return {n: (c / n, d / n) for n, (c, d) in self.rows.items()}
 
     @cached_property
-    def _digit_tables(self) -> dict[int, dict]:
-        """p -> the quotients' p-adic digit table, filled by bhnum.congruence."""
+    def _digit_tables(self) -> dict[int, tuple]:
+        """The residue rows bhnum.congruence._rows reads valuations off.
+
+        Key 0 holds (L, numerators): the quotients' common denominator L
+        and every L * X_N / N, C then D.  Key p holds (digits, (C rows,
+        D rows), m, log): those numerators mod m = p**(digits + v_p(L)),
+        and log maps p**j to j - v_p(L).
+        """
         return {}
 
     def c_over_n(self, weight: int) -> Fraction:
@@ -421,11 +427,14 @@ class BHTable:
         # the length of every decimal string; the ladder itself is built
         # from the count, which the file cannot inflate.
         w, k = curve.weight, len(raw_rows)
+        if order < w + 2:
+            raise CacheError(f"table order {order} leaves no weight on {curve}; "
+                             f"the least is {w + 2}")
         not_a_ladder = CacheError(
             "table rows are not the full ladder of weight multiples "
             f"up to {order - 2}"
         )
-        if max(order - 2, 0) // w != k:
+        if (order - 2) // w != k:
             raise not_a_ladder
         max_digits = _max_digits(order)
         try:
@@ -451,6 +460,8 @@ class BHTable:
 
     def write(self, path: str | Path) -> str:
         """Atomic whole-file replace; a reader never sees a partial table.
+        The file gets the mode a plain open() would give it, 0o666 less
+        the umask (mkstemp makes it 0o600).
 
         Returns the text written, so a caller that also prints the table
         serializes it once.
@@ -462,6 +473,9 @@ class BHTable:
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            umask = os.umask(0o077)  # the umask is only readable by setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -1,38 +1,23 @@
-"""Integer and rational building blocks: primality, residue classes, valuations.
+"""Integer and rational building blocks: primality, primes in a residue
+class, p-adic valuations.
 
 Everything here is deterministic and exact.  These routines sit underneath
 congruence verification, where a probabilistic primality answer or a float
-could silently corrupt a report.
+could silently corrupt a report.  Binomial coefficients and modular
+inverses are CPython's own, math.comb and three-argument pow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, isqrt
+from math import inf, isqrt
 
 __all__ = [
-    "NonInvertibleError",
-    "PrimeResidueClass",
-    "binomial",
     "is_prime",
-    "mod_inverse",
     "padic_valuation",
     "primes_below",
     "primes_in_class",
 ]
-
-
-class NonInvertibleError(ValueError):
-    """x shares a factor with the modulus, so no inverse exists."""
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer.  Zero when k > n, like the convention
-    used in finite binomial identities."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial expects non-negative arguments")
-    return comb(n, k)
 
 
 # Sufficient witness set for a deterministic Miller-Rabin test of every
@@ -82,36 +67,13 @@ def primes_below(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if sieve[i]]
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeResidueClass:
-    """The residue class ``residue`` mod ``modulus``, used to select primes."""
-
-    modulus: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError("residue must lie in [0, modulus)")
-
-    def contains(self, n: int) -> bool:
-        return n % self.modulus == self.residue
-
-
-def primes_in_class(limit: int, cls: PrimeResidueClass) -> list[int]:
-    """Primes p <= limit with p in the given residue class, ascending."""
-    return [p for p in primes_below(limit) if cls.contains(p)]
-
-
-def mod_inverse(x: int, m: int) -> int:
-    """The inverse of x modulo m, in [0, m)."""
-    if m < 1:
+def primes_in_class(limit: int, modulus: int, residue: int) -> list[int]:
+    """Primes p <= limit with p = residue mod modulus, ascending."""
+    if modulus < 1:
         raise ValueError("modulus must be positive")
-    try:
-        return pow(x, -1, m)
-    except ValueError:
-        raise NonInvertibleError(f"{x} is not invertible mod {m}") from None
+    if not 0 <= residue < modulus:
+        raise ValueError("residue must lie in [0, modulus)")
+    return [p for p in primes_below(limit) if p % modulus == residue]
 
 
 def _int_valuation(n: int, p: int) -> int:

@@ -111,7 +111,7 @@ def expand_by_ode(curve: CurveSpec, order: int) -> Expansion:
         )
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
-    g, b, w = curve.genus_if_hyperelliptic, curve.b, curve.weight
+    g, b, w = (curve.b - 1) // 2, curve.b, curve.weight
     n = -(-(order + 1 + b) // w) - 1
     r_power, p_power = Fraction(2 * g - 2), Fraction(2 * g + 1)
     alpha, r, p = (_Coeffs([_ONE]) for _ in range(3))

@@ -25,9 +25,10 @@ def test_bench_json_prints_every_row_as_one_document():
     rows = {row["stage"]: row for row in doc["rows"]}
     assert list(rows) == [
         "pipeline/online", "certify", "extract", "cache/write", "cache/read",
-        "verify/vsc", "verify/kummer", "verify/integrality",
+        "verify/vsc", "verify/kummer", "verify/integrality", "import",
     ]
     assert all(row["seconds"] >= 0 for row in doc["rows"])
     assert rows["certify"]["note"].startswith("4 products")
     note = rows["verify/kummer"]["note"]
     assert re.fullmatch(r"\d+ of \d+ primes read mod p\^8, \d+ check sides exact", note)
+    assert rows["import"]["note"] == "7 modules compiled"

@@ -227,6 +227,21 @@ def test_corrupt_cache(cache_env, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("order", [-40, 11])
+def test_cache_order_without_weights_is_a_usage_error(cache_env, capsys, order):
+    # An order below w + 2 = 12 holds no weight; verify must not report
+    # 0/0 totals off it and exit 0.
+    compute_main(capsys)
+    cache = cache_env / "cyclo_a2_b5.json"
+    doc = json.loads(cache.read_text())
+    doc.update(order=order, rows=[])
+    cache.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify", "all", "--cache", str(cache))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and f"table order {order} " in err
+
+
 def test_zero_denominator_cache_is_a_usage_error(cache_env, capsys):
     compute_main(capsys)
     cache = cache_env / "cyclo_a2_b5.json"

@@ -26,14 +26,8 @@ from bhnum.generator import (
     bernoulli,
     extract_numbers,
 )
-from bhnum.numtheory import (
-    PrimeResidueClass,
-    is_prime,
-    mod_inverse,
-    padic_valuation,
-    primes_in_class,
-)
-from helpers import rational_residue
+from bhnum.numtheory import is_prime, padic_valuation, primes_in_class
+from helpers import brute_mod_inverse, rational_residue
 from reversion_route import binomial_series, expand_by_reversion
 
 F = Fraction
@@ -73,7 +67,7 @@ def test_ap_invariant_domain():
 def test_ap_invariant_is_a_binomial_coefficient_mod_p():
     # A_p = f_{p-1} (mod p) with f_k = [t^k](1 - t^10)^(-1/2), because
     # (p - 1)/2 = -1/2 (mod p): the invariant of the universal theorem.
-    for p in primes_in_class(2000, PrimeResidueClass(5, 1)):
+    for p in primes_in_class(2000, 5, 1):
         f = binomial_series(10, F(-1, 2), p - 1).coeff(p - 1)
         assert rational_residue(f, p) == ap_invariant(p) % p, p
 
@@ -347,7 +341,7 @@ def naive_vsc(table, n):
         if n % (p - 1) == 0:
             ape = naive_ap(p) ** (n // (p - 1))
             c_part = F(ape, p)
-            d_part = F(mod_inverse(24, p) * ape, p)
+            d_part = F(brute_mod_inverse(24, p) * ape, p)
             parts.append(VscContribution(p, n // (p - 1), naive_ap(p), c_part, d_part))
     g = table.c(n) - sum(c.c_part for c in parts)
     h = table.d(n) - sum(c.d_part for c in parts)

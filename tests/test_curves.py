@@ -6,7 +6,6 @@ import pytest
 from bhnum.curves import (
     CurveError,
     CurveSpec,
-    canonical_exponents,
     parse_curve,
 )
 from reversion_route import (
@@ -19,28 +18,46 @@ from reversion_route import (
 F = Fraction
 
 
-def test_canonical_exponents_examples():
-    assert canonical_exponents(2, 5) == (2, 1)
-    assert canonical_exponents(2, 3) == (1, 1)
-    assert canonical_exponents(3, 4) == (1, 1)
-    assert canonical_exponents(5, 7) == (4, 3)
+def test_exponent_pair_examples():
+    assert CurveSpec.cyclotomic(2, 5).exponent_pair == (2, 1)
+    assert CurveSpec.cyclotomic(2, 3).exponent_pair == (1, 1)
+    assert CurveSpec.cyclotomic(3, 4).exponent_pair == (1, 1)
+    assert CurveSpec.cyclotomic(5, 7).exponent_pair == (4, 3)
+    assert CurveSpec.minus_x(1).exponent_pair == (1, 1)
+    assert CurveSpec.minus_x(7).exponent_pair == (7, 1)
 
 
-def test_canonical_exponents_defining_property():
-    for a in range(2, 9):
-        for b in range(2, 12):
-            if a == b or gcd(a, b) != 1:
-                continue
-            i, j = canonical_exponents(a, b)
-            assert b * j - a * i == 1
-            assert 1 <= j <= a - 1
+def test_exponent_pair_defining_property():
+    # The unique (i, j) with b*j - a*i = 1 and 1 <= j <= a - 1, found by
+    # search; on minusx (a = 2, b = 2g + 1) that is (g, 1).
+    curves = [CurveSpec.minus_x(g) for g in range(1, 20)]
+    curves += [
+        CurveSpec.cyclotomic(a, b)
+        for a in range(2, 13)
+        for b in range(2, 40)
+        if gcd(a, b) == 1
+    ]
+    for curve in curves:
+        a, b = curve.a, curve.b
+        (j,) = [j for j in range(1, a) if (b * j - 1) % a == 0]
+        assert curve.exponent_pair == ((b * j - 1) // a, j), curve
+        if curve.family == "minusx":
+            assert curve.exponent_pair == ((b - 1) // 2, 1)
 
 
-def test_canonical_exponents_validation():
-    with pytest.raises(CurveError):
-        canonical_exponents(2, 4)
-    with pytest.raises(CurveError):
-        canonical_exponents(1, 5)
+def test_exponent_pair_on_every_constructible_spec():
+    # The pair is read off a, b without checks of its own: every spec that
+    # construction admits has one, and every (a, b) without one is refused.
+    for family in ("cyclo", "minusx"):
+        for a in range(0, 7):
+            for b in range(0, 16):
+                try:
+                    curve = CurveSpec(family, a, b)
+                except CurveError:
+                    assert a < 2 or b < 2 or gcd(a, b) != 1 or family == "minusx"
+                    continue
+                i, j = curve.exponent_pair
+                assert b * j - a * i == 1 and 1 <= j <= a - 1, curve
 
 
 def test_curve_spec_properties():
@@ -48,18 +65,14 @@ def test_curve_spec_properties():
     assert main.weight == 10
     assert main.exponent_pair == (2, 1)
     assert main.y_leading_sign == -1
-    assert main.genus_if_hyperelliptic == 2
 
     lem = CurveSpec.minus_x(1)
     assert lem.weight == 4
     assert lem.exponent_pair == (1, 1)
-    assert lem.genus_if_hyperelliptic == 1
 
     odd = CurveSpec.cyclotomic(3, 4)
     assert odd.weight == 12
     assert odd.y_leading_sign == 1
-    with pytest.raises(CurveError):
-        odd.genus_if_hyperelliptic
 
 
 def test_curve_spec_validation():

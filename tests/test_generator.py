@@ -1,7 +1,9 @@
 import inspect
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -329,7 +331,7 @@ def test_expansion_satisfies_curve_equation(curve):
 @pytest.mark.parametrize("curve", [MAIN, CurveSpec.minus_x(2)], ids=str)
 def test_y_is_half_power_derivative(curve):
     # u was normalized so that x' = 2 y / x**(g-1)
-    g = curve.genus_if_hyperelliptic
+    g = (curve.b - 1) // 2
     x, y = as_series(expand_by_reversion(curve, 3 * curve.weight))
     lhs = y.scale(2)
     rhs = x.derive()
@@ -530,6 +532,34 @@ def test_table_write_read(tmp_path):
     assert doc["weight_step"] == 10
 
 
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+)
+def test_table_write_gives_the_mode_open_would(tmp_path, umask, mode):
+    path = tmp_path / "main.json"
+    old = os.umask(umask)
+    try:
+        make_table().write(path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_failed_table_replace_keeps_the_old_table(tmp_path, monkeypatch):
+    path = tmp_path / "main.json"
+    make_table(22).write(path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        make_table().write(path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["main.json"]
+
+
 def test_table_restrict():
     table = make_table(42)
     small = table.restrict(20)
@@ -567,6 +597,8 @@ def test_table_loads_rejects_malformed_documents():
         lambda d: d.update(weight_step="10"),
         lambda d: d.update(weight_step=True),
         lambda d: d.pop("weight_step"),
+        lambda d: d.update(order=-40, rows=[]),
+        lambda d: d.update(order=11, rows=[]),
     ):
         doc = json.loads(json.dumps(good))
         mangle(doc)

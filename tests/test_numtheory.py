@@ -1,40 +1,20 @@
-import random
 from fractions import Fraction
 from math import inf
 
 import pytest
 
 from bhnum.numtheory import (
-    NonInvertibleError,
-    PrimeResidueClass,
     _int_valuation,
-    binomial,
     is_prime,
-    mod_inverse,
     padic_valuation,
     primes_below,
     primes_in_class,
 )
 from helpers import (
     NegativeValuationError,
-    brute_mod_inverse,
     oracle_sieve,
     rational_residue,
 )
-
-
-def test_binomial_values():
-    assert binomial(5, 1) == 5
-    assert binomial(15, 3) == 455
-    assert binomial(0, 0) == 1
-    assert binomial(3, 7) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
-    with pytest.raises(ValueError):
-        binomial(4, -2)
 
 
 def test_is_prime_small():
@@ -66,48 +46,19 @@ def test_primes_below():
     assert primes_below(10**4) == oracle_sieve(10**4)
 
 
-def test_residue_class():
-    cls = PrimeResidueClass(5, 1)
-    assert cls.contains(11)
-    assert not cls.contains(13)
-    with pytest.raises(ValueError):
-        PrimeResidueClass(0, 0)
-    with pytest.raises(ValueError):
-        PrimeResidueClass(5, 5)
-
-
 def test_primes_in_class():
-    one_mod_five = PrimeResidueClass(5, 1)
-    assert primes_in_class(50, one_mod_five) == [11, 31, 41]
-    assert primes_in_class(10, one_mod_five) == []
-    assert primes_in_class(100, PrimeResidueClass(4, 1)) == [
+    assert primes_in_class(50, 5, 1) == [11, 31, 41]
+    assert primes_in_class(10, 5, 1) == []
+    assert primes_in_class(100, 4, 1) == [
         5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97,
     ]
-
-
-def test_mod_inverse():
-    assert mod_inverse(24, 11) == 6
-    assert 24 * 6 % 11 == 1
-    assert mod_inverse(1, 1) == 0
-    with pytest.raises(NonInvertibleError):
-        mod_inverse(4, 8)
+    assert primes_in_class(30, 1, 0) == primes_below(30)
     with pytest.raises(ValueError):
-        mod_inverse(3, 0)
-
-
-def test_mod_inverse_matches_brute_force():
-    rng = random.Random(20817)
-    checked = 0
-    while checked < 1000:
-        m = rng.randrange(2, 400)
-        x = rng.randrange(1, m)
-        expected = brute_mod_inverse(x, m)
-        if expected is None:
-            with pytest.raises(NonInvertibleError):
-                mod_inverse(x, m)
-        else:
-            assert mod_inverse(x, m) == expected
-        checked += 1
+        primes_in_class(50, 0, 0)
+    with pytest.raises(ValueError):
+        primes_in_class(50, 5, 5)
+    with pytest.raises(ValueError):
+        primes_in_class(50, 5, -1)
 
 
 def test_padic_valuation():
