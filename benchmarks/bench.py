@@ -21,13 +21,13 @@
             one fresh table, so kummer pays for the quotient memo and the
             residue rows: every numerator over the quotients' common
             denominator, reduced once per prime down one remainder tree,
-            mod p**_DIGITS up front for the primes whose deepest check the
-            first tier cannot decide.  Integrality reads the rows kummer
-            built; A_p stays cached across repetitions, as it does across
-            commands in one process.  The kummer row's note gives how many
-            of the primes with rows (after the last repetition) are read
-            mod p**_DIGITS, and how many check sides one sweep takes by the
-            exact combination.
+            mod p**(D + 1 + v_p(L)) for the prime's deepest check D.
+            Integrality reads the rows kummer built and builds the primes
+            kummer has no check at; A_p stays cached across repetitions,
+            as it does across commands in one process.  The kummer row's
+            note gives how many primes have rows and the most digits any
+            keeps (after the last repetition), and how many check sides
+            one sweep takes by the exact integer sum.
   import    the median seconds of a fresh import of bhnum.cli with the
             standard library already loaded, as the benchmark's set-up
             imports it: every bhnum module is compiled from source (the
@@ -149,20 +149,20 @@ def main() -> None:
 
     if curve == CurveSpec.cyclotomic(2, 5):
         top = max(table.weights())
-        exact = []  # the p of each exact valuation the timed sweeps take
+        exact = []  # the p of each check side the timed sweeps take exactly
 
         def sweep(t):
-            real = congruence._valuation
+            real = congruence._exact
 
-            def counted(q, p):
+            def counted(p, *args):
                 exact.append(p)
-                return real(q, p)
+                return real(p, *args)
 
-            congruence._valuation = counted
+            congruence._exact = counted
             try:
                 return kummer_sweep(t, top, 3)
             finally:
-                congruence._valuation = real
+                congruence._exact = real
 
         checks = (
             ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()]),
@@ -178,9 +178,9 @@ def main() -> None:
 
         passes = [verify_all() for _ in range(args.repeat)]
         memo = swept[-1]._digit_tables  # p -> (digits, ...); 0 holds L and the numerators
-        deep = sum(memo[p][0] == congruence._DIGITS for p in memo if p)
-        notes = {"kummer": f"{deep} of {len(memo) - 1} primes read mod p^{congruence._DIGITS}, "
-                           f"{len(exact) // args.repeat} check sides exact"}
+        digits = [memo[p][0] for p in memo if p]
+        notes = {"kummer": f"{len(digits)} primes with rows, at most {max(digits, default=0)} "
+                           f"digits, {len(exact) // args.repeat} check sides exact"}
         for (name, _), times in zip(checks, zip(*passes)):
             rows.append((f"verify/{name}", min(times), notes.get(name, "")))
     rows.append(import_row(args.repeat))

@@ -22,10 +22,10 @@ statement for Bernoulli numbers and anchors the machinery.
 Each piece of number theory is done once: the quotients C_N / N and
 D_N / N once per table (BHTable keeps them), A_p once per prime
 (ap_invariant is cached; a p it refuses is refused on every call), and the
-p-adic residue rows the valuations are read off (_rows) once per (table,
-p), over the quotients' common denominator and at a tier chosen up front
-from p's deepest check.  Valuations at a p that came out of the sieve, or that
-ap_invariant has proved prime, skip padic_valuation's primality proof.
+residue rows (_rows) once per (table, p) in a sweep, over the quotients'
+common denominator L, mod p**(D + 1 + v_p(L)) for p's deepest check D;
+_exact values a sum that is 0 there.  Valuations at a p from the sieve, or
+proved prime by ap_invariant, skip padic_valuation's primality proof.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, gcd, inf, isqrt, lcm, prod
 from operator import add, mod, mul
 from typing import NamedTuple
 
 from .curves import CurveSpec
 from .generator import BHTable, rational_pair
-from .numtheory import _int_valuation, _valuation, is_prime, primes_in_class
+from .numtheory import _int_valuation, is_prime, primes_in_class
 
 __all__ = [
     "MissingWeightError",
@@ -54,11 +54,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
-
-# p-adic digits per numerator: p**_DIGITS bounds the deep tier, and _LIMB,
-# one 30-bit CPython digit, the first.  Algorithm constants, not options.
-_DIGITS = 8
-_LIMB = 2**30
 
 _MAIN_CURVE = CurveSpec.cyclotomic(2, 5)
 
@@ -295,46 +290,42 @@ def _rows(table: BHTable, depths: dict) -> dict:
     """table's memo p -> (digits, (C rows, D rows), m, log): the numerators
     A_N = L * X_N / N of both sides over their common denominator L, at
     N // 10 mod m = p**(digits + v) with v = v_p(L), and log: p**j -> j - v.
-    digits is the first tier's (the most k <= _DIGITS with m below _LIMB) if
-    depths[p] is below it, else _DIGITS.  What is missing is built in one
-    batch, off memo[0]: L and the A_N, C then D, 0 where N is absent."""
+    digits is one past the deepest check asked of p, depths[p] (0 for
+    integrality).  What is missing is built in one batch, off memo[0]: L
+    and the A_N, C then D, each led by a 0 at N = 0."""
     memo = table._digit_tables
-    todo = [p for p, d in depths.items() if p not in memo or d >= memo[p][0] < _DIGITS]
+    todo = {p: d + 1 for p, d in depths.items() if p not in memo or d >= memo[p][0]}
     if not todo:
         return memo
-    qs = table._quotients
-    size = max(qs) // 10 + 1
     if 0 not in memo:
-        den = lcm(*(q.denominator for cd in qs.values() for q in cd))
-        nums = [0] * (2 * size)
-        for n, cd in qs.items():
-            for s, q in enumerate(cd):  # C, then D
-                nums[s * size + n // 10] = q.numerator * (den // q.denominator)
-        memo[0] = den, nums
+        qs = [(Fraction(0),) * 2] + [table._quotients[n] for n in table.weights()]
+        den = lcm(*(q.denominator for cd in qs for q in cd))
+        memo[0] = den, [cd[s].numerator * (den // cd[s].denominator)
+                        for s in (0, 1) for cd in qs]
     den, nums = memo[0]
-    tiers = {}  # p -> its digits and v_p(L)
-    for p in todo:
-        v = _int_valuation(den, p)
-        k = max((k for k in range(1, _DIGITS + 1) if p ** (k + v) < _LIMB), default=0)
-        tiers[p] = k if depths[p] < k else _DIGITS, v
-    moduli = [p ** (k + v) for p, (k, v) in tiers.items()]
-    for (p, (k, v)), m, x in zip(tiers.items(), moduli, _reduce(nums, moduli)):
+    size = len(nums) // 2
+    vs = [_int_valuation(den, p) for p in todo]
+    moduli = [p ** (k + v) for (p, k), v in zip(todo.items(), vs)]
+    for (p, k), v, m, x in zip(todo.items(), vs, moduli, _reduce(nums, moduli)):
         memo[p] = k, (x[:size], x[size:]), m, {p**j: j - v for j in range(k + v)}
     return memo
+
+
+def _exact(p: int, v: int, coeffs: tuple, nums: list) -> int | float:
+    """v_p(sum c_r * A_r) - v, for a check side whose residues sum to 0 mod
+    its rows' modulus; p is from the sieve or ap_invariant, not proved again."""
+    total = sum(map(mul, coeffs, nums))
+    return _int_valuation(total, p) - v if total else inf
 
 
 def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: list) -> list:
     """Per side, v_p(sum c_r * X_W / W) with W = 10 * (n + r * step) for the
     ascending n in ns, off p's rows for a check of this depth: summed at C
-    level over row slices and read mod the rows' modulus, or one CPython
-    digit's worth of it where that still decides the depth; exact if
-    nonzero.  A zero rereads the p**_DIGITS rows, then takes the exact sum."""
+    level over row slices and read off the gcd with the rows' modulus m.  A
+    sum that is 0 mod m has valuation past the rows' digits; _exact takes it."""
     _, sides, m, log = _rows(table, {p: depth})[p]
-    q = m
-    if m >= _LIMB:  # a power of p below _LIMB, if one keeps more than depth digits
-        q = max((k for k, j in log.items() if k < _LIMB and j > depth), default=m)
-    read = {k: j for k, j in log.items() if k < q}
-    lo, hi = ns[0], ns[-1] + 1
+    nums = table._digit_tables[0][1]  # the A_N, C then D
+    lo, hi, v, span = ns[0], ns[-1] + 1, -log[1], step * len(coeffs)  # log[p**0] = -v
     cols = []
     for s, x in enumerate(sides):
         acc = None  # the sum; a coefficient 1 takes no product
@@ -342,16 +333,13 @@ def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: li
             row = x[lo + r * step : hi + r * step]
             term = row if c == 1 else map(mul, repeat(c % m), row)
             acc = term if acc is None else map(add, acc, term)
-        col = list(map(read.get, map(gcd, acc, repeat(q))))
-        vals = [col[n - lo] for n in ns]
-        while None in vals:  # p is from a sieve or ap_invariant
-            i = vals.index(None)
-            if depth < _DIGITS:
-                vals[i] = _column(table, p, _DIGITS, coeffs, step, ns[i : i + 1])[s][0]
-            else:
-                exact = [table._quotients[10 * (ns[i] + r * step)][s] for r in range(len(coeffs))]
-                vals[i] = _valuation(_combination(coeffs, exact), p)
-        cols.append(vals)
+        col = list(map(log.get, map(gcd, acc, repeat(m))))
+        at = s * len(x)  # where this side's A_N start in nums
+        cols.append([
+            _exact(p, v, coeffs, nums[at + n : at + n + span : step])
+            if col[n - lo] is None else col[n - lo]
+            for n in ns
+        ])
     return cols
 
 
@@ -407,12 +395,11 @@ def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
 
 def kummer_sweep(table: BHTable, prime_limit: int, max_depth: int) -> list:
     """kummer_check at every kummer_triples(prime_limit, max_depth, top
-    weight of table), in that order; the curve and the weights 10, 20, ...,
-    top are checked once.  Each (p, depth) runs as one column, after every
-    prime's rows are built in one batch at the tier its deepest check reads."""
+    weight of table), in that order; the curve is checked once.  Each
+    (p, depth) runs as one column, after every prime's rows are built in
+    one batch, one digit past its deepest check."""
     _require_main_curve(table, "the Kummer-style congruence")
     top = max(table.rows, default=0)
-    _require_weights(table, range(10, top + 1, 10), "kummer_sweep")
     columns = {}
     for p, depth, n in kummer_triples(prime_limit, max_depth, top):
         columns.setdefault((p, depth), []).append(n)

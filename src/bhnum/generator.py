@@ -333,15 +333,21 @@ def _field(doc, key: str, kind: type):
 class BHTable:
     """Exact table of (C_N, D_N) for N = w, 2w, ... up to order - 2.
 
-    rows maps the weight N to the pair (C_N, D_N).  The order field
-    records the expansion order the table was read from, which bounds the
-    available weights; treat instances as immutable.
+    rows maps every weight N of that ladder (construction checks it) to the
+    pair (C_N, D_N).  The order field records the expansion order the table
+    was read from, which bounds the weights; treat instances as immutable.
     """
 
     curve: CurveSpec
     order: int
     method: str
     rows: dict[int, tuple[Fraction, Fraction]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        w = self.curve.weight
+        if sorted(self.rows) != list(range(w, self.order - 1, w)):
+            raise ValueError("table rows are not the full ladder of weight "
+                             f"multiples up to {self.order - 2}")
 
     def weights(self) -> list[int]:
         return sorted(self.rows)
@@ -368,7 +374,7 @@ class BHTable:
         Key 0 holds (L, numerators): the quotients' common denominator L
         and every L * X_N / N, C then D.  Key p holds (digits, (C rows,
         D rows), m, log): those numerators mod m = p**(digits + v_p(L)),
-        and log maps p**j to j - v_p(L).
+        digits one past p's deepest check, and log maps p**j to j - v_p(L).
         """
         return {}
 
@@ -422,33 +428,27 @@ class BHTable:
                 raise ValueError(f"weight_step must be {curve.weight} on {curve}")
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed table document: {exc}") from None
-        # The rows must be w, 2w, ..., order - 2, each once.  Their count
-        # must match order before any number is parsed, because order bounds
-        # the length of every decimal string; the ladder itself is built
-        # from the count, which the file cannot inflate.
-        w, k = curve.weight, len(raw_rows)
+        # The rows must be w, 2w, ..., order - 2, each once, which the
+        # constructor checks; their count must match order before any
+        # number is parsed, because order bounds every decimal string.
+        w = curve.weight
         if order < w + 2:
             raise CacheError(f"table order {order} leaves no weight on {curve}; "
                              f"the least is {w + 2}")
-        not_a_ladder = CacheError(
-            "table rows are not the full ladder of weight multiples "
-            f"up to {order - 2}"
-        )
-        if (order - 2) // w != k:
-            raise not_a_ladder
+        if (order - 2) // w != len(raw_rows):
+            raise CacheError(f"table has {len(raw_rows)} rows; order {order} "
+                             f"holds {(order - 2) // w}")
         max_digits = _max_digits(order)
         try:
             with int_digits(order):
-                rows = []
+                rows = {}
                 for row in raw_rows:
                     n = _field(row, "weight", int)
                     c = _rational(row["c"], n, max_digits)
-                    rows.append((n, c, _rational(row["d"], n, max_digits)))
+                    rows[n] = c, _rational(row["d"], n, max_digits)
+                return cls(curve, order, method, rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed table document: {exc}") from None
-        if sorted(n for n, _, _ in rows) != list(range(w, w * k + 1, w)):
-            raise not_a_ladder
-        return cls(curve, order, method, {n: (c, d) for n, c, d in rows})
 
     @classmethod
     def loads(cls, text: str) -> "BHTable":

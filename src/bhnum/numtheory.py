@@ -1,5 +1,5 @@
 """Integer and rational building blocks: primality, primes in a residue
-class, p-adic valuations.
+class, p-adic valuations (of integers, _int_valuation, for a known prime).
 
 Everything here is deterministic and exact.  These routines sit underneath
 congruence verification, where a probabilistic primality answer or a float
@@ -88,25 +88,16 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def _valuation(q: Fraction | int, p: int) -> int | float:
-    """v_p(q) for a p already known to be prime; math.inf for zero.
-
-    For callers whose p came out of the sieve (primes_in_class) or has
-    passed an is_prime check of their own; anyone else calls
-    padic_valuation, which proves p prime first.
-    """
-    if q == 0:
-        return inf
-    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
-
-
 def padic_valuation(q: Fraction | int, p: int) -> int | float:
     """v_p(q) as an int; the zero input returns math.inf.
 
     p is proved prime on every call, so a composite p raises ValueError.
     The congruence verifiers take p from the sieve, or from an A_p they
-    have already validated, and use the unchecked _valuation instead.
+    have already validated, and value integer sums with _int_valuation.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _valuation(Fraction(q), p)
+    q = Fraction(q)
+    if q == 0:
+        return inf
+    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb, inf, lcm
@@ -23,6 +24,7 @@ from bhnum.congruence import (
 from bhnum.curves import CurveSpec
 from bhnum.generator import (
     BHTable,
+    CacheError,
     bernoulli,
     extract_numbers,
 )
@@ -389,13 +391,15 @@ def common_denominator(table):
     return lcm(*((x(n) / n).denominator for n in table.weights() for x in (table.c, table.d)))
 
 
-def expected_digits(table, p, depth):
-    """The digits p's rows keep for a check of this depth: the largest
-    k <= _DIGITS with p**(k + v) below one 30-bit CPython digit, v the
-    v_p of the quotients' common denominator, if depth < k; else _DIGITS."""
-    v = padic_valuation(common_denominator(table), p)
-    fit = [k for k in range(1, congruence._DIGITS + 1) if p ** (k + v) < 2**30]
-    return fit[-1] if fit and depth < fit[-1] else congruence._DIGITS
+# The sides the verifiers take exactly on these tables: the C side of
+# (181, 1, 9) on table300, valuation 2 against 181's 2 digits (181 has no
+# deeper check), and the deep entry's 71**5.
+EXACT_CALLS = {
+    "checks": [],
+    "sweep": [(181, 2)],
+    "table300": [(181, 2)],
+    "deep": [(181, 2), (71, 5)],
+}
 
 
 @pytest.fixture()
@@ -416,10 +420,10 @@ def builds(monkeypatch):
 
 @pytest.mark.parametrize("route", ["sweep", "checks"])
 def test_rows_are_built_once_per_prime(table100, table300, builds, exact_calls, route):
-    # The sweep builds each prime's rows once, at the tier its deepest
-    # check reads; so does a kummer_check loop on table100, whose first
-    # tiers are deeper than every check.  Integrality reads the same rows,
-    # and on these tables those rows decide every valuation.
+    # The sweep builds each prime's rows once, one digit past its deepest
+    # check.  A kummer_check loop sizes a prime's rows to the check it runs,
+    # so it builds them again at each deeper depth.  Integrality reads the
+    # same rows and builds none.
     top = {"sweep": 300, "checks": 100}[route]
     table = fresh({"sweep": table300, "checks": table100}[route])
     triples = list(kummer_triples(top, 3, top))
@@ -428,22 +432,13 @@ def test_rows_are_built_once_per_prime(table100, table300, builds, exact_calls, 
     for t in triples if route == "checks" else ():
         kummer_check(table, *t)
     integrality_scan(table, top)
-    deepest = {p: depth for p, depth, _ in triples}
-    primes = naive_primes(top)[1:]  # 10 divides every weight: nothing at 11
-    assert builds == [(p, expected_digits(table, p, deepest[p])) for p in primes]
-    assert exact_calls == []
     if route == "sweep":
-        assert expected_digits(table, 31, 3) == 5 and expected_digits(table, 71, 3) == 8
-
-
-def test_zero_limb_builds_only_deep_rows(table300, builds, monkeypatch):
-    # With _LIMB at 0 no modulus fits a first tier: every prime's rows are
-    # read mod p**(_DIGITS + v) from the start, once.
-    monkeypatch.setattr(congruence, "_LIMB", 0)
-    table = fresh(table300)
-    kummer_sweep(table, 300, 3)
-    integrality_scan(table, 300)
-    assert builds == [(p, congruence._DIGITS) for p in naive_primes(300)[1:]]
+        deepest = {p: depth for p, depth, _ in triples}
+        primes = naive_primes(top)[1:]  # 10 divides every weight: nothing at 11
+        assert builds == [(p, deepest[p] + 1) for p in primes]
+    else:
+        assert builds == [(p, depth + 1) for p, depth in dict.fromkeys(t[:2] for t in triples)]
+    assert exact_calls == EXACT_CALLS[route]
 
 
 def test_rows_take_no_inverse_and_one_tree(table100, monkeypatch):
@@ -497,23 +492,22 @@ def test_rows_shift_by_the_common_denominators_valuation(table300, builds):
 
 @pytest.fixture()
 def exact_calls(monkeypatch):
-    """The (value, p) of every valuation the verifiers take exactly."""
+    """The (p, valuation) of every check side the verifiers take exactly."""
     calls = []
 
-    def spy(q, p):
-        calls.append((q, p))
-        return real(q, p)
+    def spy(p, v, coeffs, nums):
+        calls.append((p, real(p, v, coeffs, nums)))
+        return calls[-1][1]
 
-    real = congruence._valuation
-    monkeypatch.setattr(congruence, "_valuation", spy)
+    real = congruence._exact
+    monkeypatch.setattr(congruence, "_exact", spy)
     return calls
 
 
-def test_wide_rows_are_read_mod_one_digit_then_reread(table300, exact_calls):
-    # 71's rows on table300 are p**_DIGITS rows wider than one CPython
-    # digit, so integrality reads them mod 71**4 first.  71**5 in C_100 / 100
-    # reads 0 there, and the reread off the full rows values it: 5, with no
-    # exact valuation.
+def test_deep_entry_is_valued_by_the_exact_integer_sum(table300, exact_calls):
+    # 71's deepest check on table300 has depth 3, so its rows keep 4 digits.
+    # 71**5 in C_100 / 100 reads 0 there, and the exact sum on the integer
+    # numerators values it: 5.
     rows = dict(table300.rows)
     rows[100] = (F(100 * 3 * 71**5, 7), rows[100][1])
     source = BHTable(table300.curve, table300.order, table300.method, rows)
@@ -521,13 +515,14 @@ def test_wide_rows_are_read_mod_one_digit_then_reread(table300, exact_calls):
     sweep = kummer_sweep(table, 300, 3)
     scan = integrality_scan(table, 300).rows
     digits, _, m, _ = table._digit_tables[71]
-    assert digits == congruence._DIGITS and m >= 2**30 > 71**4
+    v = padic_valuation(common_denominator(source), 71)
+    assert (digits, m) == (4, 71 ** (4 + v))
     assert [with_sums(r) for r in sweep] == [
         naive_kummer(source, *t) for t in kummer_triples(300, 3, 300)
     ]
     assert scan == naive_integrality(source, 300)
     assert [r.c_valuation for r in scan if (r.p, r.weight) == (71, 100)] == [5]
-    assert exact_calls == []
+    assert exact_calls == EXACT_CALLS["deep"]
 
 
 def check_against_naive(table300, tamper):
@@ -559,29 +554,35 @@ def check_against_naive(table300, tamper):
 @pytest.mark.parametrize("tamper", [False, True], ids=["table300", "tampered"])
 def test_verifiers_match_naive_reference(table300, tamper, exact_calls):
     check_against_naive(table300, tamper)
-    # On these tables the digits decide every valuation.
-    assert exact_calls == []
+    # The rows keep one digit past each check's depth, so only the sides
+    # whose valuation exceeds it are taken exactly.
+    assert exact_calls == EXACT_CALLS["table300"]
 
 
 @pytest.mark.parametrize("tamper", [False, True], ids=["table300", "tampered"])
 def test_exact_fallback_matches_naive_reference(
     table300, tamper, exact_calls, monkeypatch
 ):
-    # With one digit a combination of valuation >= 1 over terms of
-    # valuation 0 has residue 0, so on these tables each side of each
-    # passing Kummer check goes through the exact path.
-    monkeypatch.setattr(congruence, "_DIGITS", 1)
+    # Rows asked for depth 0 keep one digit, and there a combination of
+    # valuation >= 1 over terms of valuation 0 has residue 0, so on these
+    # tables each side of each passing Kummer check goes through the exact
+    # path.
+    real = congruence._rows
+    monkeypatch.setattr(
+        congruence, "_rows", lambda table, depths: real(table, dict.fromkeys(depths, 0))
+    )
     kummer = check_against_naive(table300, tamper)
     assert len(exact_calls) >= 2 * sum(r.passed for r in kummer)
 
 
 def test_edge_entries_take_the_exact_path(table300, exact_calls):
     # C_40 / 40 = 0, and the numerator of C_70 / 70 is divisible by
-    # 31**(_DIGITS + 2): both have residue 0 in every row.  A Kummer sum
-    # takes the exact path only when it is 0 mod p**(_DIGITS + v), here
-    # the one check whose C-side terms are exactly those two entries; an
-    # integrality row takes it for each of them.
-    deep = 31 ** (congruence._DIGITS + 2)
+    # 31**10: both have residue 0 in every row.  A kummer_check keeps p's
+    # rows one digit past its depth, so a Kummer sum takes the exact path
+    # exactly when a side's valuation exceeds the depth; (31, 1, 4), whose
+    # C-side terms are exactly those two entries, is one of them.  An
+    # integrality row takes it for each of the two entries.
+    deep = 31**10
     rows = dict(table300.rows)
     rows[40] = (F(0), rows[40][1])
     rows[70] = (F(70 * deep, 7), rows[70][1])
@@ -593,25 +594,23 @@ def test_edge_entries_take_the_exact_path(table300, exact_calls):
         kummer.append(kummer_check(table, *t))
         exact.append(bool(exact_calls))
     assert [with_sums(r) for r in kummer] == [naive_kummer(table, *t) for t in triples]
-    assert exact == [r.p == 31 and set(r.weights) <= {40, 70} for r in kummer]
-    assert [(r.p, r.depth, r.index) for r, e in zip(kummer, exact) if e] == [(31, 1, 4)]
+    assert exact == [max(r.c_valuation, r.d_valuation) > r.depth for r in kummer]
+    assert (31, 1, 4) in [(r.p, r.depth, r.index) for r, e in zip(kummer, exact) if e]
     exact_calls.clear()
     scan = integrality_scan(table, 300).rows
     assert scan == naive_integrality(table, 300)
     zero_rows = {(r.p, r.weight) for r in scan if r.c_valuation == inf}
     assert zero_rows == {(p, 40) for p in naive_primes(300) if 40 % (p - 1)}
-    assert [r.c_valuation for r in scan if (r.p, r.weight) == (31, 70)] == [
-        congruence._DIGITS + 2
-    ]
+    assert [r.c_valuation for r in scan if (r.p, r.weight) == (31, 70)] == [10]
     assert sorted(exact_calls) == sorted(
-        [(F(0), p) for p in naive_primes(300) if 40 % (p - 1)] + [(F(deep, 7), 31)]
+        [(p, inf) for p in naive_primes(300) if 40 % (p - 1)] + [(31, 10)]
     )
 
 
 def edge_table(table300):
-    """C_40 / 40 = 0 and 31**(_DIGITS + 2) dividing the numerator of C_70 / 70,
-    as in test_edge_entries_take_the_exact_path."""
-    deep = 31 ** (congruence._DIGITS + 2)
+    """C_40 / 40 = 0 and 31**10 dividing the numerator of C_70 / 70, as in
+    test_edge_entries_take_the_exact_path."""
+    deep = 31**10
     rows = dict(table300.rows)
     rows[40] = (F(0), rows[40][1])
     rows[70] = (F(70 * deep, 7), rows[70][1])
@@ -645,38 +644,51 @@ def test_sweep_checks_the_curve_and_the_weight_ladder(table100):
     other = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 30))
     with pytest.raises(VerifierDomainError):
         kummer_sweep(other, 50, 1)
+    # A table with a gap in its ladder cannot be built, so the sweep reads
+    # a full one.
     rows = dict(table100.rows)
     del rows[50]
-    gap = BHTable(table100.curve, table100.order, table100.method, rows)
-    with pytest.raises(MissingWeightError) as exc:
-        kummer_sweep(gap, 100, 3)
-    assert exc.value.weights == [50]
+    with pytest.raises(ValueError, match="not the full ladder of weight multiples up to 100"):
+        BHTable(table100.curve, table100.order, table100.method, rows)
 
 
-@pytest.mark.parametrize(
-    "tamper", [False, True, "edge"], ids=["table300", "tampered", "edge"]
-)
-def test_forced_deep_tier_keeps_reports_and_exact_calls(
-    table300, tamper, exact_calls, builds, monkeypatch
+def test_table_refuses_rows_off_its_weight_ladder(table100):
+    # A row at weight 15 would sit at row index 15 // 10 = 1, over C_10, and
+    # the verifiers would read the wrong weight; the table refuses it, and
+    # the reader turns the refusal into a CacheError.
+    curve, order, method = table100.curve, table100.order, table100.method
+    with pytest.raises(ValueError, match="not the full ladder of weight multiples up to 100"):
+        BHTable(curve, order, method, {**table100.rows, 15: table100.rows[10]})
+    doc = json.loads(table100.dumps())
+    doc["rows"][0]["weight"] = 15
+    with pytest.raises(CacheError, match="not the full ladder"):
+        BHTable.from_json_dict(doc)
+    assert BHTable(curve, 11, method).weights() == []  # an order below w + 2
+
+
+@pytest.mark.parametrize("which", ["table300", "tampered", "edge", "shifted"])
+def test_rows_keep_one_digit_past_each_primes_deepest_check(
+    table300, which, builds, exact_calls
 ):
-    # With _LIMB at 0 there is no first tier: every prime's rows are read
-    # mod p**(_DIGITS + v) from the start.  Reports and exact valuations
-    # must be those of the two-tier verifier.
-    monkeypatch.setattr(congruence, "_LIMB", 0)
-    if tamper != "edge":
-        check_against_naive(table300, tamper)
-        assert exact_calls == []
-    else:
-        table, deep = edge_table(table300)
-        triples = list(kummer_triples(300, 3, 300))
-        reports = kummer_sweep(table, 300, 3)
-        naive = [naive_kummer(table, *t) for t in triples]
-        assert [with_sums(r) for r in reports] == naive
-        exact_calls.clear()
-        assert integrality_scan(table, 300).rows == naive_integrality(table, 300)
-        assert sorted(exact_calls) == sorted(
-            [(F(0), p) for p in naive_primes(300) if 40 % (p - 1)] + [(F(deep, 7), 31)]
-        )
-    # Each prime once, deep; but 11, where 10 | N leaves no check and no
-    # integrality row, gets no rows.
-    assert sorted(builds) == [(p, congruence._DIGITS) for p in naive_primes(300)[1:]]
+    # A sweep to prime 100 and then an integrality scan to 300: every
+    # prime's rows are built once and keep its deepest admissible depth + 1
+    # digits, 1 at the primes with no Kummer check.  A check side is taken
+    # exactly when its valuation reaches its prime's digits, and only then.
+    source = {
+        "table300": table300,
+        "tampered": tampered(table300, 40, delta_c=F(1, 31)),
+        "edge": edge_table(table300)[0],
+        "shifted": tampered(table300, 40, delta_c=F(40, 31**2)),  # v_31(L) = 2
+    }[which]
+    table = fresh(source)
+    triples = list(kummer_triples(100, 3, 300))
+    sweep = kummer_sweep(table, 100, 3)
+    scan = integrality_scan(table, 300).rows
+    deepest = {p: depth for p, depth, _ in triples}
+    digits = {p: deepest.get(p, 0) + 1 for p in naive_primes(300)[1:]}
+    assert builds == list(digits.items())
+    assert {p: rows[0] for p, rows in table._digit_tables.items() if p} == digits
+    assert [with_sums(r) for r in sweep] == [naive_kummer(source, *t) for t in triples]
+    assert scan == naive_integrality(source, 300)
+    sides = [(r.p, val) for r in (*sweep, *scan) for val in (r.c_valuation, r.d_valuation)]
+    assert sorted(exact_calls) == sorted((p, val) for p, val in sides if val >= digits[p])
