@@ -28,6 +28,10 @@
             note gives how many primes have rows and the most digits any
             keeps (after the last repetition), and how many check sides
             one sweep takes by the exact integer sum.
+  verify/json  bhnum.cli.main running verify all --prime-limit <top weight>
+            --depth 3 --format json --output <file> on that table, read
+            from a file: the whole JSON command, table read included.  Its
+            note gives the bytes written.
   import    the median seconds of a fresh import of bhnum.cli with the
             standard library already loaded, as the benchmark's set-up
             imports it: every bhnum module is compiled from source (the
@@ -43,6 +47,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -51,6 +56,7 @@ from math import lcm
 
 from bhnum import certificate, congruence
 from bhnum.certificate import certify
+from bhnum.cli import main as cli_main
 from bhnum.congruence import integrality_scan, kummer_sweep, vsc_decompose
 from bhnum.curves import CurveSpec, parse_curve
 from bhnum.generator import BHTable, expand_online, extract_numbers
@@ -183,6 +189,20 @@ def main() -> None:
                            f"digits, {len(exact) // args.repeat} check sides exact"}
         for (name, _), times in zip(checks, zip(*passes)):
             rows.append((f"verify/{name}", min(times), notes.get(name, "")))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cache, report = os.path.join(tmp, "table.json"), os.path.join(tmp, "report.json")
+            with open(cache, "w") as fh:
+                fh.write(text)
+            argv = ["verify", "all", "--cache", cache, "--prime-limit", str(top),
+                    "--depth", "3", "--format", "json", "--output", report]
+
+            def verify_json():
+                if cli_main(argv):
+                    raise SystemExit(f"bhnum {' '.join(argv)} did not pass")
+
+            seconds = best_of(args.repeat, verify_json)
+            rows.append(("verify/json", seconds, f"{os.path.getsize(report)} bytes written"))
     rows.append(import_row(args.repeat))
 
     if args.json:

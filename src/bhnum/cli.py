@@ -16,10 +16,8 @@ reports, with no timestamps or environment echoes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .congruence import (
@@ -38,6 +36,7 @@ from .generator import (
     extract_numbers,
     hurwitz,
     int_digits,
+    json_text,
     rational_pair,
 )
 
@@ -49,22 +48,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Validated knobs shared by the table-facing subcommands."""
-
-    curve: CurveSpec | None
-    cache_path: Path
-    max_weight: int | None
-
-    def __post_init__(self) -> None:
-        if self.max_weight is not None:
-            if self.max_weight < 1:
-                raise ValueError("--max-weight must be positive")
-            if self.curve is not None:
-                _require_multiple(self.max_weight, self.curve)
-
-
 def _require_multiple(max_weight: int, curve: CurveSpec) -> None:
     if max_weight % curve.weight:
         raise ValueError(
@@ -72,54 +55,50 @@ def _require_multiple(max_weight: int, curve: CurveSpec) -> None:
         )
 
 
-def _default_cache_dir() -> Path:
-    return Path(os.environ.get("BHNUM_CACHE_DIR", ".bhnum-cache"))
+def _locate(args) -> tuple[CurveSpec | None, Path]:
+    """The curve --curve names (None without it) and the table's path.
 
-
-def _cache_path_for(curve: CurveSpec) -> Path:
-    name = str(curve).replace(":", "_").replace(",", "_").replace("=", "") + ".json"
-    return _default_cache_dir() / name
-
-
-def _resolve_config(args) -> RunConfig:
+    --max-weight is checked here, positive first, then a multiple of the
+    named curve's weight; with --cache alone _load_table checks the latter.
+    """
     curve = None if args.curve is None else parse_curve(args.curve)
     if args.cache is not None:
-        cache_path = Path(args.cache)
+        path = Path(args.cache)
     elif curve is not None:
-        cache_path = _cache_path_for(curve)
+        name = str(curve).replace(":", "_").replace(",", "_").replace("=", "")
+        path = Path(os.environ.get("BHNUM_CACHE_DIR", ".bhnum-cache")) / f"{name}.json"
     else:
         raise ValueError("need --cache or --curve to locate the table")
-    return RunConfig(curve, cache_path, args.max_weight)
+    if args.max_weight is not None:
+        if args.max_weight < 1:
+            raise ValueError("--max-weight must be positive")
+        if curve is not None:
+            _require_multiple(args.max_weight, curve)
+    return curve, path
 
 
-def _load_table(cfg: RunConfig):
-    if not cfg.cache_path.exists():
+def _load_table(args) -> BHTable:
+    curve, path = _locate(args)
+    max_weight = args.max_weight
+    if not path.exists():
         hint = ""
-        if cfg.curve is not None and cfg.max_weight is not None:
-            hint = (
-                f"; run: bhnum compute --curve {cfg.curve} "
-                f"--max-weight {cfg.max_weight}"
-            )
-        raise CacheError(f"no table at {cfg.cache_path}{hint}")
-    table = BHTable.read(cfg.cache_path)
-    if cfg.curve is not None and table.curve != cfg.curve:
-        raise CacheError(
-            f"table at {cfg.cache_path} is for {table.curve}, not {cfg.curve}"
-        )
-    if cfg.max_weight is None:
+        if curve is not None and max_weight is not None:
+            hint = f"; run: bhnum compute --curve {curve} --max-weight {max_weight}"
+        raise CacheError(f"no table at {path}{hint}")
+    table = BHTable.read(path)
+    if curve is not None and table.curve != curve:
+        raise CacheError(f"table at {path} is for {table.curve}, not {curve}")
+    if max_weight is None:
         return table
-    _require_multiple(cfg.max_weight, table.curve)  # --cache alone names no curve
-    missing = [
-        n
-        for n in range(table.curve.weight, cfg.max_weight + 1, table.curve.weight)
-        if n not in table.rows
-    ]
-    if missing:
+    _require_multiple(max_weight, table.curve)  # --cache alone names no curve
+    w, top = table.curve.weight, table.order - 2  # the table holds every w*k <= top
+    if max_weight > top:
+        missing = list(range(top - top % w + w, max_weight + 1, w))
         raise CacheError(
-            f"table at {cfg.cache_path} lacks weights {missing}; run: "
-            f"bhnum compute --curve {table.curve} --max-weight {cfg.max_weight}"
+            f"table at {path} lacks weights {missing}; run: "
+            f"bhnum compute --curve {table.curve} --max-weight {max_weight}"
         )
-    return table.restrict(cfg.max_weight)
+    return table.restrict(max_weight)
 
 
 def _emit(args, summary, document, order: int) -> None:
@@ -141,21 +120,17 @@ def _emit(args, summary, document, order: int) -> None:
         sys.stdout.write(payload)
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
-    cfg = _resolve_config(args)
-    expansion = expand_checked(cfg.curve, cfg.max_weight + 2)
+    curve, path = _locate(args)
+    expansion = expand_checked(curve, args.max_weight + 2)
     table = extract_numbers(expansion)
-    text = table.write(cfg.cache_path)
+    text = table.write(path)
     line = (
-        f"COMPUTE curve={cfg.curve} max_weight={cfg.max_weight} "
-        f"rows={len(table.rows)} method={table.method} cache={cfg.cache_path}"
+        f"COMPUTE curve={curve} max_weight={args.max_weight} "
+        f"rows={len(table.rows)} method={table.method} cache={path}"
     )
     _emit(args, lambda: [line], lambda: text, table.order)
     return EXIT_OK
@@ -165,38 +140,40 @@ def cmd_verify(args) -> int:
     for flag, value in (("--depth", args.depth), ("--prime-limit", args.prime_limit)):
         if value < 1:
             raise ValueError(f"{flag} must be positive")
-    cfg = _resolve_config(args)
-    table = _load_table(cfg)
+    table = _load_table(args)
     which = args.check
     max_weight = max(table.weights(), default=0)
-    # (tag, rows with .passed and .summary_line(), bounds, JSON reports)
+    # (tag, rows with .passed and .summary_line(), bounds, JSON reports,
+    # the arguments of their to_json_dict: Kummer sums are read off the table)
     sections = []
     if which in ("vsc", "all"):
         rows = [vsc_decompose(table, n) for n in table.weights()]
-        sections.append(("VSC", rows, "", rows))
+        sections.append(("VSC", rows, "", rows, ()))
     if which in ("kummer", "all"):
         rows = kummer_sweep(table, args.prime_limit, args.depth)
         bounds = f" (p<={args.prime_limit}, a<={args.depth})"
-        sections.append(("KUMMER", rows, bounds, rows))
+        sections.append(("KUMMER", rows, bounds, rows, (table,)))
     if which in ("integrality", "all"):
         scan = integrality_scan(table, args.prime_limit)
-        sections.append(("INTEGRALITY", scan.rows, f" (p<={args.prime_limit})", [scan]))
-    ok = all(row.passed for _, rows, _, _ in sections for row in rows)
+        sections.append(("INTEGRALITY", scan.rows, f" (p<={args.prime_limit})", [scan], ()))
+    ok = all(row.passed for _, rows, *_ in sections for row in rows)
 
     def summary():
-        for tag, rows, bounds, _ in sections:
+        for tag, rows, bounds, *_ in sections:
             yield from (row.summary_line() for row in rows)
             yield f"{tag}: {sum(row.passed for row in rows)}/{len(rows)} pass{bounds}"
 
     def document():
-        return _json_text({
+        return json_text({
             "format": "bhnum.report",
             "version": REPORT_VERSION,
             "curve": str(table.curve),
             "check": which,
             "max_weight": max_weight,
             "passed": ok,
-            "reports": [r.to_json_dict() for *_, reports in sections for r in reports],
+            "reports": [
+                r.to_json_dict(*extra) for *_, reports, extra in sections for r in reports
+            ],
         })
 
     _emit(args, summary, document, table.order)
@@ -204,8 +181,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = _resolve_config(args)
-    table = _load_table(cfg)
+    table = _load_table(args)
 
     def summary():
         for n in table.weights():
@@ -229,7 +205,7 @@ def cmd_anchor(args) -> int:
     values = [(step * k, v) for k, v in enumerate(sequence(args.count), 1)]
 
     def document():
-        return _json_text({
+        return json_text({
             "format": f"bhnum.{args.command}",
             "version": REPORT_VERSION,
             "values": [{"index": i, "value": rational_pair(v)} for i, v in values],

@@ -214,27 +214,14 @@ class KummerReport(NamedTuple):
     c_valuation: int | float  # an int, or math.inf when the value is 0
     d_valuation: int | float
     passed: bool
-    table: BHTable  # source of the exact sums; equality, hash and repr skip it
 
-    def __eq__(self, other):
-        return isinstance(other, KummerReport) and self[:7] == other[:7]
-
-    def __ne__(self, other):
-        return not isinstance(other, KummerReport) or self[:7] != other[:7]
-
-    def __hash__(self):
-        return hash(self[:7])
-
-    def __repr__(self):
-        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:7]))
-        return f"KummerReport({shown})"
-
-    c_combination = property(lambda self: self._exact(0), doc="The exact C-side sum.")
-    d_combination = property(lambda self: self._exact(1), doc="The exact D-side sum.")
-
-    def _exact(self, side: int) -> Fraction:
-        values = [self.table._quotients[w][side] for w in self.weights]
-        return _combination(_kummer_coefficients(self.p, self.depth), values)
+    def sums(self, table: BHTable) -> tuple[Fraction, Fraction]:
+        """The exact C- and D-side combinations, off the table checked."""
+        coeffs = _kummer_coefficients(self.p, self.depth)
+        return tuple(
+            _combination(coeffs, [table._quotients[w][side] for w in self.weights])
+            for side in (0, 1)
+        )
 
     def summary_line(self) -> str:
         flag = "pass" if self.passed else "FAIL"
@@ -243,7 +230,8 @@ class KummerReport(NamedTuple):
             f"valC={self.c_valuation} valD={self.d_valuation}"
         )
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, table: BHTable) -> dict:
+        c_sum, d_sum = self.sums(table)
         return {
             "format": "bhnum.report.kummer",
             "version": REPORT_VERSION,
@@ -251,8 +239,8 @@ class KummerReport(NamedTuple):
             "depth": self.depth,
             "index": self.index,
             "weights": list(self.weights),
-            "c_combination": rational_pair(self.c_combination),
-            "d_combination": rational_pair(self.d_combination),
+            "c_combination": rational_pair(c_sum),
+            "d_combination": rational_pair(d_sum),
             "c_valuation": str(self.c_valuation),
             "d_valuation": str(self.d_valuation),
             "passed": self.passed,
@@ -345,12 +333,12 @@ def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: li
 
 def _kummer(table: BHTable, p: int, depth: int, ns: list) -> list:
     """The checks at (p, depth) on ascending admissible base indices, on
-    weights the table has; sums are built when a report asks (JSON reports)."""
+    weights the table has; JSON reports build the sums (KummerReport.sums)."""
     coeffs = _kummer_coefficients(p, depth)
     c_vals, d_vals = _column(table, p, depth, coeffs, (p - 1) // 10, ns)
     return [
         KummerReport(p, depth, n, tuple(range(10 * n, 10 * n + depth * (p - 1) + 1, p - 1)),
-                     c_val, d_val, c_val >= depth and d_val >= depth, table)
+                     c_val, d_val, c_val >= depth and d_val >= depth)
         for n, c_val, d_val in zip(ns, c_vals, d_vals)
     ]
 

@@ -262,6 +262,11 @@ def rational_pair(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
 
+def json_text(doc: dict) -> str:
+    """The text of every JSON document bhnum writes: keys sorted, indent 2."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _max_digits(order: int) -> int:
     """Decimal digits a number in a table of this order, or in a report on it,
     may need.
@@ -369,13 +374,7 @@ class BHTable:
 
     @cached_property
     def _digit_tables(self) -> dict[int, tuple]:
-        """The residue rows bhnum.congruence._rows reads valuations off.
-
-        Key 0 holds (L, numerators): the quotients' common denominator L
-        and every L * X_N / N, C then D.  Key p holds (digits, (C rows,
-        D rows), m, log): those numerators mod m = p**(digits + v_p(L)),
-        digits one past p's deepest check, and log maps p**j to j - v_p(L).
-        """
+        """The residue rows memo; bhnum.congruence._rows fills and documents it."""
         return {}
 
     def c_over_n(self, weight: int) -> Fraction:
@@ -410,7 +409,7 @@ class BHTable:
             "method": self.method,
             "rows": rows,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(doc)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BHTable":

@@ -25,10 +25,11 @@ def test_bench_json_prints_every_row_as_one_document():
     rows = {row["stage"]: row for row in doc["rows"]}
     assert list(rows) == [
         "pipeline/online", "certify", "extract", "cache/write", "cache/read",
-        "verify/vsc", "verify/kummer", "verify/integrality", "import",
+        "verify/vsc", "verify/kummer", "verify/integrality", "verify/json", "import",
     ]
     assert all(row["seconds"] >= 0 for row in doc["rows"])
     assert rows["certify"]["note"].startswith("4 products")
     note = rows["verify/kummer"]["note"]
     assert re.fullmatch(r"\d+ primes with rows, at most \d+ digits, \d+ check sides exact", note)
+    assert re.fullmatch(r"[1-9]\d* bytes written", rows["verify/json"]["note"])
     assert rows["import"]["note"] == "7 modules compiled"

@@ -100,6 +100,12 @@ def test_compute_rejects_misaligned_weight(cache_env, capsys):
     )
     assert rc == 2
     assert "multiple of the curve weight" in err
+    # A weight below 1 is refused before the multiple check.
+    for max_weight in ("0", "-10"):
+        rc, out, err = run(
+            capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", max_weight
+        )
+        assert (rc, out, err) == (2, "", "error: --max-weight must be positive\n")
 
 
 @pytest.mark.parametrize(
@@ -112,6 +118,11 @@ def test_cache_alone_rejects_misaligned_weight(cache_env, capsys, command):
     rc, out, err = run(capsys, *command, "--cache", cache, "--max-weight", "15")
     assert (rc, out) == (2, "")
     assert err == "error: --max-weight must be a multiple of the curve weight 10\n"
+    # A weight below 1 is refused before the table is looked for.
+    missing = str(cache_env / "missing.json")
+    for max_weight in ("0", "-10"):
+        rc, out, err = run(capsys, *command, "--cache", missing, "--max-weight", max_weight)
+        assert (rc, out, err) == (2, "", "error: --max-weight must be positive\n")
 
 
 def test_export_rows(cache_env, capsys):
@@ -208,6 +219,13 @@ def test_missing_cache_hint(cache_env, capsys):
     )
     assert rc == 2
     assert "run: bhnum compute --curve cyclo:a=2,b=5 --max-weight 20" in err
+    # A weight below 1 is refused before the table is looked for.
+    for command in (("verify", "vsc"), ("export",)):
+        for max_weight in ("0", "-10"):
+            rc, out, err = run(
+                capsys, *command, "--curve", MAIN_CURVE, "--max-weight", max_weight
+            )
+            assert (rc, out, err) == (2, "", "error: --max-weight must be positive\n")
 
 
 def test_cache_beyond_computed_weights(cache_env, capsys):
@@ -215,6 +233,13 @@ def test_cache_beyond_computed_weights(cache_env, capsys):
     rc, out, err = run(
         capsys, "verify", "vsc", "--curve", MAIN_CURVE, "--max-weight", "50"
     )
+    assert rc == 2
+    assert "lacks weights [40, 50]" in err
+    # Order 37 tops out at weight 35, between two multiples of 10.
+    table = BHTable.read(cache_env / "cyclo_a2_b5.json")
+    short = cache_env / "order37.json"
+    BHTable(table.curve, 37, table.method, table.rows).write(short)
+    rc, out, err = run(capsys, "verify", "vsc", "--cache", str(short), "--max-weight", "50")
     assert rc == 2
     assert "lacks weights [40, 50]" in err
 
