@@ -5,7 +5,6 @@ from .congruence import (
     MissingWeightError,
     VerifierDomainError,
     ap_invariant,
-    classical_vsc_bernoulli,
     integrality_scan,
     kummer_check,
     kummer_sweep,

@@ -1,23 +1,25 @@
 """Congruence verification over the weight-graded number tables.
 
-Three classical-style statements are machine-checked for the curve
-y**2 = x**5 - 1 (weight 10):
+Three classical-style statements are machine-checked on the table of a
+curve of weight w whose y has pole order b, with A_p the curve's prime
+invariant:
 
   * a von Staudt-Clausen analogue: subtracting a computed fractional
-    contribution A_p**(N/(p-1)) / p (times 1/4! mod p on the D side) for
-    each prime p <= N + 1 with p = 1 mod 5 and p - 1 | N leaves an
+    contribution A_p**(N/(p-1)) / p (times 1/(b-1)! mod p on the D side)
+    for each prime p <= N + 1 with p = 1 mod w and p - 1 | N leaves an
     integer;
   * a Kummer-style congruence mod p**a between the normalized numbers
     C_N / N at weights in arithmetic progression of step p - 1;
-  * the p-integrality of C_N / N and D_N / N at primes p = 1 mod 5 with
+  * the p-integrality of C_N / N and D_N / N at primes p = 1 mod w with
     p - 1 not dividing N.
 
-Congruence of rationals mod p**a always means: the p-adic valuation of
-the difference is at least a.  Verifiers refuse tables computed on any
-other curve rather than silently apply an invariant A_p outside its
-proven ground.  The same decomposition engine, run with contribution -1/p
-at every prime with p - 1 | 2n, reproduces the classical von Staudt-Clausen
-statement for Bernoulli numbers and anchors the machinery.
+Every constant is read off the table's curve.  One map, _PROVEN, names the
+proven ground: y**2 = x**5 - 1 (w = 10, D-side factor 1/4!) with its A_p,
+ap_invariant.  Tables of any other curve are refused rather than checked
+with an A_p outside its proven ground.  Congruence of rationals mod p**a
+always means: the p-adic valuation of the difference is at least a.  The
+tests anchor the decomposition engine on the classical von Staudt-Clausen
+statement for Bernoulli numbers.
 
 Each piece of number theory is done once: the quotients C_N / N and
 D_N / N once per table (BHTable keeps them), A_p once per prime
@@ -25,7 +27,7 @@ D_N / N once per table (BHTable keeps them), A_p once per prime
 residue rows (_rows) once per (table, p) in a sweep, over the quotients'
 common denominator L, mod p**(D + 1 + v_p(L)) for p's deepest check D;
 _exact values a sum that is 0 there.  Valuations at a p from the sieve, or
-proved prime by ap_invariant, skip padic_valuation's primality proof.
+proved prime by the A_p function, skip padic_valuation's primality proof.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, gcd, inf, isqrt, lcm, prod
+from math import comb, factorial, gcd, inf, isqrt, lcm, prod
 from operator import add, mod, mul
 from typing import NamedTuple
 
@@ -45,7 +47,6 @@ __all__ = [
     "MissingWeightError",
     "VerifierDomainError",
     "ap_invariant",
-    "classical_vsc_bernoulli",
     "integrality_scan",
     "kummer_check",
     "kummer_sweep",
@@ -54,8 +55,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
-
-_MAIN_CURVE = CurveSpec.cyclotomic(2, 5)
 
 
 class VerifierDomainError(ValueError):
@@ -68,13 +67,6 @@ class MissingWeightError(ValueError):
     def __init__(self, message: str, weights: list[int]):
         super().__init__(message)
         self.weights = weights
-
-
-def _require_main_curve(table: BHTable, what: str) -> None:
-    if table.curve != _MAIN_CURVE:
-        raise VerifierDomainError(
-            f"{what} is only proven for {_MAIN_CURVE}; refusing {table.curve}"
-        )
 
 
 def _require_weights(table: BHTable, needed: list[int], what: str, *args) -> None:
@@ -102,6 +94,21 @@ def ap_invariant(p: int) -> int:
         raise VerifierDomainError(f"A_p needs p = 1 mod 5, got {p}")
     e = (p - 1) // 10
     return (-1) ** e * comb((p - 1) // 2, e)
+
+
+# The proven ground: each curve the three statements are proven on, with its
+# A_p function, which raises VerifierDomainError unless p is a prime = 1 mod w.
+_PROVEN = {CurveSpec.cyclotomic(2, 5): ap_invariant}
+
+
+def _ap_of(table: BHTable, what: str):
+    """The A_p function of table's curve; a curve off the proven ground is refused."""
+    if table.curve not in _PROVEN:
+        raise VerifierDomainError(
+            f"{what} is only proven for {', '.join(map(str, _PROVEN))}; "
+            f"refusing {table.curve}"
+        )
+    return _PROVEN[table.curve]
 
 
 # -- shared decomposition engine ----------------------------------------------
@@ -159,48 +166,23 @@ class VscReport(NamedTuple):
 def vsc_decompose(table: BHTable, weight: int) -> VscReport:
     """Check the von Staudt-Clausen analogue at one weight.
 
-    Relevant primes: p <= N + 1, p = 1 mod 5, p - 1 | N.  The C-side
+    Relevant primes: p <= N + 1, p = 1 mod w, p - 1 | N.  The C-side
     contribution is A_p**(N/(p-1)) / p, the D-side one carries the extra
-    factor 1/4! inverted mod p.  Both remainders must be integers.
+    factor 1/(b-1)! inverted mod p.  Both remainders must be integers.
     """
-    _require_main_curve(table, "the von Staudt-Clausen analogue")
+    ap_of = _ap_of(table, "the von Staudt-Clausen analogue")
     _require_weights(table, [weight], "vsc_decompose")
     contributions = []
-    for p in _dividing_primes(weight, 5, 1):
+    for p in _dividing_primes(weight, table.curve.weight, 1):
         e = weight // (p - 1)
-        ap = ap_invariant(p)
+        ap = ap_of(p)
         ape = pow(ap, e)
         c_part = Fraction(ape, p)
-        d_part = Fraction(pow(24, -1, p) * ape, p)
+        d_part = Fraction(pow(factorial(table.curve.b - 1), -1, p) * ape, p)
         contributions.append(VscContribution(p, e, ap, c_part, d_part))
     g_rem, g_ok = _decompose(table.c(weight), [c.c_part for c in contributions])
     h_rem, h_ok = _decompose(table.d(weight), [c.d_part for c in contributions])
     return VscReport(weight, tuple(contributions), g_rem, h_rem, g_ok and h_ok)
-
-
-class BernoulliVscReport(NamedTuple):
-    index: int
-    primes: tuple[int, ...]
-    remainder: Fraction
-    passed: bool
-
-    def summary_line(self) -> str:
-        flag = "pass" if self.passed else "FAIL"
-        return f"VSC-BERNOULLI 2n={self.index} {flag} R={self.remainder}"
-
-
-def classical_vsc_bernoulli(index: int, value: Fraction) -> BernoulliVscReport:
-    """The classical statement: B_2n + sum over (p-1) | 2n of 1/p is integral.
-
-    Runs through the same decomposition engine as vsc_decompose, with
-    contribution -1/p at every prime p with p - 1 | 2n; it anchors the
-    engine against two centuries of literature.
-    """
-    if index < 2 or index % 2:
-        raise VerifierDomainError(f"index must be an even integer >= 2, got {index}")
-    primes = _dividing_primes(index, 1, 0)
-    remainder, ok = _decompose(value, [Fraction(-1, p) for p in primes])
-    return BernoulliVscReport(index, tuple(primes), remainder, ok)
 
 
 # -- Kummer-style congruences --------------------------------------------------
@@ -217,7 +199,8 @@ class KummerReport(NamedTuple):
 
     def sums(self, table: BHTable) -> tuple[Fraction, Fraction]:
         """The exact C- and D-side combinations, off the table checked."""
-        coeffs = _kummer_coefficients(self.p, self.depth)
+        ap_of = _ap_of(table, "the Kummer-style congruence")
+        coeffs = _kummer_coefficients(ap_of, self.p, self.depth)
         return tuple(
             _combination(coeffs, [table._quotients[w][side] for w in self.weights])
             for side in (0, 1)
@@ -256,9 +239,10 @@ def _combination(coeffs: tuple[int, ...], values: list[Fraction]) -> Fraction:
 
 
 @lru_cache(maxsize=1024)
-def _kummer_coefficients(p: int, depth: int) -> tuple[int, ...]:
-    """(-1)**r * C(a, r) * A_p**(a - r) for r = 0..a; ap_invariant validates p."""
-    ap = ap_invariant(p)
+def _kummer_coefficients(ap_of, p: int, depth: int) -> tuple[int, ...]:
+    """(-1)**r * C(a, r) * A_p**(a - r) for r = 0..a; A_p = ap_of(p), which
+    validates p."""
+    ap = ap_of(p)
     return tuple(
         (-1) ** r * comb(depth, r) * pow(ap, depth - r) for r in range(depth + 1)
     )
@@ -277,7 +261,7 @@ def _reduce(nums: list, moduli: list) -> list:
 def _rows(table: BHTable, depths: dict) -> dict:
     """table's memo p -> (digits, (C rows, D rows), m, log): the numerators
     A_N = L * X_N / N of both sides over their common denominator L, at
-    N // 10 mod m = p**(digits + v) with v = v_p(L), and log: p**j -> j - v.
+    N // w mod m = p**(digits + v) with v = v_p(L), and log: p**j -> j - v.
     digits is one past the deepest check asked of p, depths[p] (0 for
     integrality).  What is missing is built in one batch, off memo[0]: L
     and the A_N, C then D, each led by a 0 at N = 0."""
@@ -301,13 +285,13 @@ def _rows(table: BHTable, depths: dict) -> dict:
 
 def _exact(p: int, v: int, coeffs: tuple, nums: list) -> int | float:
     """v_p(sum c_r * A_r) - v, for a check side whose residues sum to 0 mod
-    its rows' modulus; p is from the sieve or ap_invariant, not proved again."""
+    its rows' modulus; p is from the sieve or the A_p function, not proved again."""
     total = sum(map(mul, coeffs, nums))
     return _int_valuation(total, p) - v if total else inf
 
 
 def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: list) -> list:
-    """Per side, v_p(sum c_r * X_W / W) with W = 10 * (n + r * step) for the
+    """Per side, v_p(sum c_r * X_W / W) with W = w * (n + r * step) for the
     ascending n in ns, off p's rows for a check of this depth: summed at C
     level over row slices and read off the gcd with the rows' modulus m.  A
     sum that is 0 mod m has valuation past the rows' digits; _exact takes it."""
@@ -331,68 +315,73 @@ def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: li
     return cols
 
 
-def _kummer(table: BHTable, p: int, depth: int, ns: list) -> list:
+def _kummer(table: BHTable, ap_of, p: int, depth: int, ns: list) -> list:
     """The checks at (p, depth) on ascending admissible base indices, on
     weights the table has; JSON reports build the sums (KummerReport.sums)."""
-    coeffs = _kummer_coefficients(p, depth)
-    c_vals, d_vals = _column(table, p, depth, coeffs, (p - 1) // 10, ns)
+    w = table.curve.weight
+    coeffs = _kummer_coefficients(ap_of, p, depth)
+    c_vals, d_vals = _column(table, p, depth, coeffs, (p - 1) // w, ns)
     return [
-        KummerReport(p, depth, n, tuple(range(10 * n, 10 * n + depth * (p - 1) + 1, p - 1)),
+        KummerReport(p, depth, n, tuple(range(w * n, w * n + depth * (p - 1) + 1, p - 1)),
                      c_val, d_val, c_val >= depth and d_val >= depth)
         for n, c_val, d_val in zip(ns, c_vals, d_vals)
     ]
 
 
 def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
-    """Check the Kummer-style congruence mod p**depth at base weight 10*index.
+    """Check the Kummer-style congruence mod p**depth at base weight w*index.
 
     The alternating binomial combination sum_r (-1)**r * C(a, r) *
-    A_p**(a-r) * X_W / W over the weights W = 10*n + r*(p-1), r = 0..a,
+    A_p**(a-r) * X_W / W over the weights W = w*n + r*(p-1), r = 0..a,
     must have p-adic valuation at least a, both for X = C and X = D.
-    Inadmissible inputs raise: p must be a prime = 1 mod 5 with p - 1 not
-    dividing 10*n, and 10*n - 2 >= a.
+    Inadmissible inputs raise: p must be a prime = 1 mod w with p - 1 not
+    dividing w*n, and w*n - 2 >= a.
     """
-    _require_main_curve(table, "the Kummer-style congruence")
+    ap_of = _ap_of(table, "the Kummer-style congruence")
     if depth < 1 or index < 1:
         raise VerifierDomainError("depth and index must be positive")
-    _kummer_coefficients(p, depth)  # validates p
-    n10 = 10 * index
-    if n10 % (p - 1) == 0:
+    _kummer_coefficients(ap_of, p, depth)  # validates p
+    w = table.curve.weight
+    nw = w * index
+    if nw % (p - 1) == 0:
         raise VerifierDomainError(
-            f"p - 1 = {p - 1} divides 10n = {n10}; the congruence needs "
-            "p - 1 not dividing 10n"
+            f"p - 1 = {p - 1} divides {w}n = {nw}; the congruence needs "
+            f"p - 1 not dividing {w}n"
         )
-    if n10 - 2 < depth:
-        raise VerifierDomainError(f"10n - 2 = {n10 - 2} is below depth {depth}")
-    weights = [n10 + r * (p - 1) for r in range(depth + 1)]
+    if nw - 2 < depth:
+        raise VerifierDomainError(f"{w}n - 2 = {nw - 2} is below depth {depth}")
+    weights = [nw + r * (p - 1) for r in range(depth + 1)]
     _require_weights(table, weights, "kummer_check(p=%s, a=%s, n=%s)", p, depth, index)
-    return _kummer(table, p, depth, [index])[0]
+    return _kummer(table, ap_of, p, depth, [index])[0]
 
 
-def kummer_triples(prime_limit: int, max_depth: int, max_weight: int):
-    """Yield every (p, depth, index) kummer_check admits within max_weight:
-    p over the primes = 1 mod 5 up to prime_limit, then depth over
-    1..max_depth, then index n upward while the top weight 10*n +
-    depth*(p - 1) stays within max_weight."""
-    for p in primes_in_class(prime_limit, 5, 1):
-        for depth in range(1, max_depth + 1):
-            for n in range(1, (max_weight - depth * (p - 1)) // 10 + 1):
-                if (10 * n) % (p - 1) != 0 and 10 * n - 2 >= depth:
+def kummer_triples(curve: CurveSpec, prime_limit: int, max_depth: int, max_weight: int):
+    """Yield every (p, depth, index) kummer_check admits on curve, of weight
+    w, within max_weight: p over the primes = 1 mod w up to prime_limit,
+    then depth over 1..max_depth, then index n upward while the top weight
+    w*n + depth*(p - 1) stays within max_weight.  So depth*(p - 1) <
+    max_weight: primes stop at max_weight + 1, depths at max_weight // (p - 1)."""
+    w = curve.weight
+    for p in primes_in_class(min(prime_limit, max_weight + 1), w, 1):
+        for depth in range(1, min(max_depth, max_weight // (p - 1)) + 1):
+            for n in range(1, (max_weight - depth * (p - 1)) // w + 1):
+                if (w * n) % (p - 1) != 0 and w * n - 2 >= depth:
                     yield p, depth, n
 
 
 def kummer_sweep(table: BHTable, prime_limit: int, max_depth: int) -> list:
-    """kummer_check at every kummer_triples(prime_limit, max_depth, top
-    weight of table), in that order; the curve is checked once.  Each
-    (p, depth) runs as one column, after every prime's rows are built in
-    one batch, one digit past its deepest check."""
-    _require_main_curve(table, "the Kummer-style congruence")
+    """kummer_check at every kummer_triples(table.curve, prime_limit,
+    max_depth, top weight of table), in that order; the curve is checked
+    once.  Each (p, depth) runs as one column, after every prime's rows are
+    built in one batch, one digit past its deepest check."""
+    ap_of = _ap_of(table, "the Kummer-style congruence")
     top = max(table.rows, default=0)
     columns = {}
-    for p, depth, n in kummer_triples(prime_limit, max_depth, top):
+    for p, depth, n in kummer_triples(table.curve, prime_limit, max_depth, top):
         columns.setdefault((p, depth), []).append(n)
     _rows(table, dict(columns.keys()))  # p -> its deepest depth, the last key
-    return [r for (p, depth), ns in columns.items() for r in _kummer(table, p, depth, ns)]
+    return [r for (p, depth), ns in columns.items()
+            for r in _kummer(table, ap_of, p, depth, ns)]
 
 
 # -- integrality ----------------------------------------------------------------
@@ -434,19 +423,20 @@ class IntegralityReport(NamedTuple):
 
 def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
     """Scan v_p(C_N / N) >= 0 and v_p(D_N / N) >= 0 over the table, at the
-    primes p <= prime_limit with p = 1 mod 5 and p - 1 not dividing N, in
+    primes p <= prime_limit with p = 1 mod w and p - 1 not dividing N, in
     rows sorted by (p, N), off the residue rows Kummer reads."""
-    _require_main_curve(table, "the integrality statement")
+    _ap_of(table, "the integrality statement")
     if prime_limit < 1:
         raise VerifierDomainError("prime limit must be positive")
+    w = table.curve.weight
     weights = table.weights()
-    primes = [p for p in primes_in_class(prime_limit, 5, 1)
+    primes = [p for p in primes_in_class(prime_limit, w, 1)
               if any(n % (p - 1) for n in weights)]
     _rows(table, dict.fromkeys(primes, 0))
     rows = []
     for p in primes:
         ns = [n for n in weights if n % (p - 1)]
-        c_vals, d_vals = _column(table, p, 0, (1,), 1, [n // 10 for n in ns])
+        c_vals, d_vals = _column(table, p, 0, (1,), 1, [n // w for n in ns])
         for n, c_val, d_val in zip(ns, c_vals, d_vals):
             rows.append(IntegralityRow(p, n, c_val, d_val, c_val >= 0 and d_val >= 0))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))

@@ -426,8 +426,11 @@ def test_verify_refuses_minusx_tables(cache_env, capsys):
     rc, _, _ = run(capsys, "compute", "--curve", "minusx:g=1", "--max-weight", "8")
     assert rc == 0
     rc, out, err = run(capsys, "verify", "vsc", "--curve", "minusx:g=1")
-    assert rc == 2
-    assert "only proven for cyclo:a=2,b=5" in err
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the von Staudt-Clausen analogue is only proven for "
+        "cyclo:a=2,b=5; refusing minusx:g=1\n"
+    )
 
 
 def test_bad_curve_descriptor(cache_env, capsys):

@@ -1,7 +1,9 @@
 import json
 import random
+import re
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, factorial, inf, lcm
+from typing import NamedTuple
 
 import pytest
 
@@ -13,8 +15,9 @@ from bhnum.congruence import (
     VerifierDomainError,
     VscContribution,
     VscReport,
+    _decompose,
+    _dividing_primes,
     ap_invariant,
-    classical_vsc_bernoulli,
     integrality_scan,
     kummer_check,
     kummer_sweep,
@@ -42,6 +45,11 @@ def table100():
     return extract_numbers(expand_by_reversion(MAIN, 102))
 
 
+def refused(message):
+    """pytest.raises for a VerifierDomainError with exactly this message."""
+    return pytest.raises(VerifierDomainError, match=f"^{re.escape(message)}$")
+
+
 def tampered(table, weight, delta_c=F(0), delta_d=F(0)):
     rows = dict(table.rows)
     c, d = rows[weight]
@@ -60,9 +68,9 @@ def test_ap_invariant_values():
 
 
 def test_ap_invariant_domain():
-    with pytest.raises(VerifierDomainError):
+    with refused("21 is not prime"):
         ap_invariant(21)
-    with pytest.raises(VerifierDomainError):
+    with refused("A_p needs p = 1 mod 5, got 7"):
         ap_invariant(7)
 
 
@@ -80,10 +88,10 @@ def test_validation_still_fires_after_caching(table100):
     assert ap_invariant(11) == ap_invariant(11) == -5
     assert kummer_check(table100, 31, 1, 1).passed
     for _ in range(2):
-        for bad in (21, 7):
-            with pytest.raises(VerifierDomainError):
+        for bad, message in ((21, "21 is not prime"), (7, "A_p needs p = 1 mod 5, got 7")):
+            with refused(message):
                 ap_invariant(bad)
-        with pytest.raises(VerifierDomainError):
+        with refused("21 is not prime"):
             kummer_check(table100, 21, 1, 1)
         with pytest.raises(ValueError):
             padic_valuation(F(1, 2), 21)
@@ -95,7 +103,7 @@ def test_restricted_table_builds_its_own_memo(table100, table300):
     child = parent.restrict(100)
     assert "_quotients" not in vars(child)
     assert "_digit_tables" not in vars(child)
-    triples = list(kummer_triples(100, 3, 100))
+    triples = list(kummer_triples(MAIN, 100, 3, 100))
     assert [vsc_decompose(child, n) for n in child.weights()] == [
         vsc_decompose(table100, n) for n in table100.weights()
     ]
@@ -178,8 +186,36 @@ def test_vsc_requires_weight_present(table100):
 
 def test_vsc_refuses_other_curves():
     table = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 14))
-    with pytest.raises(VerifierDomainError):
+    with refused(
+        "the von Staudt-Clausen analogue is only proven for cyclo:a=2,b=5; "
+        "refusing minusx:g=1"
+    ):
         vsc_decompose(table, 4)
+
+
+class BernoulliVscReport(NamedTuple):
+    index: int
+    primes: tuple[int, ...]
+    remainder: Fraction
+    passed: bool
+
+    def summary_line(self) -> str:
+        flag = "pass" if self.passed else "FAIL"
+        return f"VSC-BERNOULLI 2n={self.index} {flag} R={self.remainder}"
+
+
+def classical_vsc_bernoulli(index: int, value: Fraction) -> BernoulliVscReport:
+    """The classical statement: B_2n + sum over (p-1) | 2n of 1/p is integral.
+
+    Runs through the same decomposition engine as vsc_decompose, with
+    contribution -1/p at every prime p with p - 1 | 2n; it anchors the
+    engine against two centuries of literature.
+    """
+    if index < 2 or index % 2:
+        raise VerifierDomainError(f"index must be an even integer >= 2, got {index}")
+    primes = _dividing_primes(index, 1, 0)
+    remainder, ok = _decompose(value, [Fraction(-1, p) for p in primes])
+    return BernoulliVscReport(index, tuple(primes), remainder, ok)
 
 
 def test_classical_bernoulli_anchor():
@@ -190,9 +226,9 @@ def test_classical_bernoulli_anchor():
     assert r2.primes == (2, 3)
     assert r2.remainder == 1
     assert classical_vsc_bernoulli(2, F(1, 5)).passed is False
-    with pytest.raises(VerifierDomainError):
+    with refused("index must be an even integer >= 2, got 3"):
         classical_vsc_bernoulli(3, F(1, 6))
-    with pytest.raises(VerifierDomainError):
+    with refused("index must be an even integer >= 2, got 0"):
         classical_vsc_bernoulli(0, F(1))
 
 
@@ -227,21 +263,23 @@ def test_kummer_depth_one_is_a_residue_identity(table100):
 
 def test_kummer_rejects_dividing_prime(table100):
     # p = 11 has p - 1 = 10 dividing every weight in the ladder
-    with pytest.raises(VerifierDomainError):
+    with refused(
+        "p - 1 = 10 divides 10n = 10; the congruence needs p - 1 not dividing 10n"
+    ):
         kummer_check(table100, 11, 1, 1)
 
 
 def test_kummer_rejects_shallow_weight(table100):
-    with pytest.raises(VerifierDomainError):
+    with refused("10n - 2 = 8 is below depth 9"):
         kummer_check(table100, 31, 9, 1)
 
 
 def test_kummer_argument_validation(table100):
-    with pytest.raises(VerifierDomainError):
+    with refused("depth and index must be positive"):
         kummer_check(table100, 31, 0, 1)
-    with pytest.raises(VerifierDomainError):
+    with refused("depth and index must be positive"):
         kummer_check(table100, 31, 1, 0)
-    with pytest.raises(VerifierDomainError):
+    with refused("21 is not prime"):
         kummer_check(table100, 21, 1, 1)
 
 
@@ -264,16 +302,37 @@ def test_kummer_is_not_vacuous(table100):
 def test_kummer_triples_are_admissible(table100):
     # the criterion-5 sweep (p in 31, 41, 61, 71, depth <= 2, weight <= 300)
     # counts 140 triples; p = 11 never qualifies, since 10 divides every 10n
-    assert len(list(kummer_triples(71, 2, 300))) == 140
-    triples = list(kummer_triples(100, 3, 100))
+    assert len(list(kummer_triples(MAIN, 71, 2, 300))) == 140
+    triples = list(kummer_triples(MAIN, 100, 3, 100))
     assert triples and all(p != 11 for p, _, _ in triples)
     for p, depth, n in triples:
         assert kummer_check(table100, p, depth, n).passed
 
 
+def test_kummer_triples_stop_at_what_max_weight_admits(monkeypatch):
+    # A triple has depth * (p - 1) < max_weight, so no prime past
+    # max_weight + 1 is sieved and no depth past max_weight // (p - 1) is
+    # run; larger bounds yield the same triples.
+    limits = []
+    real = congruence.primes_in_class
+
+    def spy(limit, modulus, residue):
+        limits.append(limit)
+        return real(limit, modulus, residue)
+
+    monkeypatch.setattr(congruence, "primes_in_class", spy)
+    unbounded = list(kummer_triples(MAIN, 10**4, 10**3, 300))
+    assert limits == [301]
+    assert unbounded == list(kummer_triples(MAIN, 301, 30, 300))
+    assert unbounded == naive_triples(301, 30, 300)
+
+
 def test_kummer_refuses_other_curves():
     table = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 30))
-    with pytest.raises(VerifierDomainError):
+    with refused(
+        "the Kummer-style congruence is only proven for cyclo:a=2,b=5; "
+        "refusing minusx:g=1"
+    ):
         kummer_check(table, 13, 1, 1)
 
 
@@ -308,13 +367,16 @@ def test_integrality_empty_prime_range(table100):
     report = integrality_scan(table100, 7)
     assert report.rows == ()
     assert report.passed
-    with pytest.raises(VerifierDomainError):
+    with refused("prime limit must be positive"):
         integrality_scan(table100, 0)
 
 
 def test_integrality_refuses_other_curves():
     table = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 14))
-    with pytest.raises(VerifierDomainError):
+    with refused(
+        "the integrality statement is only proven for cyclo:a=2,b=5; "
+        "refusing minusx:g=1"
+    ):
         integrality_scan(table, 50)
 
 
@@ -324,45 +386,59 @@ def test_integrality_refuses_other_curves():
 # primes, and read valuations off p-adic digit tables, summing a Kummer
 # combination on integers only when the digits cannot tell.  These
 # references do none of that: plain Fraction arithmetic, the public
-# padic_valuation, and A_p straight from its formula.
+# padic_valuation, and A_p straight from its formula.  Each takes the
+# curve's weight w (and pole order b of y) as a parameter, cyclo(2,5)'s by
+# default, rather than reading it off the table.
 
 
-def naive_ap(p):
-    e = (p - 1) // 10
+def naive_ap(p, w=10):
+    e = (p - 1) // w
     return (-1) ** e * comb((p - 1) // 2, e)
 
 
-def naive_primes(limit):
-    """Primes p = 1 mod 5 up to limit (odd, so p = 1 mod 10)."""
-    return [p for p in range(11, limit + 1, 10) if is_prime(p)]
+def naive_primes(limit, w=10):
+    """Primes p = 1 mod w up to limit; for w = 10, the primes = 1 mod 5."""
+    return [p for p in range(w + 1, limit + 1, w) if is_prime(p)]
 
 
-def naive_vsc(table, n):
+def naive_vsc(table, n, w=10, b=5):
     parts = []
-    for p in naive_primes(n + 1):
+    for p in naive_primes(n + 1, w):
         if n % (p - 1) == 0:
-            ape = naive_ap(p) ** (n // (p - 1))
+            ape = naive_ap(p, w) ** (n // (p - 1))
             c_part = F(ape, p)
-            d_part = F(brute_mod_inverse(24, p) * ape, p)
-            parts.append(VscContribution(p, n // (p - 1), naive_ap(p), c_part, d_part))
+            d_part = F(brute_mod_inverse(factorial(b - 1), p) * ape, p)
+            parts.append(VscContribution(p, n // (p - 1), naive_ap(p, w), c_part, d_part))
     g = table.c(n) - sum(c.c_part for c in parts)
     h = table.d(n) - sum(c.d_part for c in parts)
     ok = g.denominator == 1 and h.denominator == 1
     return VscReport(n, tuple(parts), g, h, ok)
 
 
-def naive_kummer(table, p, depth, n):
-    weights = tuple(10 * n + r * (p - 1) for r in range(depth + 1))
+def naive_kummer(table, p, depth, n, w=10):
+    weights = tuple(w * n + r * (p - 1) for r in range(depth + 1))
     sums = []
     for number in (table.c, table.d):
         total = F(0)
-        for r, w in enumerate(weights):
-            coeff = (-1) ** r * comb(depth, r) * naive_ap(p) ** (depth - r)
-            total += coeff * number(w) / w
+        for r, weight in enumerate(weights):
+            coeff = (-1) ** r * comb(depth, r) * naive_ap(p, w) ** (depth - r)
+            total += coeff * number(weight) / weight
         sums.append(total)
     vals = [padic_valuation(s, p) for s in sums]
     report = KummerReport(p, depth, n, weights, *vals, min(vals) >= depth)
     return report, tuple(sums)
+
+
+def naive_triples(prime_limit, max_depth, max_weight, w=10):
+    """Every admissible (p, depth, n) with top weight w*n + depth*(p - 1)
+    within max_weight, in kummer_triples order."""
+    return [
+        (p, depth, n)
+        for p in naive_primes(prime_limit, w)
+        for depth in range(1, max_depth + 1)
+        for n in range(1, max_weight // w + 1)
+        if w * n + depth * (p - 1) <= max_weight and (w * n) % (p - 1) and w * n - 2 >= depth
+    ]
 
 
 def with_sums(report, table):
@@ -370,9 +446,9 @@ def with_sums(report, table):
     return report, report.sums(table)
 
 
-def naive_integrality(table, prime_limit):
+def naive_integrality(table, prime_limit, w=10):
     rows = []
-    for p in naive_primes(prime_limit):
+    for p in naive_primes(prime_limit, w):
         for n in table.weights():
             if n % (p - 1):
                 c_val = padic_valuation(table.c(n) / n, p)
@@ -426,7 +502,7 @@ def test_rows_are_built_once_per_prime(table100, table300, builds, exact_calls, 
     # same rows and builds none.
     top = {"sweep": 300, "checks": 100}[route]
     table = fresh({"sweep": table300, "checks": table100}[route])
-    triples = list(kummer_triples(top, 3, top))
+    triples = list(kummer_triples(MAIN, top, 3, top))
     if route == "sweep":
         kummer_sweep(table, top, 3)
     for t in triples if route == "checks" else ():
@@ -518,7 +594,7 @@ def test_deep_entry_is_valued_by_the_exact_integer_sum(table300, exact_calls):
     v = padic_valuation(common_denominator(source), 71)
     assert (digits, m) == (4, 71 ** (4 + v))
     assert [with_sums(r, table) for r in sweep] == [
-        naive_kummer(source, *t) for t in kummer_triples(300, 3, 300)
+        naive_kummer(source, *t) for t in kummer_triples(MAIN, 300, 3, 300)
     ]
     assert scan == naive_integrality(source, 300)
     assert [r.c_valuation for r in scan if (r.p, r.weight) == (71, 100)] == [5]
@@ -529,7 +605,7 @@ def check_against_naive(table300, tamper):
     table = BHTable(table300.curve, table300.order, table300.method, table300.rows)
     if tamper:
         table = tampered(table, 40, delta_c=F(1, 31))
-    triples = list(kummer_triples(300, 3, 300))
+    triples = list(kummer_triples(MAIN, 300, 3, 300))
     kummer = [kummer_check(table, *t) for t in triples]
     assert [with_sums(r, table) for r in kummer] == [naive_kummer(table, *t) for t in triples]
     rows = integrality_scan(table, 300).rows
@@ -587,7 +663,7 @@ def test_edge_entries_take_the_exact_path(table300, exact_calls):
     rows[40] = (F(0), rows[40][1])
     rows[70] = (F(70 * deep, 7), rows[70][1])
     table = BHTable(table300.curve, table300.order, table300.method, rows)
-    triples = list(kummer_triples(300, 3, 300))
+    triples = list(kummer_triples(MAIN, 300, 3, 300))
     kummer, exact = [], []
     for t in triples:
         exact_calls.clear()
@@ -631,7 +707,7 @@ def test_sweep_matches_single_checks_and_naive_reference(table100, table300, whi
     def fresh():
         return BHTable(source.curve, source.order, source.method, source.rows)
 
-    triples = list(kummer_triples(top, 3, top))
+    triples = list(kummer_triples(MAIN, top, 3, top))
     sweep = kummer_sweep(fresh(), top, 3)
     assert sweep == [kummer_check(fresh(), *t) for t in triples]
     assert [with_sums(r, source) for r in sweep] == [naive_kummer(source, *t) for t in triples]
@@ -642,7 +718,10 @@ def test_sweep_matches_single_checks_and_naive_reference(table100, table300, whi
 
 def test_sweep_checks_the_curve_and_the_weight_ladder(table100):
     other = extract_numbers(expand_by_reversion(CurveSpec.minus_x(1), 30))
-    with pytest.raises(VerifierDomainError):
+    with refused(
+        "the Kummer-style congruence is only proven for cyclo:a=2,b=5; "
+        "refusing minusx:g=1"
+    ):
         kummer_sweep(other, 50, 1)
     # A table with a gap in its ladder cannot be built, so the sweep reads
     # a full one.
@@ -681,7 +760,7 @@ def test_rows_keep_one_digit_past_each_primes_deepest_check(
         "shifted": tampered(table300, 40, delta_c=F(40, 31**2)),  # v_31(L) = 2
     }[which]
     table = fresh(source)
-    triples = list(kummer_triples(100, 3, 300))
+    triples = list(kummer_triples(MAIN, 100, 3, 300))
     sweep = kummer_sweep(table, 100, 3)
     scan = integrality_scan(table, 300).rows
     deepest = {p: depth for p, depth, _ in triples}
@@ -692,3 +771,31 @@ def test_rows_keep_one_digit_past_each_primes_deepest_check(
     assert scan == naive_integrality(source, 300)
     sides = [(r.p, val) for r in (*sweep, *scan) for val in (r.c_valuation, r.d_valuation)]
     assert sorted(exact_calls) == sorted((p, val) for p, val in sides if val >= digits[p])
+
+
+def lemniscate_ap(p):
+    """minusx:g=1's binomial A_p: ap_invariant's formula with w = 4."""
+    if not is_prime(p) or p % 4 != 1:
+        raise VerifierDomainError(f"A_p needs a prime p = 1 mod 4, got {p}")
+    return naive_ap(p, 4)
+
+
+def test_no_site_assumes_weight_10(gen300, monkeypatch):
+    # The verifiers read w, the prime class and the D-side factor off the
+    # table's curve.  Put minusx:g=1 (w = 4, b = 3) on the proven ground and
+    # they agree with the naive references given w = 4 and b = 3.  Whether
+    # its checks pass is not asserted: the lemniscate is not a proven curve.
+    lemniscate = CurveSpec.minus_x(1)
+    monkeypatch.setitem(congruence._PROVEN, lemniscate, lemniscate_ap)
+    table = gen300[str(lemniscate)]["table"].restrict(200)
+    assert table.weights() == list(range(4, 201, 4))
+    assert [vsc_decompose(table, n) for n in table.weights()] == [
+        naive_vsc(table, n, w=4, b=3) for n in table.weights()
+    ]
+    triples = list(kummer_triples(lemniscate, 200, 3, 200))
+    assert triples == naive_triples(200, 3, 200, w=4) and triples
+    assert [with_sums(r, table) for r in kummer_sweep(table, 200, 3)] == [
+        naive_kummer(table, *t, w=4) for t in triples
+    ]
+    assert kummer_check(table, *triples[0]) == naive_kummer(table, *triples[0], w=4)[0]
+    assert integrality_scan(table, 200).rows == naive_integrality(table, 200, w=4)
