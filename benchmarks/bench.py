@@ -2,13 +2,13 @@
 
   pipeline  expand_online end to end on any curve.  The row also gives
             the bits of the shared denominators of X and Y on the grid
-            rescaled by (w + 1)**k, which the online loop and the
-            certificate both run on.
+            rescaled by (w + 1)**k, which the online loop runs on; the
+            certificate's top rung is a multiple of their lcm.
   certify   the curve-equation and differential certificate on the
             online expansion, the one check every compute runs before
             it writes a table.  Its row also gives the number of v-grid
             products it forms and the bits of its largest operand, a
-            numerator or the denominator.
+            numerator over its slot's rung of the denominator ladder.
   extract   extract_numbers, reading the C_N / D_N table off the online
             expansion.
   cache     BHTable.dumps (write) and BHTable.loads (read) of that table,
@@ -86,12 +86,11 @@ def certificate_shape(expansion) -> str:
     real = certificate._mul
     count = bits = 0
 
-    def counted(p, q, n):
+    def counted(p, q, rows):
         nonlocal count, bits
         count += 1
-        for nums, den in (p, q):
-            bits = max(bits, den.bit_length(), *(v.bit_length() for v in nums))
-        return real(p, q, n)
+        bits = max(bits, *(v.bit_length() for v in (*p, *q)))
+        return real(p, q, rows)
 
     certificate._mul = counted
     try:

@@ -114,41 +114,95 @@ def test_certificate_forms_each_power_once(curve, monkeypatch):
     calls = []
     real = certificate._mul
 
-    def counted(p, q, n):
-        calls.append(n)
-        return real(p, q, n)
+    def counted(p, q, rows):
+        calls.append(len(rows))
+        return real(p, q, rows)
 
     monkeypatch.setattr(certificate, "_mul", counted)
     certify(expand_online(curve, 4 * curve.weight + 2))
     assert len(calls) == PRODUCTS[curve]
 
 
+def _convolution_check(f, g):
+    # The square path and the general path against a Fraction convolution.
+    # w = 0 leaves the grids unscaled; slot 0 of each is an integer, as X_0
+    # and Y_0 are.
+    rungs, rows, (p, q) = certificate._ladder((f, g), 0)
+    for a, b, (x, y) in ((p, p, (f, f)), (p, q, (f, g)), (q, p, (g, f))):
+        want = [sum(x[k] * y[m - k] for k in range(m + 1)) for m in range(len(f))]
+        got = certificate._mul(a, b, rows)
+        assert [F(v, d) for v, d in zip(got, rungs)] == want
+    return rungs
+
+
 def test_v_grid_product_matches_fraction_convolution():
-    # The square path and the general path against a Fraction convolution,
-    # and the content gcd leaves the lcm of the coefficients' denominators.
     coeffs = [F(1), F(-1, 6), F(5, 14), F(0), F(-3, 35), F(2, 9)]
-    den = 630
-    f = [int(c * den) for c in coeffs], den
-    g = [int(c * den) for c in reversed(coeffs)], den
-    n = len(coeffs) - 1
-    for p, q in ((f, f), (f, g)):
-        want = [
-            sum(F(p[0][k], p[1]) * F(q[0][m - k], q[1]) for k in range(m + 1))
-            for m in range(n + 1)
-        ]
-        nums, d = certificate._mul(p, q, n)
-        assert [F(v, d) for v in nums] == want
-        assert d == lcm(*(c.denominator for c in want))
+    _convolution_check(coeffs, [F(-2), *reversed(coeffs[1:])])
+
+
+def test_ladder_closes_over_pairs():
+    # Slot 1 has denominator 3 and slot 2 none of its own, but X_1**2 puts
+    # 1/9 into slot 2 of the square: D_2 must hold 9 for it to be an integer.
+    f = [F(1), F(1, 3), F(2), F(-1, 7), F(4, 3)]
+    g = [F(-1), F(2, 3), F(1), F(5), F(0)]
+    rungs = _convolution_check(f, g)
+    assert rungs[:3] == [1, 3, 9]
+
+
+@pytest.mark.parametrize(
+    "curve, weight",
+    [
+        (CurveSpec.cyclotomic(2, 5), 600),
+        (CurveSpec.minus_x(2), 600),
+        (CurveSpec.minus_x(1), 300),
+        (CurveSpec.cyclotomic(3, 4), 1008),
+        (CurveSpec.cyclotomic(3, 5), 1005),
+    ],
+    ids=str,
+)
+def test_ladder_rungs_divide_up(curve, weight):
+    # D_0 = 1, each slot's own denominators divide D_k, and every
+    # D_k * D_(m-k) divides D_m, with the row holding the cofactor.
+    w = curve.weight
+    e = expand_online(curve, weight + 2)
+    rungs, rows, _ = certificate._ladder((e.x, e.y), w)
+    assert rungs[0] == 1 and len(rungs) == len(e.x)
+    for k, d in enumerate(rungs):
+        for grid in (e.x, e.y):
+            assert d % (grid[k] * (w + 1) ** k).denominator == 0, k
+    for m, row in enumerate(rows):
+        assert len(row) == m // 2 + 1
+        for k, c in enumerate(row):
+            assert c * rungs[k] * rungs[m - k] == rungs[m], (m, k)
+
+
+def test_ladder_failures_name_the_same_residual():
+    # The messages the shared-denominator certificate gave for a large
+    # prime at x slot 2 (which the closure carries into every later rung)
+    # and a small one at y slot 1.
+    good = expand_online(CurveSpec.cyclotomic(3, 4), 1008)
+    for name, k, by, message in (
+        ("x", 2, F(1, 2**61 - 1), "u^12 (residual coefficient: "
+         "3-bit numerator, 61-bit denominator)"),
+        ("y", 1, F(1, 10007), "u^0 (residual coefficient: "
+         "2-bit numerator, 14-bit denominator)"),
+    ):
+        with pytest.raises(ExpansionError) as err:
+            certify(bump(good, name, k, by))
+        assert str(err.value) == (
+            f"online expansion of cyclo:a=3,b=4 fails the curve equation at {message}"
+        )
 
 
 def test_grid_is_rescaled():
     # X_k carries most of (w + 1)**k in its denominator, and the grid is
-    # rescaled to drop it: on cyclo(3,4) through v**84 its denominator must
+    # rescaled to drop it: on cyclo(3,4) through v**84 its top rung must
     # fall below the 1776-bit lcm of the unscaled X_k, or the rescale is gone.
     curve = CurveSpec.cyclotomic(3, 4)
     w = curve.weight
-    x = expand_online(curve, 1010).x
-    assert lcm(*(c.denominator for c in x)).bit_length() == 1776
-    nums, den = certificate._grid(x, w)
-    assert den.bit_length() < 1776
-    assert [F(v, den * (w + 1) ** k) for k, v in enumerate(nums)] == list(x)
+    e = expand_online(curve, 1010)
+    assert lcm(*(c.denominator for c in e.x)).bit_length() == 1776
+    rungs, _, (nums, _) = certificate._ladder((e.x, e.y), w)
+    assert rungs[-1].bit_length() < 1776
+    scaled = enumerate(zip(nums, rungs))
+    assert [F(v, d * (w + 1) ** k) for k, (v, d) in scaled] == list(e.x)
