@@ -1,9 +1,10 @@
 """Time the layers compute and verify run.
 
   pipeline  expand_online end to end on any curve.  The row also gives
-            the bits of the shared denominators of X and Y on the grid
-            rescaled by (w + 1)**k, which the online loop runs on; the
-            certificate's top rung is a multiple of their lcm.
+            the bits of the kernel's top rung, the denominator of the
+            last v-slot it solves on the grid rescaled by (w + 1)**k, and
+            of the largest numerator it stores over its slot's rung; the
+            certificate builds the same ladder.
   certify   the curve-equation and differential certificate on the
             online expansion, the one check every compute runs before
             it writes a table.  Its row also gives the number of v-grid
@@ -52,9 +53,9 @@ import statistics
 import sys
 import tempfile
 import time
-from math import lcm
+from math import prod
 
-from bhnum import certificate, congruence
+from bhnum import certificate, congruence, generator
 from bhnum.certificate import certify
 from bhnum.cli import main as cli_main
 from bhnum.congruence import integrality_scan, kummer_sweep, vsc_decompose
@@ -71,14 +72,22 @@ def best_of(repeat: int, fn) -> float:
     return min(times)
 
 
-def denominator_bits(expansion) -> str:
-    """Bits of the shared denominators of X and Y on the rescaled v-grid."""
-    scale = expansion.curve.weight + 1
-    bits = [
-        lcm(*((q * scale**k).denominator for k, q in enumerate(grid))).bit_length()
-        for grid in (expansion.x, expansion.y)
-    ]
-    return "X, Y denominators {} and {} bits".format(*bits)
+def kernel_shape(curve, order) -> str:
+    """Bits of the online kernel's top rung and of its largest stored numerator."""
+    real, kept = generator._append, [[], []]
+
+    def spy(series, steps, nums, over, up):
+        real(series, steps, nums, over, up)
+        kept[:] = series, steps
+
+    generator._append = spy
+    try:
+        expand_online(curve, order)
+    finally:
+        generator._append = real
+    series, steps = kept
+    bits = max((v.bit_length() for s in series for v in s), default=0)
+    return f"top rung {prod(steps).bit_length()} bits, largest numerator {bits} bits"
 
 
 def certificate_shape(expansion) -> str:
@@ -141,7 +150,7 @@ def main() -> None:
     at = f"{curve}@{args.order}"
     online = expand_online(curve, args.order)
     seconds = best_of(args.repeat, lambda: expand_online(curve, args.order))
-    rows = [("pipeline/online", seconds, denominator_bits(online))]
+    rows = [("pipeline/online", seconds, kernel_shape(curve, args.order))]
     table = extract_numbers(online)
     text = table.dumps()
     for name, fn, note in (

@@ -15,8 +15,8 @@ integer over D_k, the k-th rung of one denominator ladder (_ladder), so
 a product term is only as large as its slots and no gcd is taken.
 
 The grid and its scaling are this module's own code.  It shares nothing
-with bhnum.generator's online kernel (_miller, _cross, _extend and the
-X_m solve in expand_online): a fault there cannot hide from it.
+with bhnum.generator's online kernel (_miller, _cross, _cofactors,
+_append and the X_m solve): a fault there cannot hide from it.
 """
 
 from __future__ import annotations

@@ -18,16 +18,16 @@ and Y as their v-grids, so that support pattern is its representation.
 expand_online solves the curve equation and the normalization of du for
 X one v-slot at a time, on a grid rescaled by (w + 1)**k (see its
 docstring).  Its kernel is J.C.P. Miller's power recurrence (_miller)
-and a half-sum square (_cross), run in integers: each series a step
-reads is a list of numerators over one shared denominator, and each slot
-is solved with one gcd (_extend); Fraction appears only at read-out.
+and a half-sum square (_cross), run in integers: slot k of each series
+is a numerator over its own rung D_k (_cofactors, _append), and Fraction
+appears only at read-out.
 
 expand_checked, the route every table is computed by, certifies the online
 expansion against the curve equation and the differential du
 (bhnum.certificate, re-exported here).  The certificate checks both
 identities slot by slot on integer numerators; it shares no code with the
-online kernel (_miller, _cross, _extend and the X_m solve), and it pins
-every coefficient.
+online kernel (_miller, _cross, _cofactors, _append and the X_m solve),
+and it pins every coefficient.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import accumulate, count
 from math import factorial, gcd, lgamma, log, prod
 from operator import mul
 from pathlib import Path
@@ -112,67 +112,70 @@ class Expansion:
             )
 
 
-def _miller(f: list[int], p: list[int], e: int) -> int:
-    """The next coefficient of f**e by J.C.P. Miller's power recurrence, as
-    the integer it takes over m * f[0] * (p's denominator).
+def _miller(f: list[int], p: list[int], e: int, row: list[int]) -> int:
+    """The next coefficient of f**e by J.C.P. Miller's power recurrence
+    (Knuth, TAOCP vol. 2, 4.7), less e * f_m, over m * L_m:
 
-    With p holding the numerators of the first m coefficients of f**e and
-    f at least m + 1 numerators of f (any one scale), P_m is
+        P_m = e * f_m + sum_{k=1..m-1} ((e + 1) * k - m) * f_k * P_{m-k} / m
 
-        sum_{k=1..m} ((e + 1) * k - m) * f_k * P_{m-k} / (m * f_0).
-
-    (Knuth, TAOCP vol. 2, 4.7.)  The recurrence is what f * (f**e)' =
-    e * f' * f**e says degree by degree, so P_m needs no coefficient of f
-    beyond f_m; that is what lets callers feed f online.  If f stops at
-    f_{m-1}, f_m is taken as 0.  f's scale cancels against f_0, so the sum
-    runs on the numerators as they are stored, weights included, in C.
+    for f_0 = p_0 = 1, p the first m coefficients of f**e and f through
+    f_(m-1).  It is f * (f**e)' = e * f' * f**e degree by degree, so P_m
+    needs no f beyond f_m, and f can be fed online.  Term k is over
+    D_k * D_(m-k); row[k-1] lifts it to L_m.
     """
     m = len(p)
-    weights = map(mul, count(e + 1 - m, e + 1), f[1 : m + 1])
-    return sum(map(mul, weights, reversed(p)))
+    weights = map(mul, count(e + 1 - m, e + 1), row)
+    return sum(map(mul, weights, map(mul, f[1:m], reversed(p[1:]))))
 
 
-def _cross(f: list[int], m: int) -> int:
-    """[f**2]_m less 2 * f_0 * f_m over den**2, for f's numerators over den:
-    each pair f_k * f_(m-k), 0 < k < m, formed once."""
+def _cross(f: list[int], row: list[int]) -> int:
+    """[f**2]_m less 2 * f_0 * f_m over L_m, m = len(row) + 1: each pair
+    f_k * f_(m-k), 0 < k < m, formed once."""
+    m = len(row) + 1
     h = (m + 1) // 2
-    total = 2 * sum(map(mul, f[1:h], reversed(f[m - h + 1 : m])))
+    total = 2 * sum(map(mul, row, map(mul, f[1:h], reversed(f[m - h + 1 : m]))))
     if m % 2 == 0:
-        total += f[h] * f[h]
+        total += row[h - 1] * f[h] * f[h]
     return total
 
 
-def _rest(f: list[int], p: list[int], e: int) -> int:
-    """[f**e]_m at f_m = 0 over m * den**2, from the numerators over den of f
-    and, if e > 2, of p = f**e, both through m - 1 (f_0 = p_0 = den)."""
+def _rest(f: list[int], p: list[int], e: int, row: list[int]) -> int:
+    """[f**e]_m at f_m = 0 over m * L_m, from f and (e > 2) p = f**e through m - 1."""
     if e == 1:
         return 0
-    m = len(f)
-    return m * _cross(f, m) if e == 2 else _miller(f, p, e)
+    return len(f) * _cross(f, row) if e == 2 else _miller(f, p, e, row)
 
 
-def _extend(series: list[list[int]], den: int, nums: list[int], over: int) -> int:
-    """Append nums[t] / over to series[t], every series kept as numerators
-    over the one shared denominator den; return the new den.
+def _cofactors(steps: list[int]) -> tuple[int, list[int]]:
+    """L_m // D_(m-1) and the row L_m // (D_k * D_(m-k)), 0 < k < m.
 
-    Each new coefficient's own denominator is over // gcd(over, v), a
-    divisor of over, and the lcm of such divisors is over // g with
-    g = gcd(over, *nums): one gcd gives it, and den stays the lcm of every
-    denominator stored (fraction-free arithmetic in the sense of Bareiss,
-    Math. Comp. 22, 1968).  The stored numerators are rescaled only when
-    den grows.
+    steps[k-1] is E_k = D_k / D_(k-1), m = len(steps) + 1, and L_m is the lcm
+    of the D_k * D_(m-k).  c_k = c_(k-1) * E_(m-k+1) / E_k, and a step that
+    does not divide brings in a factor, which scales L_m and the row so far.
+    """
+    m = len(steps) + 1
+    if m == 1:
+        return 1, []
+    up, row = steps[0], [1]
+    for k in range(2, m // 2 + 1):
+        num, e = row[-1] * steps[m - k], steps[k - 1]
+        q, r = divmod(num, e)
+        if r:
+            f = e // gcd(e, r)
+            up, row, q = up * f, [v * f for v in row], num * f // e
+        row.append(q)
+    return up, row + row[: m - 1 - len(row)][::-1]
+
+
+def _append(series: list, steps: list, nums: list, over: int, up: int) -> None:
+    """Append nums[t] / (over * L_m) to series[t] as slot m, over the lcm D_m
+    of L_m and their denominators, L_m * over // gcd(over, *nums), and
+    D_m / D_(m-1) to steps; up is L_m / D_(m-1).  No stored numerator moves.
     """
     g = gcd(over, *nums)
-    new = over // g
-    scale = new // gcd(den, new)
-    if scale > 1:
-        den *= scale
-        for s in series:
-            s[:] = [v * scale for v in s]
-    up = den // new
     for s, v in zip(series, nums):
-        s.append(v // g * up)
-    return den
+        s.append(v // g)
+    steps.append(up * (over // g))
 
 
 def expand_online(curve: CurveSpec, order: int) -> Expansion:
@@ -191,20 +194,17 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     The loop runs in integers, on the series a step reads: X, X**b, Y,
     and X**i or Y**j if a Miller step (a square reads only its base);
     Y**a's Miller step (cyclo) reads Q off X**b, bar v's term in Q_1.
-    They are numerator lists over one shared denominator D, and with
-    X_m = 0 every value of slot m is an integer over S = m * D**2 (a*Y_m
-    too).  Then X_m, Y_m and the stored powers, each moved by its slope
-    times X_m, are integers over M = S * a * i*(w*m + 1), and one gcd of M
-    with those numerators leaves exactly the lcm of their own denominators
-    (_extend): one reduction per slot, and Fraction only at read-out.
+    Slot k of each is a numerator over its rung D_k, so with X_m = 0 each
+    value of slot m is a sum of slot-sized terms over m * L_m (a*Y_m too);
+    X_m, Y_m and the stored powers, each moved by its slope times X_m, are
+    then over m * L_m * a * i*(w*m + 1), and _append gives D_m.
 
     X_1 = j / (w + 1), and X_k and Y_k carry most of (w + 1)**k in their
     denominators, so the loop runs on X'_k = (w + 1)**k * X_k and Y'_k =
     (w + 1)**k * Y_k: v becomes (w + 1) * v in Q, the identity holds slot
-    by slot as it is, and X'_1 = j.  That takes 17% off X's denominator on
-    cyclo(3,4) through v**84, and is undone once, at read-out.  With X and
-    Y known through v**n, x is exact through u**(-a + w*(n+1) - 1) and y
-    through u**(-b + w*(n+1) - 1); n is the least that covers order.
+    by slot as it is, and X'_1 = j; read-out undoes it.  With X and Y known
+    through v**n, x is exact through u**(-a + w*(n+1) - 1) and y through
+    u**(-b + w*(n+1) - 1); n is the least that covers order.
     """
     if order < 1:
         raise ExpansionError("expansion order must be at least 1")
@@ -213,33 +213,30 @@ def expand_online(curve: CurveSpec, order: int) -> Expansion:
     n = -(-(order + 1 + max(a, b)) // w) - 1
     minusx = curve.family == "minusx"
     x, x_b, y, x_i, y_j = [1], [1], [1], [1], [1]
-    series = [x, x_b, y] + [x_i] * (i > 2) + [y_j] * (j > 2)
-    den = 1
+    series, steps = [x, x_b, y] + [x_i] * (i > 2) + [y_j] * (j > 2), []
     for m in range(1, n + 1):
-        # slot m at X_m = 0, over s = m * den**2
-        s = m * den * den
-        xi_m, xb_m, yj_m = _rest(x, x_i, i), _rest(x, x_b, b), _rest(y, y_j, j)
-        tail = x[-1] * m * den if minusx else s * (m == 1)
+        # slot m at X_m = 0 over m * L_m; up = L_m / D_(m-1)
+        up, row = _cofactors(steps)
+        xi_m, xb_m = _rest(x, x_i, i, row), _rest(x, x_b, b, row)
+        yj_m = _rest(y, y_j, j, row)
+        tail = x[-1] * m * up if minusx else m == 1
         q_m = xb_m - (w + 1) * tail
-        ay_m = q_m - _rest(y, x_b, a)
+        ay_m = q_m - _rest(y, x_b, a, row)
         if a > 2 and m > 1:  # cyclo: Q_k = X**b_k but Q_1 = X**b_1 - (w + 1)
-            ay_m += ((a + 1) * (m - 1) - m) * y[m - 1] * (w + 1) * den
+            ay_m += ((a + 1) * (m - 1) - m) * y[m - 1] * (w + 1) * up
         rho = (w * m - a * i) * xi_m + a * i * yj_m + i * j * ay_m
-        # X_m = -rho / slope; over s * c each power moves by its slope times X_m
+        # X_m = -rho / slope; over m * L_m * c each power moves by slope * X_m
         slope = i * (w * m + 1)
-        c = a * slope
-        x_m, y_m = -a * rho, slope * ay_m - b * rho
+        c, x_m, y_m = a * slope, -a * rho, slope * ay_m - b * rho
         nums = [x_m, c * xb_m + b * x_m, y_m]
         if i > 2:
             nums.append(c * xi_m + i * x_m)
         if j > 2:
             nums.append(c * yj_m + j * y_m)
-        den = _extend(series, den, nums, s * c)
-    sigma, xs, ys, scale = curve.y_leading_sign, [], [], den
-    for xk, yk in zip(x, y):
-        xs.append(Fraction(xk, scale))
-        ys.append(Fraction(sigma * yk, scale))
-        scale *= w + 1
+        _append(series, steps, nums, m * c, up)
+    sigma = curve.y_leading_sign
+    scales = [d * (w + 1) ** k for k, d in enumerate(accumulate([1, *steps], mul))]
+    xs, ys = map(Fraction, x, scales), (Fraction(sigma * v, d) for v, d in zip(y, scales))
     return Expansion(curve, tuple(xs), tuple(ys), "online", order)
 
 
@@ -523,14 +520,15 @@ def bernoulli(count: int) -> list[Fraction]:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    top = factorial(2 * count + 1)
-    f = [(-1) ** k * (top // factorial(2 * k + 1)) for k in range(count + 1)]
-    g, den = [1], 1
+    f, g, steps, rung = [1], [1], [], 1
     for m in range(1, count + 1):
-        den = _extend([g], den, [_miller(f, g, -2)], m * top * den)
+        up, row = _cofactors(steps)
+        top, f_m = factorial(2 * m + 1), (-1) ** m * m * rung * up  # over top * m * L_m
+        _append([f, g], steps, [f_m, top * _miller(f, g, -2, row) - 2 * f_m], m * top, up)
+        rung *= steps[-1]
     return [
-        Fraction((-1) ** (n + 1) * 2 * n * factorial(2 * n - 2) * g[n], 4**n * den)
-        for n in range(1, count + 1)
+        Fraction((-1) ** (n + 1) * 2 * n * factorial(2 * n - 2) * g[n], 4**n * d)
+        for n, d in enumerate(accumulate(steps, mul), 1)
     ]
 
 

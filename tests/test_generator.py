@@ -6,12 +6,13 @@ import re
 import stat
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from operator import mul
 
 import pytest
 
-from bhnum import generator
+from bhnum import certificate, generator
 from bhnum.curves import CurveSpec
 from bhnum.generator import (
     BHTable,
@@ -239,17 +240,19 @@ KERNEL_CURVES = [
 # bhnum.certificate and never calls them.
 
 
-def _miller_weight_off(f, p, e):
+def _miller_weight_off(f, p, e, row):
     m = len(p)
-    weights = [(e + 1) * k - m + (k == 1) for k in range(1, m + 1)]  # k = 1 off by one
-    return sum(map(mul, map(mul, weights, f[1 : m + 1]), reversed(p)))
+    weights = [(e + 1) * k - m + (k == 1) for k in range(1, m)]  # k = 1 off by one
+    terms = map(mul, f[1:m], reversed(p[1:]))
+    return sum(map(mul, map(mul, weights, row), terms))
 
 
-def _cross_pairs_undoubled(f, m):
+def _cross_pairs_undoubled(f, row):
+    m = len(row) + 1
     h = (m + 1) // 2
-    total = sum(map(mul, f[1:h], reversed(f[m - h + 1 : m])))  # no 2 *
+    total = sum(map(mul, row, map(mul, f[1:h], reversed(f[m - h + 1 : m]))))  # no 2 *
     if m % 2 == 0:
-        total += f[h] * f[h]
+        total += row[h - 1] * f[h] * f[h]
     return total
 
 
@@ -263,21 +266,19 @@ def _solve_divisor_off():
     return namespace["expand_online"]
 
 
-def _extend_one_unscaled(series, den, nums, over):
-    g = gcd(over, *nums)
-    new = over // g
-    scale = new // gcd(den, new)
-    if scale > 1:
-        den *= scale
-        for s in series:
-            # the newest stored numerator keeps its old scale, unless it is
-            # the leading one (that fault would only break the leading term)
-            last = len(s) - 1
-            s[:] = [v if 0 < k == last else v * scale for k, v in enumerate(s)]
-    up = den // new
-    for s, v in zip(series, nums):
-        s.append(v // g * up)
-    return den
+def _cofactors_unscaled(steps):
+    m = len(steps) + 1
+    if m == 1:
+        return 1, []
+    up, row = steps[0], [1]
+    for k in range(2, m // 2 + 1):
+        num, e = row[-1] * steps[m - k], steps[k - 1]
+        q, r = divmod(num, e)
+        if r:  # the new factor scales L_m but not the row built so far
+            f = e // gcd(e, r)
+            up, q = up * f, num * f // e
+        row.append(q)
+    return up, row + row[: m - 1 - len(row)][::-1]
 
 
 # cyclo(3,4) has i = j = 1 and a = 3: it forms no square.
@@ -287,18 +288,19 @@ SQUARING_KERNEL_CURVES = [c for c in KERNEL_CURVES if c != CurveSpec.cyclotomic(
 @pytest.mark.parametrize(
     "target, mutant, must_catch",
     [
-        ("_miller", _miller_weight_off, []),
+        ("_miller", _miller_weight_off, KERNEL_CURVES),
         ("_cross", _cross_pairs_undoubled, SQUARING_KERNEL_CURVES),
         ("expand_online", _solve_divisor_off(), KERNEL_CURVES),
-        ("_extend", _extend_one_unscaled, []),
+        ("_cofactors", _cofactors_unscaled, KERNEL_CURVES),
     ],
-    ids=["_miller", "_cross", "solve", "_extend"],
+    ids=["_miller", "_cross", "solve", "_cofactors"],
 )
 def test_certify_catches_kernel_mutants(target, mutant, must_catch, monkeypatch):
-    # The online route runs on _miller, _cross, _extend and the X_m solve
-    # in expand_online; certify shares none of them, so a fault in that
-    # kernel cannot hide from it.  A curve that never calls the mutant
-    # (cyclo(3,4) forms no square) must get the expansion it got before.
+    # The online route runs on _miller, _cross, _cofactors, _append and the
+    # X_m solve in expand_online; certify shares none of them, so a fault
+    # in that kernel cannot hide from it.  A curve that never calls the
+    # mutant (cyclo(3,4) forms no square) must get the expansion it got
+    # before.
     clean = {curve: expand_online(curve, 102) for curve in KERNEL_CURVES}
     monkeypatch.setattr(generator, target, mutant)
     caught = []
@@ -365,36 +367,64 @@ def test_ode_wrong_coefficient_is_named(monkeypatch):
 
 # -- the integer kernel --------------------------------------------------------
 
-# Pairwise coprime denominators: every append brings a new factor into the
-# shared denominator and rescales the numerators stored before it.
+# Pairwise coprime denominators: each coefficient past the first brings a
+# prime no earlier one has into its slot's rung.
 COPRIME = [F(1), F(1, 2), F(-1, 3), F(5, 7), F(1, 11), F(-4, 13), F(2, 17), F(-3, 19)]
 
 
-def test_shared_denominator_reproduces_every_coefficient():
-    # Each step appends c to one series and c / 6 to another, both handed
-    # over with a common factor 23 that no denominator has.  The last two
-    # append without a rescale: 0, and 7/22 with 22 | den.
-    values = COPRIME + [F(0), F(7, 22)]
-    s, t, den = [], [], 1
-    for k, c in enumerate(values):
-        nums, over = [138 * c.numerator, 23 * c.numerator], 138 * c.denominator
-        den = generator._extend([s, t], den, nums, over)
-        assert [F(v, den) for v in s] == values[: k + 1]
-        assert [F(v, den) for v in t] == [q / 6 for q in values[: k + 1]]
-        seen = values[: k + 1] + [q / 6 for q in values[: k + 1]]
-        assert den == math.lcm(*(q.denominator for q in seen))
+def _rungs(steps):
+    """The rungs D_0 = 1, D_1, ... of the kernel's ladder from its steps."""
+    return [1, *accumulate(steps, mul)]
+
+
+def test_cofactors_match_the_lcm_of_the_pairs():
+    # The row is built from ratios of steps; it must be exactly
+    # L_m // (D_k * D_(m-k)) for L_m the lcm of the pairs, on steps that
+    # bring in new primes, repeat old ones and raise their powers.  From
+    # slot 4 on a pair past (1, m - 1) brings in a factor, so every such
+    # row is rescaled.
+    steps = [2, 3, 7, 2, 11, 13, 4, 17, 19, 6, 9, 5]
+    for m in range(1, len(steps) + 2):
+        rungs = _rungs(steps[: m - 1])
+        top = math.lcm(*(rungs[k] * rungs[m - k] for k in range(1, m)))
+        if m > 1:
+            assert (top != rungs[1] * rungs[m - 1]) == (m >= 4), m
+        up, row = generator._cofactors(steps[: m - 1])
+        assert up * rungs[m - 1] == top, m
+        assert row == [top // (rungs[k] * rungs[m - k]) for k in range(1, m)], m
+
+
+def test_ladder_reproduces_every_coefficient():
+    # Each slot appends c to one series and c / 6 to another, both handed
+    # over with a common factor 23 that no denominator has.  Slot 2's 3 is
+    # in D_1 already (1/2 / 6 = 1/12), and the last two bring no new
+    # factor: 0, and 7/22 with 22 | L_m; every other rung outgrows L_m.
+    values = COPRIME[1:] + [F(0), F(7, 22)]
+    s, t, steps, grew = [1], [1], [], []
+    for m, c in enumerate(values, 1):
+        up, row = generator._cofactors(steps)
+        big = c.numerator * math.prod(steps) * up  # c over c.denominator * L_m
+        generator._append([s, t], steps, [138 * big, 23 * big], 138 * c.denominator, up)
+        grew += [m] * (steps[-1] != up)
+        rungs = _rungs(steps)
+        assert [F(v, d) for v, d in zip(s, rungs)] == [1] + values[:m]
+        assert [F(v, d) for v, d in zip(t, rungs)] == [1] + [q / 6 for q in values[:m]]
+        pairs = (rungs[k] * rungs[m - k] for k in range(1, m))
+        assert rungs[m] == math.lcm(c.denominator, (c / 6).denominator, *pairs)
+    assert grew == [1, 3, 4, 5, 6, 7]
 
 
 def _power(coeffs, e):
-    """f**e through f's last coefficient on the integer kernel, for f_0 = 1:
-    f's numerators, then f**e's, Miller step by step, over their shared
-    denominator, which comes last."""
-    den_f = math.lcm(*(q.denominator for q in coeffs))
-    f = [int(c * den_f) for c in coeffs]
-    p, den = [1], 1
-    for m in range(1, len(f)):
-        den = generator._extend([p], den, [generator._miller(f, p, e)], m * f[0] * den)
-    return f, p, den
+    """f**e through f's last coefficient on the rung ladder, for f_0 = 1:
+    f's numerators, then f**e's, Miller step by step, and the ladder's
+    steps, which come last."""
+    f, p, steps = [1], [1], []
+    for m, c in enumerate(coeffs[1:], 1):
+        up, row = generator._cofactors(steps)
+        f_m = m * math.prod(steps) * up * c.numerator  # over m * L_m * c.denominator
+        p_m = c.denominator * generator._miller(f, p, e, row) + e * f_m
+        generator._append([f, p], steps, [f_m, p_m], m * c.denominator, up)
+    return f, p, steps
 
 
 def _as_series(coeffs):
@@ -404,18 +434,23 @@ def _as_series(coeffs):
 @pytest.mark.parametrize("e", [-3, -2, 5])
 def test_power_matches_series_oracle(e):
     # TruncSeries.power inverts first for a negative exponent.
-    _, p, den = _power(COPRIME, e)
-    g, f = _as_series([F(v, den) for v in p]), _as_series(COPRIME).power(e)
+    _, p, steps = _power(COPRIME, e)
+    g = _as_series([F(v, d) for v, d in zip(p, _rungs(steps))])
+    f = _as_series(COPRIME).power(e)
     assert g.terms() == f.terms() and g.trunc_order == f.trunc_order
     # (1 - t)**e against the binomial series.
-    _, p, den = _power([F(1), F(-1)] + [F(0)] * 10, e)
+    _, p, steps = _power([F(1), F(-1)] + [F(0)] * 10, e)
     binomial = binomial_series(1, e, 11)
-    assert [F(v, den) for v in p] == [binomial.coeff(k) for k in range(12)]
+    coeffs = [F(v, d) for v, d in zip(p, _rungs(steps))]
+    assert coeffs == [binomial.coeff(k) for k in range(12)]
 
 
 def test_miller_reads_a_missing_top_coefficient_as_zero():
-    f, p, _ = _power(COPRIME[:4], 5)
-    assert generator._miller(f, p, 5) == generator._miller(f + [0], p, 5)
+    f, p, steps = _power(COPRIME[:4], 5)
+    _, row = generator._cofactors(steps)
+    value = generator._miller(f, p, 5, row)
+    assert value == generator._miller(f + [0], p, 5, row)
+    assert value == generator._miller(f + [12345], p, 5, row)
 
 
 # The benchmark's compute curves at the orders it expands them to.
@@ -434,26 +469,27 @@ STORED_LISTS[CurveSpec.cyclotomic(3, 5)] = 4
 
 
 @pytest.mark.parametrize("curve, order", BENCH_CURVES, ids=str)
-def test_online_denominator_is_the_lcm_of_its_coefficients(curve, order, monkeypatch):
-    # A dropped or partial reduction in the slot loop leaves the shared
-    # denominator larger than it must be: the tables stay right, and only
-    # the time grows.  Pin it after every slot, and at the end against
-    # every stored coefficient.
-    real, slots, lcm = generator._extend, [], 1
+def test_online_rungs_are_the_lcm_of_their_slots_and_pairs(curve, order, monkeypatch):
+    # A spare factor in a rung leaves the tables right, and only the time
+    # grows.  After every slot, D_m must be the lcm of the denominators
+    # stored at slot m and of every D_k * D_(m-k); the finished ladder is
+    # the one the certificate builds from the expansion on its own.
+    real, slots = generator._append, []
 
-    def checked(series, den, nums, over):
-        nonlocal lcm
-        den = real(series, den, nums, over)
-        lcm = math.lcm(lcm, *(F(s[-1], den).denominator for s in series))
-        assert den == lcm, len(slots) + 1
-        slots.append(series)
-        return den
+    def checked(series, steps, nums, over, up):
+        real(series, steps, nums, over, up)
+        m, rungs = len(steps), _rungs(steps)
+        own = (F(s[m], rungs[m]).denominator for s in series)
+        pairs = (rungs[k] * rungs[m - k] for k in range(1, m))
+        assert rungs[m] == math.lcm(*own, *pairs), m
+        slots.append((series, steps))
 
-    monkeypatch.setattr(generator, "_extend", checked)
+    monkeypatch.setattr(generator, "_append", checked)
     expansion = generator.expand_online(curve, order)
     assert len(slots) == len(expansion.x) - 1
-    assert {len(series) for series in slots} == {STORED_LISTS[curve]}
-    assert lcm == math.lcm(*(F(v, lcm).denominator for s in slots[-1] for v in s))
+    assert {len(series) for series, _ in slots} == {STORED_LISTS[curve]}
+    rungs = certificate._ladder((expansion.x, expansion.y), curve.weight)[0]
+    assert _rungs(slots[-1][1]) == rungs
 
 
 def test_ode_refuses_non_hyperelliptic():
