@@ -35,9 +35,13 @@
             note gives the bytes written.
   import    the median seconds of a fresh import of bhnum.cli with the
             standard library already loaded, as the benchmark's set-up
-            imports it: every bhnum module is compiled from source (the
-            bytecode cache is looked up in an empty directory) and no
-            bytecode is written.  Its note gives the number of modules.
+            imports it: every bhnum module it loads is compiled from
+            source (the bytecode cache is looked up in an empty directory)
+            and no bytecode is written.  Its note gives the number of
+            modules.
+  import/verify  the median seconds of the cold import of bhnum.congruence
+            that follows it, the compile verify pays on its first call;
+            the same note.
 
 Run as: python3 benchmarks/bench.py [--order N] [--curve SPEC] [--repeat K] [--json]
 With --json the rows print as one JSON document instead of a table.
@@ -109,33 +113,39 @@ def certificate_shape(expansion) -> str:
     return f"{count} products, largest operand {bits} bits"
 
 
-def import_row(repeat: int) -> tuple[str, float, str]:
-    """The import row: median seconds of a fresh, compiling import of
-    bhnum.cli.  The modules the rest of the run uses are put back after."""
-    importlib.import_module("bhnum.cli")  # its standard library, loaded untimed
+def import_rows(repeat: int) -> list[tuple[str, float, str]]:
+    """The import rows: median seconds of a fresh, compiling import of
+    bhnum.cli, then of bhnum.congruence on top of it.  The modules the rest
+    of the run uses are put back after."""
+    importlib.import_module("bhnum.congruence")  # its standard library, loaded untimed
 
     def ours():
         return [n for n in sys.modules if n == "bhnum" or n.startswith("bhnum.")]
 
     saved = {n: sys.modules[n] for n in ours()}
     settings = sys.pycache_prefix, sys.dont_write_bytecode
-    times = []
+    stages = (("import", "bhnum.cli"), ("import/verify", "bhnum.congruence"))
+    times = {stage: [] for stage, _ in stages}
+    compiled = {}
     with tempfile.TemporaryDirectory() as empty:
         sys.pycache_prefix, sys.dont_write_bytecode = empty, True
         try:
             for _ in range(repeat):
                 for name in ours():
                     del sys.modules[name]
-                t0 = time.perf_counter()
-                importlib.import_module("bhnum.cli")
-                times.append(time.perf_counter() - t0)
-            compiled = len(ours())
+                for stage, module in stages:
+                    before = len(ours())
+                    t0 = time.perf_counter()
+                    importlib.import_module(module)
+                    times[stage].append(time.perf_counter() - t0)
+                    compiled[stage] = len(ours()) - before
         finally:
             sys.pycache_prefix, sys.dont_write_bytecode = settings
             for name in ours():
                 del sys.modules[name]
             sys.modules.update(saved)
-    return "import", statistics.median(times), f"{compiled} modules compiled"
+    return [(stage, statistics.median(times[stage]), f"{compiled[stage]} modules compiled")
+            for stage, _ in stages]
 
 
 def main() -> None:
@@ -211,7 +221,7 @@ def main() -> None:
 
             seconds = best_of(args.repeat, verify_json)
             rows.append(("verify/json", seconds, f"{os.path.getsize(report)} bytes written"))
-    rows.append(import_row(args.repeat))
+    rows.extend(import_rows(args.repeat))
 
     if args.json:
         print(json.dumps({

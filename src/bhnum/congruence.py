@@ -40,7 +40,7 @@ from operator import add, mod, mul
 from typing import NamedTuple
 
 from .curves import CurveSpec
-from .generator import BHTable, rational_pair
+from .generator import REPORT_VERSION, BHTable, rational_pair
 from .numtheory import _int_valuation, is_prime, primes_in_class
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "kummer_triples",
     "vsc_decompose",
 ]
-
-REPORT_VERSION = 1
 
 
 class VerifierDomainError(ValueError):

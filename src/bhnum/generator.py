@@ -259,6 +259,9 @@ def rational_pair(q: Fraction) -> list[str]:
     return [str(q.numerator), str(q.denominator)]
 
 
+REPORT_VERSION = 1  # the "version" of every report and anchor document
+
+
 def json_text(doc: dict) -> str:
     """The text of every JSON document bhnum writes: keys sorted, indent 2."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

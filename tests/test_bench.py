@@ -26,10 +26,12 @@ def test_bench_json_prints_every_row_as_one_document():
     assert list(rows) == [
         "pipeline/online", "certify", "extract", "cache/write", "cache/read",
         "verify/vsc", "verify/kummer", "verify/integrality", "verify/json", "import",
+        "import/verify",
     ]
     assert all(row["seconds"] >= 0 for row in doc["rows"])
     assert rows["certify"]["note"].startswith("4 products")
     note = rows["verify/kummer"]["note"]
     assert re.fullmatch(r"\d+ primes with rows, at most \d+ digits, \d+ check sides exact", note)
     assert re.fullmatch(r"[1-9]\d* bytes written", rows["verify/json"]["note"])
-    assert rows["import"]["note"] == "7 modules compiled"
+    assert rows["import"]["note"] == "5 modules compiled"
+    assert rows["import/verify"]["note"] == "2 modules compiled"

@@ -94,6 +94,41 @@ def test_compute_runs_without_the_dense_series_engine(tmp_path):
     assert cache.exists()
 
 
+def test_only_verify_loads_the_verifiers(tmp_path):
+    # congruence and numtheory compile on verify's first call: compute,
+    # export and the anchor sequences never load them.
+    cache = str(tmp_path / "table.json")
+    commands = [
+        ["compute", "--curve", MAIN_CURVE, "--max-weight", "30", "--cache", cache],
+        ["export", "--cache", cache],
+        ["bernoulli", "--count", "5", "--format", "json"],
+        ["hurwitz", "--count", "5"],
+        ["verify", "all", "--cache", cache],
+    ]
+    probe = (
+        "import json, sys, bhnum.cli\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    rc = bhnum.cli.main(argv)\n"
+        "    seen.append([argv[0], rc, 'bhnum.congruence' in sys.modules,\n"
+        "                 'bhnum.numtheory' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = str(Path(bhnum.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        ["compute", 0, False, False],
+        ["export", 0, False, False],
+        ["bernoulli", 0, False, False],
+        ["hurwitz", 0, False, False],
+        ["verify", 0, True, True],
+    ]
+
+
 def test_compute_rejects_misaligned_weight(cache_env, capsys):
     rc, out, err = run(
         capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "7"
@@ -306,7 +341,7 @@ def test_sweep_bounds_below_one_are_rejected(cache_env, capsys, monkeypatch, arg
         raise AssertionError("a check ran although the sweep bounds are invalid")
 
     for name in ("vsc_decompose", "kummer_sweep", "integrality_scan"):
-        monkeypatch.setattr(f"bhnum.cli.{name}", no_check)
+        monkeypatch.setattr(f"bhnum.congruence.{name}", no_check)
     rc, out, err = run(capsys, "verify", *argv, "--curve", MAIN_CURVE)
     assert rc == 2
     assert out == ""
