@@ -18,17 +18,19 @@
             verify all runs it with --prime-limit at the top weight and
             --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for):
             vsc_decompose per weight, one kummer_sweep and one
-            integrality_scan.  Every repetition runs them in that order on
-            one fresh table, so kummer pays for the quotient memo and the
-            residue rows: every numerator over the quotients' common
-            denominator, reduced once per prime down one remainder tree,
-            mod p**(D + 1 + v_p(L)) for the prime's deepest check D.
-            Integrality reads the rows kummer built and builds the primes
-            kummer has no check at; A_p stays cached across repetitions,
-            as it does across commands in one process.  The kummer row's
-            note gives how many primes have rows and the most digits any
-            keeps (after the last repetition), and how many check sides
-            one sweep takes by the exact integer sum.
+            integrality_scan.  Every repetition runs them in that order,
+            and kummer builds one fresh Residues of the table, so it pays
+            for the quotients C_N / N and D_N / N, their numerators over
+            the common denominator L, and the residue rows: every
+            numerator reduced once per prime down one remainder tree, mod
+            p**(D + 1 + v_p(L)) for the prime's deepest check D.
+            Integrality reads that Residues, the rows kummer built, and
+            builds the primes kummer has no check at; A_p stays cached
+            across repetitions, as it does across commands in one
+            process.  The kummer row's note gives how many primes have
+            rows and the most digits any keeps (after the last
+            repetition), and how many check sides one sweep takes by the
+            exact integer sum.
   verify/json  bhnum.cli.main running verify all --prime-limit <top weight>
             --depth 3 --format json --output <file> on that table, read
             from a file: the whole JSON command, table read included.  Its
@@ -62,7 +64,7 @@ from math import prod
 from bhnum import certificate, congruence, generator
 from bhnum.certificate import certify
 from bhnum.cli import main as cli_main
-from bhnum.congruence import integrality_scan, kummer_sweep, vsc_decompose
+from bhnum.congruence import Residues, integrality_scan, kummer_sweep, vsc_decompose
 from bhnum.curves import CurveSpec, parse_curve
 from bhnum.generator import BHTable, expand_online, extract_numbers
 
@@ -175,7 +177,10 @@ def main() -> None:
         top = max(table.weights())
         exact = []  # the p of each check side the timed sweeps take exactly
 
-        def sweep(t):
+        held = []  # the Residues the last pass verified
+
+        def sweep():
+            held[:] = [Residues(table)]
             real = congruence._exact
 
             def counted(p, *args):
@@ -184,25 +189,21 @@ def main() -> None:
 
             congruence._exact = counted
             try:
-                return kummer_sweep(t, top, 3)
+                return kummer_sweep(held[0], top, 3)
             finally:
                 congruence._exact = real
 
         checks = (
-            ("vsc", lambda t: [vsc_decompose(t, n) for n in t.weights()]),
+            ("vsc", lambda: [vsc_decompose(table, n) for n in table.weights()]),
             ("kummer", sweep),
-            ("integrality", lambda t: integrality_scan(t, top)),
+            ("integrality", lambda: integrality_scan(held[0], top)),
         )
-        swept = []  # the table the last pass verified
 
         def verify_all() -> list[float]:
-            fresh = BHTable(table.curve, table.order, table.method, table.rows)
-            swept[:] = [fresh]
-            return [best_of(1, lambda: check(fresh)) for _, check in checks]
+            return [best_of(1, check) for _, check in checks]
 
         passes = [verify_all() for _ in range(args.repeat)]
-        memo = swept[-1]._digit_tables  # p -> (digits, ...); 0 holds L and the numerators
-        digits = [memo[p][0] for p in memo if p]
+        digits = [rows[0] for rows in held[-1].rows.values()]  # p -> (digits, ...)
         notes = {"kummer": f"{len(digits)} primes with rows, at most {max(digits, default=0)} "
                            f"digits, {len(exact) // args.repeat} check sides exact"}
         for (name, _), times in zip(checks, zip(*passes)):

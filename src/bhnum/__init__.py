@@ -27,8 +27,8 @@ from .generator import (
 # Each lazily exported name -> the module that defines it (PEP 562).
 _LAZY = {
     **dict.fromkeys((
-        "MissingWeightError", "VerifierDomainError", "ap_invariant", "integrality_scan",
-        "kummer_check", "kummer_sweep", "kummer_triples", "vsc_decompose",
+        "MissingWeightError", "Residues", "VerifierDomainError", "ap_invariant",
+        "integrality_scan", "kummer_check", "kummer_sweep", "kummer_triples", "vsc_decompose",
     ), "congruence"),
     **dict.fromkeys(("is_prime", "padic_valuation", "primes_below", "primes_in_class"),
                     "numtheory"),

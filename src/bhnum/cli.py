@@ -53,8 +53,10 @@ def _require_multiple(max_weight: int, curve: CurveSpec) -> None:
 def _locate(args) -> tuple[CurveSpec | None, Path]:
     """The curve --curve names (None without it) and the table's path.
 
-    --max-weight is checked here, positive first, then a multiple of the
-    named curve's weight; with --cache alone _load_table checks the latter.
+    An --output that resolves to the table's path is refused, so a report
+    never replaces the table.  --max-weight is checked here, positive
+    first, then a multiple of the named curve's weight; with --cache alone
+    _load_table checks the latter.
     """
     curve = None if args.curve is None else parse_curve(args.curve)
     if args.cache is not None:
@@ -64,6 +66,8 @@ def _locate(args) -> tuple[CurveSpec | None, Path]:
         path = Path(os.environ.get("BHNUM_CACHE_DIR", ".bhnum-cache")) / f"{name}.json"
     else:
         raise ValueError("need --cache or --curve to locate the table")
+    if args.output and os.path.realpath(args.output) == os.path.realpath(path):
+        raise ValueError(f"--output {args.output} is the table file {path}")
     if args.max_weight is not None:
         if args.max_weight < 1:
             raise ValueError("--max-weight must be positive")
@@ -141,18 +145,21 @@ def cmd_verify(args) -> int:
     table = _load_table(args)
     which = args.check
     max_weight = max(table.weights(), default=0)
+    # Kummer and integrality read one Residues of the table, as do the
+    # Kummer reports' JSON sums.
+    residues = None if which == "vsc" else congruence.Residues(table)
     # (tag, rows with .passed and .summary_line(), bounds, JSON reports,
-    # the arguments of their to_json_dict: Kummer sums are read off the table)
+    # the arguments of their to_json_dict)
     sections = []
     if which in ("vsc", "all"):
         rows = [congruence.vsc_decompose(table, n) for n in table.weights()]
         sections.append(("VSC", rows, "", rows, ()))
     if which in ("kummer", "all"):
-        rows = congruence.kummer_sweep(table, args.prime_limit, args.depth)
+        rows = congruence.kummer_sweep(residues, args.prime_limit, args.depth)
         bounds = f" (p<={args.prime_limit}, a<={args.depth})"
-        sections.append(("KUMMER", rows, bounds, rows, (table,)))
+        sections.append(("KUMMER", rows, bounds, rows, (residues,)))
     if which in ("integrality", "all"):
-        scan = congruence.integrality_scan(table, args.prime_limit)
+        scan = congruence.integrality_scan(residues, args.prime_limit)
         sections.append(("INTEGRALITY", scan.rows, f" (p<={args.prime_limit})", [scan], ()))
     ok = all(row.passed for _, rows, *_ in sections for row in rows)
 
@@ -183,10 +190,8 @@ def cmd_export(args) -> int:
 
     def summary():
         for n in table.weights():
-            yield (
-                f"{n}, {table.c(n)}, {table.d(n)}, {table.c_over_n(n)}, "
-                f"{table.d_over_n(n)}"
-            )
+            c, d = table.rows[n]
+            yield f"{n}, {c}, {d}, {c / n}, {d / n}"
 
     _emit(args, summary, table.dumps, table.order)
     return EXIT_OK

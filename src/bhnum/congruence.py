@@ -22,11 +22,12 @@ tests anchor the decomposition engine on the classical von Staudt-Clausen
 statement for Bernoulli numbers.
 
 Each piece of number theory is done once: the quotients C_N / N and
-D_N / N once per table (BHTable keeps them), A_p once per prime
-(ap_invariant is cached; a p it refuses is refused on every call), and the
-residue rows (_rows) once per (table, p) in a sweep, over the quotients'
-common denominator L, mod p**(D + 1 + v_p(L)) for p's deepest check D;
-_exact values a sum that is 0 there.  Valuations at a p from the sieve, or
+D_N / N once per Residues, the value the Kummer and integrality checks
+read in place of the table, A_p once per prime (ap_invariant is cached; a
+p it refuses is refused on every call), and the residue rows (_rows) once
+per (Residues, p) in a sweep, over the quotients' common denominator L,
+mod p**(D + 1 + v_p(L)) for p's deepest check D; _exact values a sum that
+is 0 there.  Valuations at a p from the sieve, or
 proved prime by the A_p function, skip padic_valuation's primality proof.
 """
 
@@ -45,6 +46,7 @@ from .numtheory import _int_valuation, is_prime, primes_in_class
 
 __all__ = [
     "MissingWeightError",
+    "Residues",
     "VerifierDomainError",
     "ap_invariant",
     "integrality_scan",
@@ -67,12 +69,12 @@ class MissingWeightError(ValueError):
         self.weights = weights
 
 
-def _require_weights(table: BHTable, needed: list[int], what: str, *args) -> None:
-    missing = sorted(n for n in needed if n not in table.rows)
+def _require_weights(present, top: int, needed: list[int], what: str, *args) -> None:
+    missing = sorted(n for n in needed if n not in present)
     if missing:  # what % args names the check, formatted only here
         raise MissingWeightError(
             f"{what % args} needs weights {missing} not present in the table "
-            f"(available up to {table.order - 2})",
+            f"(available up to {top})",
             missing,
         )
 
@@ -99,14 +101,14 @@ def ap_invariant(p: int) -> int:
 _PROVEN = {CurveSpec.cyclotomic(2, 5): ap_invariant}
 
 
-def _ap_of(table: BHTable, what: str):
-    """The A_p function of table's curve; a curve off the proven ground is refused."""
-    if table.curve not in _PROVEN:
+def _ap_of(curve: CurveSpec, what: str):
+    """The A_p function of curve; a curve off the proven ground is refused."""
+    if curve not in _PROVEN:
         raise VerifierDomainError(
             f"{what} is only proven for {', '.join(map(str, _PROVEN))}; "
-            f"refusing {table.curve}"
+            f"refusing {curve}"
         )
-    return _PROVEN[table.curve]
+    return _PROVEN[curve]
 
 
 # -- shared decomposition engine ----------------------------------------------
@@ -168,8 +170,8 @@ def vsc_decompose(table: BHTable, weight: int) -> VscReport:
     contribution is A_p**(N/(p-1)) / p, the D-side one carries the extra
     factor 1/(b-1)! inverted mod p.  Both remainders must be integers.
     """
-    ap_of = _ap_of(table, "the von Staudt-Clausen analogue")
-    _require_weights(table, [weight], "vsc_decompose")
+    ap_of = _ap_of(table.curve, "the von Staudt-Clausen analogue")
+    _require_weights(table.rows, table.order - 2, [weight], "vsc_decompose")
     contributions = []
     for p in _dividing_primes(weight, table.curve.weight, 1):
         e = weight // (p - 1)
@@ -195,12 +197,12 @@ class KummerReport(NamedTuple):
     d_valuation: int | float
     passed: bool
 
-    def sums(self, table: BHTable) -> tuple[Fraction, Fraction]:
-        """The exact C- and D-side combinations, off the table checked."""
-        ap_of = _ap_of(table, "the Kummer-style congruence")
+    def sums(self, residues: Residues) -> tuple[Fraction, Fraction]:
+        """The exact C- and D-side combinations, off the residues' quotients."""
+        ap_of = _ap_of(residues.curve, "the Kummer-style congruence")
         coeffs = _kummer_coefficients(ap_of, self.p, self.depth)
         return tuple(
-            _combination(coeffs, [table._quotients[w][side] for w in self.weights])
+            _combination(coeffs, [residues.quotients[w][side] for w in self.weights])
             for side in (0, 1)
         )
 
@@ -211,8 +213,8 @@ class KummerReport(NamedTuple):
             f"valC={self.c_valuation} valD={self.d_valuation}"
         )
 
-    def to_json_dict(self, table: BHTable) -> dict:
-        c_sum, d_sum = self.sums(table)
+    def to_json_dict(self, residues: Residues) -> dict:
+        c_sum, d_sum = self.sums(residues)
         return {
             "format": "bhnum.report.kummer",
             "version": REPORT_VERSION,
@@ -246,6 +248,25 @@ def _kummer_coefficients(ap_of, p: int, depth: int) -> tuple[int, ...]:
     )
 
 
+class Residues:
+    """What the Kummer and integrality checks read of one table: its curve
+    and top weight (order - 2), the quotients N -> (C_N / N, D_N / N), in
+    ascending N, their numerators nums = A_N = L * X_N / N over their
+    common denominator den = L, C then D, each led by a 0 at N = 0, and
+    rows, the residue rows _rows fills per prime.  Build one per table
+    verified; the table itself holds nothing of this."""
+
+    def __init__(self, table: BHTable):
+        self.curve = table.curve
+        self.top = table.order - 2
+        self.quotients = {n: (c / n, d / n) for n, (c, d) in sorted(table.rows.items())}
+        qs = [(Fraction(0),) * 2, *self.quotients.values()]
+        self.den = lcm(*(q.denominator for cd in qs for q in cd))
+        self.nums = [cd[s].numerator * (self.den // cd[s].denominator)
+                     for s in (0, 1) for cd in qs]
+        self.rows = {}
+
+
 def _reduce(nums: list, moduli: list) -> list:
     """[[a % m for a in nums] for m in moduli], down a remainder tree: nums
     mod the product of all the moduli, then of each half, down to each one."""
@@ -256,23 +277,16 @@ def _reduce(nums: list, moduli: list) -> list:
     return _reduce(nums, moduli[:h]) + _reduce(nums, moduli[h:])
 
 
-def _rows(table: BHTable, depths: dict) -> dict:
-    """table's memo p -> (digits, (C rows, D rows), m, log): the numerators
-    A_N = L * X_N / N of both sides over their common denominator L, at
-    N // w mod m = p**(digits + v) with v = v_p(L), and log: p**j -> j - v.
-    digits is one past the deepest check asked of p, depths[p] (0 for
-    integrality).  What is missing is built in one batch, off memo[0]: L
-    and the A_N, C then D, each led by a 0 at N = 0."""
-    memo = table._digit_tables
+def _rows(residues: Residues, depths: dict) -> dict:
+    """residues.rows, p -> (digits, (C rows, D rows), m, log): the numerators
+    A_N of both sides at N // w mod m = p**(digits + v) with v = v_p(L), and
+    log: p**j -> j - v.  digits is one past the deepest check asked of p,
+    depths[p] (0 for integrality).  What is missing is built in one batch."""
+    memo = residues.rows
     todo = {p: d + 1 for p, d in depths.items() if p not in memo or d >= memo[p][0]}
     if not todo:
         return memo
-    if 0 not in memo:
-        qs = [(Fraction(0),) * 2] + [table._quotients[n] for n in table.weights()]
-        den = lcm(*(q.denominator for cd in qs for q in cd))
-        memo[0] = den, [cd[s].numerator * (den // cd[s].denominator)
-                        for s in (0, 1) for cd in qs]
-    den, nums = memo[0]
+    den, nums = residues.den, residues.nums
     size = len(nums) // 2
     vs = [_int_valuation(den, p) for p in todo]
     moduli = [p ** (k + v) for (p, k), v in zip(todo.items(), vs)]
@@ -288,13 +302,12 @@ def _exact(p: int, v: int, coeffs: tuple, nums: list) -> int | float:
     return _int_valuation(total, p) - v if total else inf
 
 
-def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: list) -> list:
+def _column(residues: Residues, p: int, depth: int, coeffs: tuple, step: int, ns: list) -> list:
     """Per side, v_p(sum c_r * X_W / W) with W = w * (n + r * step) for the
     ascending n in ns, off p's rows for a check of this depth: summed at C
     level over row slices and read off the gcd with the rows' modulus m.  A
     sum that is 0 mod m has valuation past the rows' digits; _exact takes it."""
-    _, sides, m, log = _rows(table, {p: depth})[p]
-    nums = table._digit_tables[0][1]  # the A_N, C then D
+    _, sides, m, log = _rows(residues, {p: depth})[p]
     lo, hi, v, span = ns[0], ns[-1] + 1, -log[1], step * len(coeffs)  # log[p**0] = -v
     cols = []
     for s, x in enumerate(sides):
@@ -304,21 +317,21 @@ def _column(table: BHTable, p: int, depth: int, coeffs: tuple, step: int, ns: li
             term = row if c == 1 else map(mul, repeat(c % m), row)
             acc = term if acc is None else map(add, acc, term)
         col = list(map(log.get, map(gcd, acc, repeat(m))))
-        at = s * len(x)  # where this side's A_N start in nums
+        at = s * len(x)  # where this side's A_N start in residues.nums
         cols.append([
-            _exact(p, v, coeffs, nums[at + n : at + n + span : step])
+            _exact(p, v, coeffs, residues.nums[at + n : at + n + span : step])
             if col[n - lo] is None else col[n - lo]
             for n in ns
         ])
     return cols
 
 
-def _kummer(table: BHTable, ap_of, p: int, depth: int, ns: list) -> list:
+def _kummer(residues: Residues, ap_of, p: int, depth: int, ns: list) -> list:
     """The checks at (p, depth) on ascending admissible base indices, on
     weights the table has; JSON reports build the sums (KummerReport.sums)."""
-    w = table.curve.weight
+    w = residues.curve.weight
     coeffs = _kummer_coefficients(ap_of, p, depth)
-    c_vals, d_vals = _column(table, p, depth, coeffs, (p - 1) // w, ns)
+    c_vals, d_vals = _column(residues, p, depth, coeffs, (p - 1) // w, ns)
     return [
         KummerReport(p, depth, n, tuple(range(w * n, w * n + depth * (p - 1) + 1, p - 1)),
                      c_val, d_val, c_val >= depth and d_val >= depth)
@@ -326,7 +339,7 @@ def _kummer(table: BHTable, ap_of, p: int, depth: int, ns: list) -> list:
     ]
 
 
-def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport:
+def kummer_check(residues: Residues, p: int, depth: int, index: int) -> KummerReport:
     """Check the Kummer-style congruence mod p**depth at base weight w*index.
 
     The alternating binomial combination sum_r (-1)**r * C(a, r) *
@@ -335,11 +348,11 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
     Inadmissible inputs raise: p must be a prime = 1 mod w with p - 1 not
     dividing w*n, and w*n - 2 >= a.
     """
-    ap_of = _ap_of(table, "the Kummer-style congruence")
+    ap_of = _ap_of(residues.curve, "the Kummer-style congruence")
     if depth < 1 or index < 1:
         raise VerifierDomainError("depth and index must be positive")
     _kummer_coefficients(ap_of, p, depth)  # validates p
-    w = table.curve.weight
+    w = residues.curve.weight
     nw = w * index
     if nw % (p - 1) == 0:
         raise VerifierDomainError(
@@ -349,8 +362,9 @@ def kummer_check(table: BHTable, p: int, depth: int, index: int) -> KummerReport
     if nw - 2 < depth:
         raise VerifierDomainError(f"{w}n - 2 = {nw - 2} is below depth {depth}")
     weights = [nw + r * (p - 1) for r in range(depth + 1)]
-    _require_weights(table, weights, "kummer_check(p=%s, a=%s, n=%s)", p, depth, index)
-    return _kummer(table, ap_of, p, depth, [index])[0]
+    _require_weights(residues.quotients, residues.top, weights,
+                     "kummer_check(p=%s, a=%s, n=%s)", p, depth, index)
+    return _kummer(residues, ap_of, p, depth, [index])[0]
 
 
 def kummer_triples(curve: CurveSpec, prime_limit: int, max_depth: int, max_weight: int):
@@ -367,19 +381,18 @@ def kummer_triples(curve: CurveSpec, prime_limit: int, max_depth: int, max_weigh
                     yield p, depth, n
 
 
-def kummer_sweep(table: BHTable, prime_limit: int, max_depth: int) -> list:
-    """kummer_check at every kummer_triples(table.curve, prime_limit,
-    max_depth, top weight of table), in that order; the curve is checked
-    once.  Each (p, depth) runs as one column, after every prime's rows are
-    built in one batch, one digit past its deepest check."""
-    ap_of = _ap_of(table, "the Kummer-style congruence")
-    top = max(table.rows, default=0)
+def kummer_sweep(residues: Residues, prime_limit: int, max_depth: int) -> list:
+    """kummer_check at every kummer_triples(residues.curve, prime_limit,
+    max_depth, residues.top), in that order; the curve is checked once.
+    Each (p, depth) runs as one column, after every prime's rows are built
+    in one batch, one digit past its deepest check."""
+    ap_of = _ap_of(residues.curve, "the Kummer-style congruence")
     columns = {}
-    for p, depth, n in kummer_triples(table.curve, prime_limit, max_depth, top):
+    for p, depth, n in kummer_triples(residues.curve, prime_limit, max_depth, residues.top):
         columns.setdefault((p, depth), []).append(n)
-    _rows(table, dict(columns.keys()))  # p -> its deepest depth, the last key
+    _rows(residues, dict(columns.keys()))  # p -> its deepest depth, the last key
     return [r for (p, depth), ns in columns.items()
-            for r in _kummer(table, ap_of, p, depth, ns)]
+            for r in _kummer(residues, ap_of, p, depth, ns)]
 
 
 # -- integrality ----------------------------------------------------------------
@@ -419,22 +432,22 @@ class IntegralityReport(NamedTuple):
         }
 
 
-def integrality_scan(table: BHTable, prime_limit: int) -> IntegralityReport:
+def integrality_scan(residues: Residues, prime_limit: int) -> IntegralityReport:
     """Scan v_p(C_N / N) >= 0 and v_p(D_N / N) >= 0 over the table, at the
     primes p <= prime_limit with p = 1 mod w and p - 1 not dividing N, in
     rows sorted by (p, N), off the residue rows Kummer reads."""
-    _ap_of(table, "the integrality statement")
+    _ap_of(residues.curve, "the integrality statement")
     if prime_limit < 1:
         raise VerifierDomainError("prime limit must be positive")
-    w = table.curve.weight
-    weights = table.weights()
+    w = residues.curve.weight
+    weights = list(residues.quotients)
     primes = [p for p in primes_in_class(prime_limit, w, 1)
               if any(n % (p - 1) for n in weights)]
-    _rows(table, dict.fromkeys(primes, 0))
+    _rows(residues, dict.fromkeys(primes, 0))
     rows = []
     for p in primes:
         ns = [n for n in weights if n % (p - 1)]
-        c_vals, d_vals = _column(table, p, 0, (1,), 1, [n // w for n in ns])
+        c_vals, d_vals = _column(residues, p, 0, (1,), 1, [n // w for n in ns])
         for n, c_val, d_val in zip(ns, c_vals, d_vals):
             rows.append(IntegralityRow(p, n, c_val, d_val, c_val >= 0 and d_val >= 0))
     return IntegralityReport(prime_limit, tuple(rows), all(r.passed for r in rows))

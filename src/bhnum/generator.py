@@ -40,7 +40,6 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, count
 from math import factorial, gcd, lgamma, log, prod
 from operator import mul
@@ -362,26 +361,6 @@ class BHTable:
 
     def d(self, weight: int) -> Fraction:
         return self.rows[weight][1]
-
-    @cached_property
-    def _quotients(self) -> dict[int, tuple[Fraction, Fraction]]:
-        """(C_N / N, D_N / N) for every weight N, built once per instance.
-
-        The verifiers read each quotient many times; restrict() makes a new
-        table, which builds its own.
-        """
-        return {n: (c / n, d / n) for n, (c, d) in self.rows.items()}
-
-    @cached_property
-    def _digit_tables(self) -> dict[int, tuple]:
-        """The residue rows memo; bhnum.congruence._rows fills and documents it."""
-        return {}
-
-    def c_over_n(self, weight: int) -> Fraction:
-        return self._quotients[weight][0]
-
-    def d_over_n(self, weight: int) -> Fraction:
-        return self._quotients[weight][1]
 
     def restrict(self, max_weight: int) -> "BHTable":
         """Sub-table of the weights <= max_weight."""

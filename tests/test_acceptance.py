@@ -22,6 +22,7 @@ from bhnum import (
     BHTable,
     CurveSpec,
     Expansion,
+    Residues,
     ap_invariant,
     bernoulli,
     certify,
@@ -116,12 +117,13 @@ def test_criterion_4_von_staudt_clausen(table300):
 def test_criterion_5_kummer_sweep(table300):
     with criterion(5, "Kummer congruences, p in {31,41,61,71}, depth <= 2") as c:
         checks = 0
+        residues = Residues(table300)
         for p in (31, 41, 61, 71):
             for depth in (1, 2):
                 n = 1
                 while 10 * n + depth * (p - 1) <= 300:
                     if (10 * n) % (p - 1) != 0:
-                        report = kummer_check(table300, p, depth, n)
+                        report = kummer_check(residues, p, depth, n)
                         assert report.passed, report.summary_line()
                         checks += 1
                     n += 1
@@ -131,7 +133,7 @@ def test_criterion_5_kummer_sweep(table300):
 
 def test_criterion_6_integrality(table300):
     with criterion(6, "p-integrality of C_N/N, D_N/N for p <= 1000") as c:
-        report = integrality_scan(table300, 1000)
+        report = integrality_scan(Residues(table300), 1000)
         assert report.passed
         assert len(report.rows) == 1130
         c.detail(f"{len(report.rows)} (p, N) pairs, all p-integral")

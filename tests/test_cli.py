@@ -324,6 +324,35 @@ def test_unreadable_paths_are_usage_errors(cache_env, capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("spelling", ["t.json", "./t.json", "link.json"])
+@pytest.mark.parametrize(
+    "command",
+    [["compute", "--curve", MAIN_CURVE, "--max-weight", "30"], ["verify", "vsc"], ["export"]],
+    ids=["compute", "verify", "export"],
+)
+def test_output_naming_the_table_file_is_refused(
+    tmp_path, capsys, monkeypatch, command, spelling
+):
+    # However it is spelled (link.json is a symlink to t.json), an --output
+    # that is the table file is refused before any expansion or read, and
+    # the table keeps its bytes.
+    monkeypatch.chdir(tmp_path)
+    rc, _, _ = run(capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "30",
+                   "--cache", "t.json")
+    assert rc == 0
+    (tmp_path / "link.json").symlink_to("t.json")
+    before = (tmp_path / "t.json").read_bytes()
+
+    def untouched(*args):
+        raise AssertionError("the table was expanded or read")
+
+    monkeypatch.setattr("bhnum.cli.expand_checked", untouched)
+    monkeypatch.setattr(BHTable, "read", untouched)
+    rc, out, err = run(capsys, *command, "--cache", "t.json", "--output", spelling)
+    assert (rc, out, err) == (2, "", f"error: --output {spelling} is the table file t.json\n")
+    assert (tmp_path / "t.json").read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -402,6 +431,23 @@ def test_bench_fixture_reports_are_pinned_line_for_line(capsys, argv, digest):
     rc, out, err = run(capsys, "verify", "all", "--cache", str(BENCH_FIXTURE), *argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 and byte count of `export --cache` on the same table, recorded
+# while the table still kept the quotients C_N / N and D_N / N that the
+# summary prints.
+PINNED_BENCH_FIXTURE_EXPORT = {
+    "summary": ("5f5fb5259b12fd045d3ef0d58a613eef54ca37f9c4596a4670f59c630f2fd8d1", 461219),
+    "json": ("ef9b40e7723ed1780687ee7811e1d9118d10b179e92794cbf9aefc3f2f64cf07", 242498),
+}
+
+
+@pytest.mark.parametrize("fmt", list(PINNED_BENCH_FIXTURE_EXPORT))
+def test_bench_fixture_export_is_pinned(capsys, fmt):
+    rc, out, err = run(capsys, "export", "--cache", str(BENCH_FIXTURE), "--format", fmt)
+    assert (rc, err) == (0, "")
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == PINNED_BENCH_FIXTURE_EXPORT[fmt]
 
 
 def test_summary_mode_forms_no_kummer_combination(cache_env, capsys, monkeypatch):

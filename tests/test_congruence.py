@@ -12,6 +12,7 @@ from bhnum.congruence import (
     IntegralityRow,
     KummerReport,
     MissingWeightError,
+    Residues,
     VerifierDomainError,
     VscContribution,
     VscReport,
@@ -86,41 +87,55 @@ def test_validation_still_fires_after_caching(table100):
     # ap_invariant is cached, and a cached A_p stands in for a primality
     # proof inside kummer_check; a refused p must be refused every time.
     assert ap_invariant(11) == ap_invariant(11) == -5
-    assert kummer_check(table100, 31, 1, 1).passed
+    assert kummer_check(Residues(table100), 31, 1, 1).passed
     for _ in range(2):
         for bad, message in ((21, "21 is not prime"), (7, "A_p needs p = 1 mod 5, got 7")):
             with refused(message):
                 ap_invariant(bad)
         with refused("21 is not prime"):
-            kummer_check(table100, 21, 1, 1)
+            kummer_check(Residues(table100), 21, 1, 1)
         with pytest.raises(ValueError):
             padic_valuation(F(1, 2), 21)
 
 
-def test_restricted_table_builds_its_own_memo(table100, table300):
-    parent = BHTable(table300.curve, table300.order, table300.method, table300.rows)
-    kummer_check(parent, 31, 1, 1)  # builds the quotient memo and 31's digits
-    child = parent.restrict(100)
-    assert "_quotients" not in vars(child)
-    assert "_digit_tables" not in vars(child)
+def test_table_stays_a_plain_value(table100, table300):
+    # Every verifier runs on table300, and it keeps its four fields and its
+    # rows: the quotients and the residue rows live on a Residues.
+    rows = dict(table300.rows)
+    residues = Residues(table300)
+    assert all(vsc_decompose(table300, n).passed for n in table300.weights())
+    for report in kummer_sweep(residues, 300, 3):
+        report.sums(residues)
+    assert integrality_scan(residues, 300).passed
+    assert list(vars(table300)) == ["curve", "order", "method", "rows"]
+    assert table300.rows == rows
+    # A restricted table verifies as the table of its weights does.
+    child = table300.restrict(100)
     triples = list(kummer_triples(MAIN, 100, 3, 100))
     assert [vsc_decompose(child, n) for n in child.weights()] == [
         vsc_decompose(table100, n) for n in table100.weights()
     ]
-    assert [with_sums(kummer_check(child, *t), child) for t in triples] == [
-        with_sums(kummer_check(table100, *t), table100) for t in triples
+    ours, theirs = Residues(child), Residues(table100)
+    assert [with_sums(kummer_check(ours, *t), ours) for t in triples] == [
+        with_sums(kummer_check(theirs, *t), theirs) for t in triples
     ]
-    assert integrality_scan(child, 100) == integrality_scan(table100, 100)
-    assert child._quotients is not parent._quotients
-    assert sorted(child._quotients) == child.weights() == list(range(10, 101, 10))
-    assert len(parent._quotients) == 30
-    for table, top in ((child, 100), (parent, 300)):  # rows at N // 10, to top
-        assert table.weights()[-1] == top
-        digits, sides, m, _ = table._digit_tables[31]
+    assert [with_sums(r, ours) for r in kummer_sweep(ours, 100, 3)] == [
+        with_sums(r, theirs) for r in kummer_sweep(theirs, 100, 3)
+    ]
+    assert integrality_scan(ours, 100) == integrality_scan(theirs, 100)
+    assert sorted(ours.quotients) == child.weights() == list(range(10, 101, 10))
+    assert len(residues.quotients) == 30
+    for res, table, top in ((ours, child, 100), (residues, table300, 300)):
+        # rows at N // 10, to top
+        assert res.top == table.weights()[-1] == top
+        digits, sides, m, _ = res.rows[31]
         den = common_denominator(table)
-        assert m == 31 ** (digits + padic_valuation(den, 31))
+        assert res.den == den and m == 31 ** (digits + padic_valuation(den, 31))
         for number, x in zip((table.c, table.d), sides):
             assert x == [0] + [number(n) / n * den % m for n in table.weights()]
+    # Two Residues of one table share no rows.
+    again = Residues(table300)
+    assert again.rows == {} and again.rows is not residues.rows
 
 
 # -- von Staudt-Clausen ---------------------------------------------------------
@@ -236,7 +251,7 @@ def test_classical_bernoulli_anchor():
 
 
 def test_kummer_depth_one(table100):
-    report = kummer_check(table100, 31, 1, 1)
+    report = kummer_check(Residues(table100), 31, 1, 1)
     assert report.weights == (10, 40)
     assert report.passed
     assert report.c_valuation == 1
@@ -245,7 +260,7 @@ def test_kummer_depth_one(table100):
 
 
 def test_kummer_depth_two(table100):
-    report = kummer_check(table100, 31, 2, 1)
+    report = kummer_check(Residues(table100), 31, 2, 1)
     assert report.weights == (10, 40, 70)
     assert report.passed
     assert report.c_valuation >= 2
@@ -255,10 +270,10 @@ def test_kummer_depth_two(table100):
 def test_kummer_depth_one_is_a_residue_identity(table100):
     # depth 1 says A_p * C_W / W has the same residue at consecutive W
     ap = ap_invariant(31)
-    lhs = rational_residue(ap * table100.c_over_n(10), 31)
-    rhs = rational_residue(table100.c_over_n(40), 31)
+    lhs = rational_residue(ap * table100.c(10) / 10, 31)
+    rhs = rational_residue(table100.c(40) / 40, 31)
     assert lhs == rhs
-    assert kummer_check(table100, 31, 1, 1).passed
+    assert kummer_check(Residues(table100), 31, 1, 1).passed
 
 
 def test_kummer_rejects_dividing_prime(table100):
@@ -266,26 +281,27 @@ def test_kummer_rejects_dividing_prime(table100):
     with refused(
         "p - 1 = 10 divides 10n = 10; the congruence needs p - 1 not dividing 10n"
     ):
-        kummer_check(table100, 11, 1, 1)
+        kummer_check(Residues(table100), 11, 1, 1)
 
 
 def test_kummer_rejects_shallow_weight(table100):
     with refused("10n - 2 = 8 is below depth 9"):
-        kummer_check(table100, 31, 9, 1)
+        kummer_check(Residues(table100), 31, 9, 1)
 
 
 def test_kummer_argument_validation(table100):
+    residues = Residues(table100)
     with refused("depth and index must be positive"):
-        kummer_check(table100, 31, 0, 1)
+        kummer_check(residues, 31, 0, 1)
     with refused("depth and index must be positive"):
-        kummer_check(table100, 31, 1, 0)
+        kummer_check(residues, 31, 1, 0)
     with refused("21 is not prime"):
-        kummer_check(table100, 21, 1, 1)
+        kummer_check(residues, 21, 1, 1)
 
 
 def test_kummer_missing_weights_are_reported(table100):
     with pytest.raises(MissingWeightError) as exc:
-        kummer_check(table100, 41, 2, 5)
+        kummer_check(Residues(table100), 41, 2, 5)
     assert exc.value.weights == [130]
     assert str(exc.value) == (
         "kummer_check(p=41, a=2, n=5) needs weights [130] not present in the "
@@ -295,7 +311,7 @@ def test_kummer_missing_weights_are_reported(table100):
 
 def test_kummer_is_not_vacuous(table100):
     bad = tampered(table100, 40, delta_c=F(1))
-    report = kummer_check(bad, 31, 1, 1)
+    report = kummer_check(Residues(bad), 31, 1, 1)
     assert not report.passed
 
 
@@ -305,8 +321,9 @@ def test_kummer_triples_are_admissible(table100):
     assert len(list(kummer_triples(MAIN, 71, 2, 300))) == 140
     triples = list(kummer_triples(MAIN, 100, 3, 100))
     assert triples and all(p != 11 for p, _, _ in triples)
+    residues = Residues(table100)
     for p, depth, n in triples:
-        assert kummer_check(table100, p, depth, n).passed
+        assert kummer_check(residues, p, depth, n).passed
 
 
 def test_kummer_triples_stop_at_what_max_weight_admits(monkeypatch):
@@ -333,14 +350,14 @@ def test_kummer_refuses_other_curves():
         "the Kummer-style congruence is only proven for cyclo:a=2,b=5; "
         "refusing minusx:g=1"
     ):
-        kummer_check(table, 13, 1, 1)
+        kummer_check(Residues(table), 13, 1, 1)
 
 
 # -- integrality ----------------------------------------------------------------------
 
 
 def test_integrality_scan(table100):
-    report = integrality_scan(table100, 50)
+    report = integrality_scan(Residues(table100), 50)
     assert report.passed
     pairs = [(r.p, r.weight) for r in report.rows]
     # p = 11 never appears: 10 divides every weight in the ladder
@@ -356,7 +373,7 @@ def test_integrality_scan(table100):
 
 def test_integrality_is_not_vacuous(table100):
     bad = tampered(table100, 20, delta_c=F(1, 31))
-    report = integrality_scan(bad, 50)
+    report = integrality_scan(Residues(bad), 50)
     assert not report.passed
     failing = [r for r in report.rows if not r.passed]
     assert [(r.p, r.weight) for r in failing] == [(31, 20)]
@@ -364,11 +381,12 @@ def test_integrality_is_not_vacuous(table100):
 
 
 def test_integrality_empty_prime_range(table100):
-    report = integrality_scan(table100, 7)
+    residues = Residues(table100)
+    report = integrality_scan(residues, 7)
     assert report.rows == ()
     assert report.passed
     with refused("prime limit must be positive"):
-        integrality_scan(table100, 0)
+        integrality_scan(residues, 0)
 
 
 def test_integrality_refuses_other_curves():
@@ -377,7 +395,7 @@ def test_integrality_refuses_other_curves():
         "the integrality statement is only proven for cyclo:a=2,b=5; "
         "refusing minusx:g=1"
     ):
-        integrality_scan(table, 50)
+        integrality_scan(Residues(table), 50)
 
 
 # -- differential check against the definitions ---------------------------------------
@@ -441,9 +459,9 @@ def naive_triples(prime_limit, max_depth, max_weight, w=10):
     ]
 
 
-def with_sums(report, table):
-    """A report with its exact combinations on table, as naive_kummer returns it."""
-    return report, report.sums(table)
+def with_sums(report, residues):
+    """A report with its exact combinations on residues, as naive_kummer returns it."""
+    return report, report.sums(residues)
 
 
 def naive_integrality(table, prime_limit, w=10):
@@ -455,11 +473,6 @@ def naive_integrality(table, prime_limit, w=10):
                 d_val = padic_valuation(table.d(n) / n, p)
                 rows.append(IntegralityRow(p, n, c_val, d_val, min(c_val, d_val) >= 0))
     return tuple(rows)
-
-
-def fresh(table):
-    """A copy of table with empty memos."""
-    return BHTable(table.curve, table.order, table.method, table.rows)
 
 
 def common_denominator(table):
@@ -484,10 +497,10 @@ def builds(monkeypatch):
     built = []
     real = congruence._rows
 
-    def spy(table, depths):
-        before = dict(table._digit_tables)
-        memo = real(table, depths)
-        built.extend((p, rows[0]) for p, rows in memo.items() if p and before.get(p) is not rows)
+    def spy(residues, depths):
+        before = dict(residues.rows)
+        memo = real(residues, depths)
+        built.extend((p, rows[0]) for p, rows in memo.items() if before.get(p) is not rows)
         return memo
 
     monkeypatch.setattr(congruence, "_rows", spy)
@@ -501,13 +514,13 @@ def test_rows_are_built_once_per_prime(table100, table300, builds, exact_calls, 
     # so it builds them again at each deeper depth.  Integrality reads the
     # same rows and builds none.
     top = {"sweep": 300, "checks": 100}[route]
-    table = fresh({"sweep": table300, "checks": table100}[route])
+    residues = Residues({"sweep": table300, "checks": table100}[route])
     triples = list(kummer_triples(MAIN, top, 3, top))
     if route == "sweep":
-        kummer_sweep(table, top, 3)
+        kummer_sweep(residues, top, 3)
     for t in triples if route == "checks" else ():
-        kummer_check(table, *t)
-    integrality_scan(table, top)
+        kummer_check(residues, *t)
+    integrality_scan(residues, top)
     if route == "sweep":
         deepest = {p: depth for p, depth, _ in triples}
         primes = naive_primes(top)[1:]  # 10 divides every weight: nothing at 11
@@ -521,7 +534,7 @@ def test_rows_take_no_inverse_and_one_tree(table100, monkeypatch):
     # Over the quotients' common denominator the rows need no modular
     # inverse, and both sides' numerators go down one remainder tree over
     # every prime's modulus at once: 2k - 1 reductions for k moduli.
-    table = fresh(table100)
+    residues = Residues(table100)
     inverses, trees = [], []
 
     def counted(base, exp, mod=None):
@@ -536,7 +549,7 @@ def test_rows_take_no_inverse_and_one_tree(table100, monkeypatch):
     real = congruence._reduce
     monkeypatch.setattr(congruence, "pow", counted, raising=False)
     monkeypatch.setattr(congruence, "_reduce", spy)
-    integrality_scan(table, 100)
+    integrality_scan(residues, 100)
     assert inverses == []
     k = len(naive_primes(100)[1:])
     assert trees.count(k) == 1 and len(trees) == 2 * k - 1
@@ -555,11 +568,11 @@ def test_rows_shift_by_the_common_denominators_valuation(table300, builds):
     # 1/31**2 in C_40 / 40 makes v_31 of the common denominator 2: 31's
     # rows keep two more digits and read valuations down to -2.
     source = tampered(table300, 40, delta_c=F(40, 31**2))
-    table = fresh(source)
-    sweep = kummer_sweep(table, 300, 3)
-    digits, _, m, log = table._digit_tables[31]
+    residues = Residues(source)
+    sweep = kummer_sweep(residues, 300, 3)
+    digits, _, m, log = residues.rows[31]
     assert (m, log[1]) == (31 ** (digits + 2), -2)
-    scan = integrality_scan(table, 300).rows
+    scan = integrality_scan(residues, 300).rows
     assert scan == naive_integrality(source, 300)
     assert [(r.p, r.weight, r.c_valuation) for r in scan if not r.passed] == [(31, 40, -2)]
     assert any(r.p == 31 and not r.passed for r in sweep)
@@ -587,13 +600,13 @@ def test_deep_entry_is_valued_by_the_exact_integer_sum(table300, exact_calls):
     rows = dict(table300.rows)
     rows[100] = (F(100 * 3 * 71**5, 7), rows[100][1])
     source = BHTable(table300.curve, table300.order, table300.method, rows)
-    table = fresh(source)
-    sweep = kummer_sweep(table, 300, 3)
-    scan = integrality_scan(table, 300).rows
-    digits, _, m, _ = table._digit_tables[71]
+    residues = Residues(source)
+    sweep = kummer_sweep(residues, 300, 3)
+    scan = integrality_scan(residues, 300).rows
+    digits, _, m, _ = residues.rows[71]
     v = padic_valuation(common_denominator(source), 71)
     assert (digits, m) == (4, 71 ** (4 + v))
-    assert [with_sums(r, table) for r in sweep] == [
+    assert [with_sums(r, residues) for r in sweep] == [
         naive_kummer(source, *t) for t in kummer_triples(MAIN, 300, 3, 300)
     ]
     assert scan == naive_integrality(source, 300)
@@ -602,13 +615,12 @@ def test_deep_entry_is_valued_by_the_exact_integer_sum(table300, exact_calls):
 
 
 def check_against_naive(table300, tamper):
-    table = BHTable(table300.curve, table300.order, table300.method, table300.rows)
-    if tamper:
-        table = tampered(table, 40, delta_c=F(1, 31))
+    table = tampered(table300, 40, delta_c=F(1, 31)) if tamper else table300
+    residues = Residues(table)
     triples = list(kummer_triples(MAIN, 300, 3, 300))
-    kummer = [kummer_check(table, *t) for t in triples]
-    assert [with_sums(r, table) for r in kummer] == [naive_kummer(table, *t) for t in triples]
-    rows = integrality_scan(table, 300).rows
+    kummer = [kummer_check(residues, *t) for t in triples]
+    assert [with_sums(r, residues) for r in kummer] == [naive_kummer(table, *t) for t in triples]
+    rows = integrality_scan(residues, 300).rows
     assert rows == naive_integrality(table, 300)
     assert [vsc_decompose(table, n) for n in table.weights()] == [
         naive_vsc(table, n) for n in table.weights()
@@ -645,7 +657,7 @@ def test_exact_fallback_matches_naive_reference(
     # path.
     real = congruence._rows
     monkeypatch.setattr(
-        congruence, "_rows", lambda table, depths: real(table, dict.fromkeys(depths, 0))
+        congruence, "_rows", lambda residues, depths: real(residues, dict.fromkeys(depths, 0))
     )
     kummer = check_against_naive(table300, tamper)
     assert len(exact_calls) >= 2 * sum(r.passed for r in kummer)
@@ -663,17 +675,18 @@ def test_edge_entries_take_the_exact_path(table300, exact_calls):
     rows[40] = (F(0), rows[40][1])
     rows[70] = (F(70 * deep, 7), rows[70][1])
     table = BHTable(table300.curve, table300.order, table300.method, rows)
+    residues = Residues(table)
     triples = list(kummer_triples(MAIN, 300, 3, 300))
     kummer, exact = [], []
     for t in triples:
         exact_calls.clear()
-        kummer.append(kummer_check(table, *t))
+        kummer.append(kummer_check(residues, *t))
         exact.append(bool(exact_calls))
-    assert [with_sums(r, table) for r in kummer] == [naive_kummer(table, *t) for t in triples]
+    assert [with_sums(r, residues) for r in kummer] == [naive_kummer(table, *t) for t in triples]
     assert exact == [max(r.c_valuation, r.d_valuation) > r.depth for r in kummer]
     assert (31, 1, 4) in [(r.p, r.depth, r.index) for r, e in zip(kummer, exact) if e]
     exact_calls.clear()
-    scan = integrality_scan(table, 300).rows
+    scan = integrality_scan(residues, 300).rows
     assert scan == naive_integrality(table, 300)
     zero_rows = {(r.p, r.weight) for r in scan if r.c_valuation == inf}
     assert zero_rows == {(p, 40) for p in naive_primes(300) if 40 % (p - 1)}
@@ -703,14 +716,11 @@ def test_sweep_matches_single_checks_and_naive_reference(table100, table300, whi
         "shifted": tampered(table300, 40, delta_c=F(40, 31**2)),  # v_31(L) = 2
     }[which]
     top = max(source.rows)
-
-    def fresh():
-        return BHTable(source.curve, source.order, source.method, source.rows)
-
     triples = list(kummer_triples(MAIN, top, 3, top))
-    sweep = kummer_sweep(fresh(), top, 3)
-    assert sweep == [kummer_check(fresh(), *t) for t in triples]
-    assert [with_sums(r, source) for r in sweep] == [naive_kummer(source, *t) for t in triples]
+    sweep = kummer_sweep(Residues(source), top, 3)
+    assert sweep == [kummer_check(Residues(source), *t) for t in triples]
+    residues = Residues(source)
+    assert [with_sums(r, residues) for r in sweep] == [naive_kummer(source, *t) for t in triples]
     assert [r.weights for r in sweep] == [
         tuple(10 * n + r * (p - 1) for r in range(a + 1)) for p, a, n in triples
     ]
@@ -722,7 +732,7 @@ def test_sweep_checks_the_curve_and_the_weight_ladder(table100):
         "the Kummer-style congruence is only proven for cyclo:a=2,b=5; "
         "refusing minusx:g=1"
     ):
-        kummer_sweep(other, 50, 1)
+        kummer_sweep(Residues(other), 50, 1)
     # A table with a gap in its ladder cannot be built, so the sweep reads
     # a full one.
     rows = dict(table100.rows)
@@ -759,15 +769,15 @@ def test_rows_keep_one_digit_past_each_primes_deepest_check(
         "edge": edge_table(table300)[0],
         "shifted": tampered(table300, 40, delta_c=F(40, 31**2)),  # v_31(L) = 2
     }[which]
-    table = fresh(source)
+    residues = Residues(source)
     triples = list(kummer_triples(MAIN, 100, 3, 300))
-    sweep = kummer_sweep(table, 100, 3)
-    scan = integrality_scan(table, 300).rows
+    sweep = kummer_sweep(residues, 100, 3)
+    scan = integrality_scan(residues, 300).rows
     deepest = {p: depth for p, depth, _ in triples}
     digits = {p: deepest.get(p, 0) + 1 for p in naive_primes(300)[1:]}
     assert builds == list(digits.items())
-    assert {p: rows[0] for p, rows in table._digit_tables.items() if p} == digits
-    assert [with_sums(r, table) for r in sweep] == [naive_kummer(source, *t) for t in triples]
+    assert {p: rows[0] for p, rows in residues.rows.items()} == digits
+    assert [with_sums(r, residues) for r in sweep] == [naive_kummer(source, *t) for t in triples]
     assert scan == naive_integrality(source, 300)
     sides = [(r.p, val) for r in (*sweep, *scan) for val in (r.c_valuation, r.d_valuation)]
     assert sorted(exact_calls) == sorted((p, val) for p, val in sides if val >= digits[p])
@@ -792,10 +802,11 @@ def test_no_site_assumes_weight_10(gen300, monkeypatch):
     assert [vsc_decompose(table, n) for n in table.weights()] == [
         naive_vsc(table, n, w=4, b=3) for n in table.weights()
     ]
+    residues = Residues(table)
     triples = list(kummer_triples(lemniscate, 200, 3, 200))
     assert triples == naive_triples(200, 3, 200, w=4) and triples
-    assert [with_sums(r, table) for r in kummer_sweep(table, 200, 3)] == [
+    assert [with_sums(r, residues) for r in kummer_sweep(residues, 200, 3)] == [
         naive_kummer(table, *t, w=4) for t in triples
     ]
-    assert kummer_check(table, *triples[0]) == naive_kummer(table, *triples[0], w=4)[0]
-    assert integrality_scan(table, 200).rows == naive_integrality(table, 200, w=4)
+    assert kummer_check(residues, *triples[0]) == naive_kummer(table, *triples[0], w=4)[0]
+    assert integrality_scan(residues, 200).rows == naive_integrality(table, 200, w=4)
