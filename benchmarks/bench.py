@@ -98,21 +98,21 @@ def kernel_shape(curve, order) -> str:
 
 def certificate_shape(expansion) -> str:
     """How many products certify forms on expansion, and its largest operand."""
-    real = certificate._mul
-    count = bits = 0
+    real = certificate._slot
+    calls = bits = 0
 
-    def counted(p, q, rows):
-        nonlocal count, bits
-        count += 1
-        bits = max(bits, *(v.bit_length() for v in (*p, *q)))
-        return real(p, q, rows)
+    def counted(p, q, row, m):  # slot m of one product: p[m] and q[m] are new
+        nonlocal calls, bits
+        calls += 1
+        bits = max(bits, p[m].bit_length(), q[m].bit_length())
+        return real(p, q, row, m)
 
-    certificate._mul = counted
+    certificate._slot = counted
     try:
         certify(expansion)
     finally:
-        certificate._mul = real
-    return f"{count} products, largest operand {bits} bits"
+        certificate._slot = real
+    return f"{calls // len(expansion.x)} products, largest operand {bits} bits"
 
 
 def import_rows(repeat: int) -> list[tuple[str, float, str]]:

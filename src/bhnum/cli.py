@@ -50,13 +50,22 @@ def _require_multiple(max_weight: int, curve: CurveSpec) -> None:
         )
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths a and b name one file: one inode if both exist (a hard
+    link too), else one resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _locate(args) -> tuple[CurveSpec | None, Path]:
     """The curve --curve names (None without it) and the table's path.
 
-    An --output that resolves to the table's path is refused, so a report
-    never replaces the table.  --max-weight is checked here, positive
-    first, then a multiple of the named curve's weight; with --cache alone
-    _load_table checks the latter.
+    An --output that is the table file, by any path or hard link, is
+    refused, so a report never replaces the table.  --max-weight is checked
+    here, positive first, then a multiple of the named curve's weight;
+    with --cache alone _load_table checks the latter.
     """
     curve = None if args.curve is None else parse_curve(args.curve)
     if args.cache is not None:
@@ -66,7 +75,7 @@ def _locate(args) -> tuple[CurveSpec | None, Path]:
         path = Path(os.environ.get("BHNUM_CACHE_DIR", ".bhnum-cache")) / f"{name}.json"
     else:
         raise ValueError("need --cache or --curve to locate the table")
-    if args.output and os.path.realpath(args.output) == os.path.realpath(path):
+    if args.output and _same_file(args.output, path):
         raise ValueError(f"--output {args.output} is the table file {path}")
     if args.max_weight is not None:
         if args.max_weight < 1:

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -110,28 +111,35 @@ PRODUCTS = {
 @pytest.mark.parametrize("curve", list(PRODUCTS), ids=str)
 def test_certificate_forms_each_power_once(curve, monkeypatch):
     # A square formed twice on the way to x**b and x**i (or y**a and y**j)
-    # shows here as an extra product.
-    calls = []
-    real = certificate._mul
+    # shows here as an extra product at every slot.
+    calls = Counter()
+    real = certificate._slot
 
-    def counted(p, q, rows):
-        calls.append(len(rows))
-        return real(p, q, rows)
+    def counted(p, q, row, m):
+        calls[m] += 1
+        return real(p, q, row, m)
 
-    monkeypatch.setattr(certificate, "_mul", counted)
-    certify(expand_online(curve, 4 * curve.weight + 2))
-    assert len(calls) == PRODUCTS[curve]
+    monkeypatch.setattr(certificate, "_slot", counted)
+    expansion = expand_online(curve, 4 * curve.weight + 2)
+    certify(expansion)
+    assert calls == dict.fromkeys(range(len(expansion.x)), PRODUCTS[curve])
 
 
 def _convolution_check(f, g):
-    # The square path and the general path against a Fraction convolution.
-    # w = 0 leaves the grids unscaled; slot 0 of each is an integer, as X_0
-    # and Y_0 are.
-    rungs, rows, (p, q) = certificate._ladder((f, g), 0)
-    for a, b, (x, y) in ((p, p, (f, f)), (p, q, (f, g)), (q, p, (g, f))):
+    # The square path and the general path against a Fraction convolution,
+    # each product formed slot by slot.  w = 0 leaves the grids unscaled;
+    # slot 0 of each is an integer, as X_0 and Y_0 are.
+    p, q, rungs, got = [], [], [], ([], [], [])
+    pairs = ((p, p, (f, f)), (p, q, (f, g)), (q, p, (g, f)))
+    for m, row, rung, (u, v) in certificate._ladder((f, g), 0):
+        p.append(u)
+        q.append(v)
+        rungs.append(rung)
+        for out, (a, b, _) in zip(got, pairs):
+            out.append(certificate._slot(a, b, row, m))
+    for out, (_, _, (x, y)) in zip(got, pairs):
         want = [sum(x[k] * y[m - k] for k in range(m + 1)) for m in range(len(f))]
-        got = certificate._mul(a, b, rows)
-        assert [F(v, d) for v, d in zip(got, rungs)] == want
+        assert [F(v, d) for v, d in zip(out, rungs)] == want
     return rungs
 
 
@@ -165,15 +173,15 @@ def test_ladder_rungs_divide_up(curve, weight):
     # D_k * D_(m-k) divides D_m, with the row holding the cofactor.
     w = curve.weight
     e = expand_online(curve, weight + 2)
-    rungs, rows, _ = certificate._ladder((e.x, e.y), w)
-    assert rungs[0] == 1 and len(rungs) == len(e.x)
-    for k, d in enumerate(rungs):
+    rungs = []
+    for m, row, d, _ in certificate._ladder((e.x, e.y), w):
+        rungs.append(d)
         for grid in (e.x, e.y):
-            assert d % (grid[k] * (w + 1) ** k).denominator == 0, k
-    for m, row in enumerate(rows):
+            assert d % (grid[m] * (w + 1) ** m).denominator == 0, m
         assert len(row) == m // 2 + 1
         for k, c in enumerate(row):
-            assert c * rungs[k] * rungs[m - k] == rungs[m], (m, k)
+            assert c * rungs[k] * rungs[m - k] == d, (m, k)
+    assert rungs[0] == 1 and len(rungs) == len(e.x)
 
 
 def test_ladder_failures_name_the_same_residual():
@@ -202,7 +210,20 @@ def test_grid_is_rescaled():
     w = curve.weight
     e = expand_online(curve, 1010)
     assert lcm(*(c.denominator for c in e.x)).bit_length() == 1776
-    rungs, _, (nums, _) = certificate._ladder((e.x, e.y), w)
-    assert rungs[-1].bit_length() < 1776
-    scaled = enumerate(zip(nums, rungs))
-    assert [F(v, d * (w + 1) ** k) for k, (v, d) in scaled] == list(e.x)
+    slots = [(nums[0], d) for _, _, d, nums in certificate._ladder((e.x, e.y), w)]
+    assert slots[-1][1].bit_length() < 1776
+    assert [F(v, d * (w + 1) ** k) for k, (v, d) in enumerate(slots)] == list(e.x)
+
+
+@pytest.mark.parametrize("m, at", [(3, 30), (7, 70)])
+def test_curve_equation_outranks_an_earlier_differential_failure(m, at):
+    # 2 added to X_m and -5 to Y_m keep the curve equation at slot m and
+    # break the differential identity there; the curve equation first fails
+    # at slot m + 1, and it is the identity named.
+    good = expand_online(CurveSpec.cyclotomic(2, 5), 302)
+    with pytest.raises(ExpansionError) as err:
+        certify(bump(bump(good, "x", m, F(2)), "y", m, F(-5)))
+    assert str(err.value) == (
+        f"online expansion of cyclo:a=2,b=5 fails the curve equation at u^{at} "
+        "(residual coefficient: 7-bit numerator, 4-bit denominator)"
+    )

@@ -324,7 +324,7 @@ def test_unreadable_paths_are_usage_errors(cache_env, capsys):
     assert rc == 2 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("spelling", ["t.json", "./t.json", "link.json"])
+@pytest.mark.parametrize("spelling", ["t.json", "./t.json", "link.json", "hard.json"])
 @pytest.mark.parametrize(
     "command",
     [["compute", "--curve", MAIN_CURVE, "--max-weight", "30"], ["verify", "vsc"], ["export"]],
@@ -333,14 +333,15 @@ def test_unreadable_paths_are_usage_errors(cache_env, capsys):
 def test_output_naming_the_table_file_is_refused(
     tmp_path, capsys, monkeypatch, command, spelling
 ):
-    # However it is spelled (link.json is a symlink to t.json), an --output
-    # that is the table file is refused before any expansion or read, and
-    # the table keeps its bytes.
+    # However it is spelled (link.json is a symlink to t.json, hard.json a
+    # hard link), an --output that is the table file is refused before any
+    # expansion or read, and the table keeps its bytes.
     monkeypatch.chdir(tmp_path)
     rc, _, _ = run(capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "30",
                    "--cache", "t.json")
     assert rc == 0
     (tmp_path / "link.json").symlink_to("t.json")
+    os.link(tmp_path / "t.json", tmp_path / "hard.json")
     before = (tmp_path / "t.json").read_bytes()
 
     def untouched(*args):

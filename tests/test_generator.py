@@ -492,8 +492,8 @@ def test_online_rungs_are_the_lcm_of_their_slots_and_pairs(curve, order, monkeyp
     expansion = generator.expand_online(curve, order)
     assert len(slots) == len(expansion.x) - 1
     assert {len(series) for series, _ in slots} == {STORED_LISTS[curve]}
-    rungs = certificate._ladder((expansion.x, expansion.y), curve.weight)[0]
-    assert _rungs(slots[-1][1]) == rungs
+    ladder = certificate._ladder((expansion.x, expansion.y), curve.weight)
+    assert _rungs(slots[-1][1]) == [rung for _, _, rung, _ in ladder]
 
 
 def test_ode_refuses_non_hyperelliptic():
