@@ -12,8 +12,10 @@
             numerator over its slot's rung of the denominator ladder.
   extract   extract_numbers, reading the C_N / D_N table off the online
             expansion.
-  cache     BHTable.dumps (write) and BHTable.loads (read) of that table,
-            the cache file's text without the disk.
+  cache     BHTable.write of that table into a temporary directory, as
+            compute runs it, and BHTable.read of the file it wrote.  The
+            write row's note gives the bytes written and the tracemalloc
+            peak of one extra, untimed write over those bytes.
   verify    each verifier on the table read off that expansion, as
             verify all runs it with --prime-limit at the top weight and
             --depth 3 (cyclo:a=2,b=5 only, the curve they are proven for):
@@ -33,8 +35,8 @@
             exact integer sum.
   verify/json  bhnum.cli.main running verify all --prime-limit <top weight>
             --depth 3 --format json --output <file> on that table, read
-            from a file: the whole JSON command, table read included.  Its
-            note gives the bytes written.
+            from the file cache/write wrote: the whole JSON command, table
+            read included.  Its note gives the bytes written.
   import    the median seconds of a fresh import of bhnum.cli with the
             standard library already loaded, as the benchmark's set-up
             imports it: every bhnum module it loads is compiled from
@@ -59,6 +61,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from math import prod
 
 from bhnum import certificate, congruence, generator
@@ -115,6 +118,19 @@ def certificate_shape(expansion) -> str:
     return f"{calls // len(expansion.x)} products, largest operand {bits} bits"
 
 
+def write_shape(table, path) -> str:
+    """The bytes one write of table to path leaves, and its tracemalloc peak
+    over them."""
+    tracemalloc.start()
+    try:
+        table.write(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    return f"{size} bytes written, peak {peak / size:.2f}x of them"
+
+
 def import_rows(repeat: int) -> list[tuple[str, float, str]]:
     """The import rows: median seconds of a fresh, compiling import of
     bhnum.cli, then of bhnum.congruence on top of it.  The modules the rest
@@ -150,26 +166,19 @@ def import_rows(repeat: int) -> list[tuple[str, float, str]]:
             for stage, _ in stages]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--order", type=int, default=302)
-    ap.add_argument("--curve", default="cyclo:a=2,b=5")
-    ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--json", action="store_true", help="print one JSON document")
-    args = ap.parse_args()
-
+def timed_rows(args, cache: str, report: str) -> list[tuple[str, float, str]]:
+    """Every row but the import rows; the table goes to cache and verify/json's
+    report to report."""
     curve = parse_curve(args.curve)
-    at = f"{curve}@{args.order}"
     online = expand_online(curve, args.order)
     seconds = best_of(args.repeat, lambda: expand_online(curve, args.order))
     rows = [("pipeline/online", seconds, kernel_shape(curve, args.order))]
     table = extract_numbers(online)
-    text = table.dumps()
     for name, fn, note in (
         ("certify", lambda: certify(online), certificate_shape(online)),
         ("extract", lambda: extract_numbers(online), ""),
-        ("cache/write", table.dumps, ""),
-        ("cache/read", lambda: BHTable.loads(text), ""),
+        ("cache/write", lambda: table.write(cache), write_shape(table, cache)),
+        ("cache/read", lambda: BHTable.read(cache), ""),
     ):
         rows.append((name, best_of(args.repeat, fn), note))
 
@@ -209,21 +218,30 @@ def main() -> None:
         for (name, _), times in zip(checks, zip(*passes)):
             rows.append((f"verify/{name}", min(times), notes.get(name, "")))
 
-        with tempfile.TemporaryDirectory() as tmp:
-            cache, report = os.path.join(tmp, "table.json"), os.path.join(tmp, "report.json")
-            with open(cache, "w") as fh:
-                fh.write(text)
-            argv = ["verify", "all", "--cache", cache, "--prime-limit", str(top),
-                    "--depth", "3", "--format", "json", "--output", report]
+        argv = ["verify", "all", "--cache", cache, "--prime-limit", str(top),
+                "--depth", "3", "--format", "json", "--output", report]
 
-            def verify_json():
-                if cli_main(argv):
-                    raise SystemExit(f"bhnum {' '.join(argv)} did not pass")
+        def verify_json():
+            if cli_main(argv):
+                raise SystemExit(f"bhnum {' '.join(argv)} did not pass")
 
-            seconds = best_of(args.repeat, verify_json)
-            rows.append(("verify/json", seconds, f"{os.path.getsize(report)} bytes written"))
+        seconds = best_of(args.repeat, verify_json)
+        rows.append(("verify/json", seconds, f"{os.path.getsize(report)} bytes written"))
+    return rows
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--order", type=int, default=302)
+    ap.add_argument("--curve", default="cyclo:a=2,b=5")
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--json", action="store_true", help="print one JSON document")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = timed_rows(args, os.path.join(tmp, "table.json"), os.path.join(tmp, "report.json"))
     rows.extend(import_rows(args.repeat))
 
+    curve = parse_curve(args.curve)
     if args.json:
         print(json.dumps({
             "curve": str(curve), "order": args.order, "repeat": args.repeat,
@@ -232,7 +250,7 @@ def main() -> None:
         }, indent=2))
         return
     for name, seconds, note in rows:
-        print(f"{name:<18s} {at}  {seconds * 1000:9.2f} ms  {note}".rstrip())
+        print(f"{name:<18s} {curve}@{args.order}  {seconds * 1000:9.2f} ms  {note}".rstrip())
 
 
 if __name__ == "__main__":

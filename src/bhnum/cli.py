@@ -9,8 +9,8 @@ Exit codes: 0 success / all checks pass, 1 a verification check failed,
 cache, weights not computed, sweep bounds below 1), 3 an internal check
 tripped: the expansion failed its certificate (the curve equation or the
 differential identity).
-Output is deterministic: identical invocations produce byte-identical
-reports, with no timestamps or environment echoes.
+Reports are written as they are rendered and are byte-identical for
+identical invocations: no timestamps or environment echoes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 from .curves import CurveSpec, parse_curve
@@ -31,8 +33,8 @@ from .generator import (
     extract_numbers,
     hurwitz,
     int_digits,
-    json_text,
     rational_pair,
+    write_json,
 )
 
 __all__ = ["console_main", "main"]
@@ -62,10 +64,10 @@ def _same_file(a, b) -> bool:
 def _locate(args) -> tuple[CurveSpec | None, Path]:
     """The curve --curve names (None without it) and the table's path.
 
-    An --output that is the table file, by any path or hard link, is
-    refused, so a report never replaces the table.  --max-weight is checked
-    here, positive first, then a multiple of the named curve's weight;
-    with --cache alone _load_table checks the latter.
+    A directory there is refused, and so is an --output that is the table
+    file, by any path or hard link, so a report never replaces the table.
+    --max-weight is checked here, positive first, then a multiple of the
+    named curve's weight; with --cache alone _load_table checks the latter.
     """
     curve = None if args.curve is None else parse_curve(args.curve)
     if args.cache is not None:
@@ -75,6 +77,8 @@ def _locate(args) -> tuple[CurveSpec | None, Path]:
         path = Path(os.environ.get("BHNUM_CACHE_DIR", ".bhnum-cache")) / f"{name}.json"
     else:
         raise ValueError("need --cache or --curve to locate the table")
+    if path.is_dir():
+        raise ValueError(f"table path {path} is a directory")
     if args.output and _same_file(args.output, path):
         raise ValueError(f"--output {args.output} is the table file {path}")
     if args.max_weight is not None:
@@ -112,20 +116,19 @@ def _load_table(args) -> BHTable:
 def _emit(args, summary, document, order: int) -> None:
     """Write the rendering --format asks for, and build only that one.
 
-    summary() gives the text lines; document() gives the JSON text.  They
-    run with the int/str digit limit lifted to what numbers up to the
-    expansion order need, and restored afterwards.
+    document(out) writes the JSON document to out; summary() gives the text
+    lines, written in batches as they come.  --output (else stdout) opens
+    here, after every check has run.  Both run with the int/str digit limit
+    lifted to what numbers up to the expansion order need, then restored.
     """
-    with int_digits(order):
+    dest = Path(args.output).open("w") if args.output else nullcontext(sys.stdout)
+    with dest as out, int_digits(order):
         if args.format == "json":
-            payload = document()
+            document(out)
         else:
-            payload = "\n".join(summary()) + "\n"
-    out = args.output
-    if out:
-        Path(out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+            lines = iter(summary())
+            while batch := list(islice(lines, 1024)):
+                out.write("\n".join(batch) + "\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -135,12 +138,17 @@ def cmd_compute(args) -> int:
     curve, path = _locate(args)
     expansion = expand_checked(curve, args.max_weight + 2)
     table = extract_numbers(expansion)
-    text = table.write(path)
+    table.write(path)
     line = (
         f"COMPUTE curve={curve} max_weight={args.max_weight} "
         f"rows={len(table.rows)} method={table.method} cache={path}"
     )
-    _emit(args, lambda: [line], lambda: text, table.order)
+
+    def document(out):  # the table file just written, not a second encoding
+        with path.open() as fh:
+            out.writelines(fh)
+
+    _emit(args, lambda: [line], document, table.order)
     return EXIT_OK
 
 
@@ -177,8 +185,8 @@ def cmd_verify(args) -> int:
             yield from (row.summary_line() for row in rows)
             yield f"{tag}: {sum(row.passed for row in rows)}/{len(rows)} pass{bounds}"
 
-    def document():
-        return json_text({
+    def document(out):
+        write_json({
             "format": "bhnum.report",
             "version": REPORT_VERSION,
             "curve": str(table.curve),
@@ -188,7 +196,7 @@ def cmd_verify(args) -> int:
             "reports": [
                 r.to_json_dict(*extra) for *_, reports, extra in sections for r in reports
             ],
-        })
+        }, out)
 
     _emit(args, summary, document, table.order)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -202,7 +210,7 @@ def cmd_export(args) -> int:
             c, d = table.rows[n]
             yield f"{n}, {c}, {d}, {c / n}, {d / n}"
 
-    _emit(args, summary, table.dumps, table.order)
+    _emit(args, summary, table.dump, table.order)
     return EXIT_OK
 
 
@@ -216,17 +224,14 @@ def cmd_anchor(args) -> int:
     step, sequence = _ANCHORS[args.command]
     values = [(step * k, v) for k, v in enumerate(sequence(args.count), 1)]
 
-    def document():
-        return json_text({
+    def document(out):
+        write_json({
             "format": f"bhnum.{args.command}",
             "version": REPORT_VERSION,
             "values": [{"index": i, "value": rational_pair(v)} for i, v in values],
-        })
+        }, out)
 
-    def summary():
-        return [f"{i}, {v}" for i, v in values]
-
-    _emit(args, summary, document, step * args.count + 2)
+    _emit(args, lambda: (f"{i}, {v}" for i, v in values), document, step * args.count + 2)
     return EXIT_OK
 
 

@@ -23,11 +23,11 @@ is a numerator over its own rung D_k (_cofactors, _append), and Fraction
 appears only at read-out.
 
 expand_checked, the route every table is computed by, certifies the online
-expansion against the curve equation and the differential du
-(bhnum.certificate, re-exported here).  The certificate checks both
-identities slot by slot on integer numerators; it shares no code with the
-online kernel (_miller, _cross, _cofactors, _append and the X_m solve),
-and it pins every coefficient.
+expansion against the curve equation and du (bhnum.certificate, re-exported
+here), slot by slot on integer numerators; the certificate shares no code
+with the online kernel (_miller, _cross, _cofactors, _append and the X_m
+solve), and it pins every coefficient.  BHTable.dump and write_json, the
+only JSON writers, stream into an open file; no whole text is built.
 """
 
 from __future__ import annotations
@@ -261,9 +261,10 @@ def rational_pair(q: Fraction) -> list[str]:
 REPORT_VERSION = 1  # the "version" of every report and anchor document
 
 
-def json_text(doc: dict) -> str:
-    """The text of every JSON document bhnum writes: keys sorted, indent 2."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def write_json(doc: dict, out) -> None:
+    """Write doc to out chunk by chunk, as every JSON document bhnum writes."""
+    json.dump(doc, out, indent=2, sort_keys=True)
+    out.write("\n")
 
 
 def _max_digits(order: int) -> int:
@@ -372,23 +373,21 @@ class BHTable:
         rows = {n: cd for n, cd in self.rows.items() if n <= max_weight}
         return BHTable(self.curve, max_weight + 2, self.method, rows)
 
-    def dumps(self) -> str:
-        """The table file's text: one JSON document, keys sorted."""
+    def dump(self, out) -> None:
+        """Write the table file's text to out: one JSON document, keys sorted."""
         with int_digits(self.order):
-            rows = [
-                {"weight": n, "c": rational_pair(c), "d": rational_pair(d)}
-                for n, (c, d) in sorted(self.rows.items())
-            ]
-        doc = {
-            "format": TABLE_FORMAT,
-            "version": TABLE_VERSION,
-            "curve": str(self.curve),
-            "weight_step": self.curve.weight,
-            "order": self.order,
-            "method": self.method,
-            "rows": rows,
-        }
-        return json_text(doc)
+            write_json({
+                "format": TABLE_FORMAT,
+                "version": TABLE_VERSION,
+                "curve": str(self.curve),
+                "weight_step": self.curve.weight,
+                "order": self.order,
+                "method": self.method,
+                "rows": [
+                    {"weight": n, "c": rational_pair(c), "d": rational_pair(d)}
+                    for n, (c, d) in sorted(self.rows.items())
+                ],
+            }, out)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BHTable":
@@ -436,21 +435,18 @@ class BHTable:
             raise CacheError(f"table file is not valid JSON: {exc}") from None
         return cls.from_json_dict(doc)
 
-    def write(self, path: str | Path) -> str:
+    def write(self, path: str | Path) -> None:
         """Atomic whole-file replace; a reader never sees a partial table.
-        The file gets the mode a plain open() would give it, 0o666 less
-        the umask (mkstemp makes it 0o600).
-
-        Returns the text written, so a caller that also prints the table
-        serializes it once.
+        The rows are dumped into a temporary file beside path as they are
+        encoded, which then replaces path.  The file gets the mode a plain
+        open() would give it, 0o666 less the umask (mkstemp makes it 0o600).
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = self.dumps()
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                self.dump(fh)
             umask = os.umask(0o077)  # the umask is only readable by setting it
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -458,7 +454,6 @@ class BHTable:
         except BaseException:
             os.unlink(tmp)
             raise
-        return text
 
     @classmethod
     def read(cls, path: str | Path) -> "BHTable":

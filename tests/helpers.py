@@ -7,6 +7,7 @@ between an oracle and the library is evidence rather than tautology.
 
 from __future__ import annotations
 
+import io
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
@@ -60,6 +61,13 @@ def rational_residue(q: Fraction | int, p: int, k: int = 1) -> int:
         raise NegativeValuationError(f"{q} has a factor {p} in its denominator")
     pk = p**k
     return q.numerator % pk * pow(q.denominator, -1, pk) % pk
+
+
+def table_text(table) -> str:
+    """The text table.dump writes, as one string."""
+    out = io.StringIO()
+    table.dump(out)
+    return out.getvalue()
 
 
 def bump(expansion, name: str, k: int, by):

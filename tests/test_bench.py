@@ -30,6 +30,8 @@ def test_bench_json_prints_every_row_as_one_document():
     ]
     assert all(row["seconds"] >= 0 for row in doc["rows"])
     assert rows["certify"]["note"].startswith("4 products")
+    note = rows["cache/write"]["note"]
+    assert re.fullmatch(r"[1-9]\d* bytes written, peak \d+\.\d\dx of them", note)
     note = rows["verify/kummer"]["note"]
     assert re.fullmatch(r"\d+ primes with rows, at most \d+ digits, \d+ check sides exact", note)
     assert re.fullmatch(r"[1-9]\d* bytes written", rows["verify/json"]["note"])

@@ -19,7 +19,7 @@ from bhnum.congruence import (
 )
 from bhnum.curves import CurveSpec
 from bhnum.generator import BHTable, expand_online
-from helpers import bump
+from helpers import bump, table_text
 
 MAIN_CURVE = "cyclo:a=2,b=5"
 
@@ -59,13 +59,13 @@ def test_compute_json_prints_the_cache_text_serialized_once(
     cache_env, capsys, monkeypatch
 ):
     calls = []
-    real = BHTable.dumps
+    real = BHTable.dump
 
-    def counted(table):
+    def counted(table, out):
         calls.append(table)
-        return real(table)
+        real(table, out)
 
-    monkeypatch.setattr(BHTable, "dumps", counted)
+    monkeypatch.setattr(BHTable, "dump", counted)
     rc, out, err = run(
         capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "30",
         "--format", "json",
@@ -141,6 +141,24 @@ def test_compute_rejects_misaligned_weight(cache_env, capsys):
             capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", max_weight
         )
         assert (rc, out, err) == (2, "", "error: --max-weight must be positive\n")
+
+
+def test_compute_refuses_a_directory_as_the_table_before_expanding(
+    tmp_path, capsys, monkeypatch
+):
+    # The table path is checked before the expansion runs, so a directory
+    # costs no compute, gets one fixed line and leaves no temporary file.
+    target = tmp_path / "tables"
+    target.mkdir()
+    calls = []
+    monkeypatch.setattr("bhnum.cli.expand_checked", lambda *args: calls.append(args))
+    rc, out, err = run(
+        capsys, "compute", "--curve", MAIN_CURVE, "--max-weight", "20",
+        "--cache", str(target),
+    )
+    assert (rc, out, err) == (2, "", f"error: table path {target} is a directory\n")
+    assert calls == []
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize(
@@ -226,6 +244,19 @@ def test_verify_output_file(cache_env, tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert json.loads(dest.read_text())["passed"] is True
+
+
+def test_a_refused_command_writes_no_output_file(cache_env, capsys):
+    # --output is opened only when rendering starts, after every check, so
+    # a command refused before that leaves no file behind.
+    compute_main(capsys)
+    dest = cache_env / "report.txt"
+    rc, out, err = run(
+        capsys, "verify", "vsc", "--curve", MAIN_CURVE, "--max-weight", "40",
+        "--output", str(dest),
+    )
+    assert (rc, out) == (2, "") and "lacks weights [40]" in err
+    assert not dest.exists()
 
 
 def test_verify_restricts_to_max_weight(cache_env, capsys):
@@ -479,7 +510,7 @@ def test_summary_mode_builds_no_json(cache_env, capsys, monkeypatch):
     def no_json(self):
         raise AssertionError(f"{type(self).__name__}.to_json_dict in summary mode")
 
-    # BHTable serializes through dumps, which the table file needs; the
+    # BHTable serializes through dump, which the table file needs; the
     # patch keeps a to_json_dict from coming back onto the summary path.
     for cls in (VscReport, KummerReport, IntegralityReport, BHTable):
         monkeypatch.setattr(cls, "to_json_dict", no_json, raising=False)
@@ -588,7 +619,7 @@ def test_tables_past_the_int_digit_limit(cache_env, capsys, monkeypatch):
         "--format", "json",
     )
     assert (rc, err) == (0, "")
-    assert out == table.dumps()
+    assert out == table_text(table)
     assert len(json.loads(out)["rows"][-1]["c"][0]) > 5000
     assert BHTable.read(cache_env / "cyclo_a2_b5.json").rows == table.rows
     rc, out, err = run(capsys, "verify", "vsc", "--curve", MAIN_CURVE)

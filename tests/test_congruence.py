@@ -33,7 +33,7 @@ from bhnum.generator import (
     extract_numbers,
 )
 from bhnum.numtheory import is_prime, padic_valuation, primes_in_class
-from helpers import brute_mod_inverse, rational_residue
+from helpers import brute_mod_inverse, rational_residue, table_text
 from reversion_route import binomial_series, expand_by_reversion
 
 F = Fraction
@@ -748,7 +748,7 @@ def test_table_refuses_rows_off_its_weight_ladder(table100):
     curve, order, method = table100.curve, table100.order, table100.method
     with pytest.raises(ValueError, match="not the full ladder of weight multiples up to 100"):
         BHTable(curve, order, method, {**table100.rows, 15: table100.rows[10]})
-    doc = json.loads(table100.dumps())
+    doc = json.loads(table_text(table100))
     doc["rows"][0]["weight"] = 15
     with pytest.raises(CacheError, match="not the full ladder"):
         BHTable.from_json_dict(doc)

@@ -4,11 +4,13 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +27,9 @@ from bhnum.generator import (
     extract_numbers,
     hurwitz,
 )
-from helpers import assert_dict_eq, bump, oracle_bernoulli, oracle_x_of_u, series_dict
+from helpers import (
+    assert_dict_eq, bump, oracle_bernoulli, oracle_x_of_u, series_dict, table_text,
+)
 import ode_route
 from ode_route import expand_by_ode
 from reversion_route import (
@@ -554,9 +558,9 @@ def make_table(order=32):
 
 def test_table_json_round_trip_is_byte_identical():
     table = make_table()
-    text = table.dumps()
+    text = table_text(table)
     again = BHTable.loads(text)
-    assert again.dumps() == text
+    assert table_text(again) == text
     assert again.rows == table.rows
     assert again.curve == table.curve
 
@@ -600,6 +604,23 @@ def test_failed_table_replace_keeps_the_old_table(tmp_path, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["main.json"]
 
 
+def test_table_write_holds_one_copy_of_the_text(tmp_path):
+    # write dumps the rows into the file as they are encoded, so what it
+    # allocates at its peak (the rows' decimal strings and one chunk) stays
+    # below twice the file; a text joined before writing would need more.
+    fixture = Path(__file__).parents[1] / "bhbench/fixtures/cyclo_a2_b5_w1000.json"
+    table = BHTable.read(fixture)
+    path = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        table.write(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == fixture.read_bytes()
+    assert peak < 2 * path.stat().st_size
+
+
 def test_table_restrict():
     table = make_table(42)
     small = table.restrict(20)
@@ -610,7 +631,7 @@ def test_table_restrict():
 
 
 def test_table_loads_rejects_malformed_documents():
-    good = json.loads(make_table().dumps())
+    good = json.loads(table_text(make_table()))
 
     with pytest.raises(CacheError):
         BHTable.loads("{not json")
